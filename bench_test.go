@@ -571,156 +571,6 @@ func BenchmarkNeighborBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedPrecision compares the mixed-precision float32 host
-// fast path (float32 pair geometry, float64 accumulation) against the
-// all-float64 kernels it shadows: the Verlet-list kernel serial and
-// sharded at full parallelism, and the serial linked-cell kernel. The
-// f32 arms time the honest per-step cost — the O(N) mirror refresh
-// plus the force evaluation — and report f32_speedup_vs_f64 against
-// the matching f64 arm. Set BENCH_JSON=<path> to append JSON-Lines
-// records for the cross-PR bench trajectory (BENCH_PR6.json).
-func BenchmarkMixedPrecision(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
-	const skin = 0.4
-	ncpu := runtime.NumCPU()
-	// f64Ns holds each float64 arm's per-op time, the denominator of
-	// the matching f32 arm's speedup. Sub-benchmarks run in definition
-	// order, so the denominator is measured before it is needed; under
-	// a -bench filter that skips the f64 arm, the f32 arm simply
-	// reports no speedup metric.
-	f64Ns := map[string]float64{}
-
-	record := func(b *testing.B, key string, f64Key string) {
-		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		m := map[string]float64{"ns_per_op": perOp}
-		if f64Key == "" {
-			f64Ns[key] = perOp
-		} else if base, ok := f64Ns[f64Key]; ok {
-			speedup := base / perOp
-			b.ReportMetric(speedup, "f32_speedup_vs_f64")
-			m["f32_speedup_vs_f64"] = speedup
-		}
-		sink.Record("MixedPrecision/"+key, m)
-	}
-
-	for _, n := range []int{2048, 8192} {
-		st, err := lattice.Generate(lattice.Config{
-			N: n, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004}
-		pos := md.CoordsFromV3(st.Pos)
-		mx, err := md.NewMirror32(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc := md.MakeCoords[float64](n)
-
-		b.Run(fmt.Sprintf("pairlist_f64/n%d_serial", n), func(b *testing.B) {
-			nl, err := md.NewNeighborList[float64](skin)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nl.Forces(p, pos, acc)
-			}
-			b.StopTimer()
-			record(b, fmt.Sprintf("pairlist_f64_n%d_serial", n), "")
-		})
-		b.Run(fmt.Sprintf("pairlist_f32/n%d_serial", n), func(b *testing.B) {
-			nl, err := md.NewNeighborList[float32](skin)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mx.Refresh(pos)
-				md.ForcesPairlistMixed(nl, mx.P, mx.Pos, acc)
-			}
-			b.StopTimer()
-			record(b, fmt.Sprintf("pairlist_f32_n%d_serial", n),
-				fmt.Sprintf("pairlist_f64_n%d_serial", n))
-		})
-		b.Run(fmt.Sprintf("pairlist_f64/n%d_w%d", n, ncpu), func(b *testing.B) {
-			nl, err := md.NewNeighborList[float64](skin)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := parallel.New[float64](ncpu)
-			defer e.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.ForcesPairlist(nl, p, pos, acc)
-			}
-			b.StopTimer()
-			record(b, fmt.Sprintf("pairlist_f64_n%d_parallel", n), "")
-		})
-		b.Run(fmt.Sprintf("pairlist_f32/n%d_w%d", n, ncpu), func(b *testing.B) {
-			nl, err := md.NewNeighborList[float32](skin)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := parallel.New[float64](ncpu)
-			defer e.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mx.Refresh(pos)
-				if _, err := e.TryForcesPairlistF32(nl, mx.P, mx.Pos, acc); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			record(b, fmt.Sprintf("pairlist_f32_n%d_parallel", n),
-				fmt.Sprintf("pairlist_f64_n%d_parallel", n))
-		})
-		b.Run(fmt.Sprintf("cellgrid_f64/n%d_serial", n), func(b *testing.B) {
-			cl, err := md.NewCellList(p.Box, p.Cutoff)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cl.Forces(p, pos, acc)
-			}
-			b.StopTimer()
-			record(b, fmt.Sprintf("cellgrid_f64_n%d_serial", n), "")
-		})
-		b.Run(fmt.Sprintf("cellgrid_f32/n%d_serial", n), func(b *testing.B) {
-			cl, err := md.NewCellList(mx.P.Box, mx.P.Cutoff)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mx.Refresh(pos)
-				md.ForcesCellMixed(cl, mx.P, mx.Pos, acc)
-			}
-			b.StopTimer()
-			record(b, fmt.Sprintf("cellgrid_f32_n%d_serial", n),
-				fmt.Sprintf("cellgrid_f64_n%d_serial", n))
-		})
-	}
-}
-
 // BenchmarkGuardRecovery measures the resilient run supervisor
 // (internal/guard): a clean guarded run as the baseline, then a run
 // that takes an injected worker panic and recovers via checkpoint
@@ -750,7 +600,7 @@ func BenchmarkGuardRecovery(b *testing.B) {
 		Atoms: 108, Density: 0.8442, Temperature: 0.728,
 		Lattice: lattice.FCC, Seed: 7,
 		Cutoff: 2.5, Dt: 0.004, Shifted: true,
-		Method: mdrun.ParallelDirect, Workers: 2,
+		Method: mdrun.Direct, Workers: 2,
 	}
 	const steps = 30
 	guardedRun := func(b *testing.B, inj faults.Injector) *guard.RunReport {
@@ -1508,7 +1358,7 @@ func BenchmarkChaosOverhead(b *testing.B) {
 }
 
 // BenchmarkStepAllocs pins the PR-10 arena contract: once a method's
-// lazily sized scratch (neighbor rows, CSR bins, f32 mirror) has been
+// lazily sized scratch (neighbor rows, CSR bins) has been
 // populated by warmup steps, steady-state stepping performs zero
 // per-step heap allocation. Run with -benchmem; scripts/verify.sh
 // fails the gate on any arm reporting allocs/op > 0. Each arm also
@@ -1549,7 +1399,7 @@ func BenchmarkStepAllocs(b *testing.B) {
 
 	// arms maps a method name to a constructor returning the per-step
 	// advance. Warmup runs before the timer so one-time sizing (first
-	// list build, CSR grow, mirror fill) never lands in the window.
+	// list build, CSR grow) never lands in the window.
 	arms := []struct {
 		name  string
 		setup func(b *testing.B, s *md.System[float64]) func()
@@ -1577,41 +1427,6 @@ func BenchmarkStepAllocs(b *testing.B) {
 						nl.Build(s.P, s.Pos)
 					}
 					return nl.Forces(s.P, s.Pos, s.Acc)
-				})
-			}
-		}},
-		{"pairlist_f32_mixed", func(b *testing.B, s *md.System[float64]) func() {
-			mx, err := md.NewMirror32(s.P)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nl, err := md.NewNeighborList[float32](0.4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return func() {
-				s.StepWith(func() float64 {
-					mx.RefreshSystem(s)
-					if nl.Stale(mx.P, mx.Pos) {
-						nl.Build(mx.P, mx.Pos)
-					}
-					return md.ForcesPairlistMixed(nl, mx.P, mx.Pos, s.Acc)
-				})
-			}
-		}},
-		{"cellgrid_f32_mixed", func(b *testing.B, s *md.System[float64]) func() {
-			mx, err := md.NewMirror32(s.P)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl, err := md.NewCellList(mx.P.Box, mx.P.Cutoff)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return func() {
-				s.StepWith(func() float64 {
-					mx.RefreshSystem(s)
-					return md.ForcesCellMixed(cl, mx.P, mx.Pos, s.Acc)
 				})
 			}
 		}},

@@ -22,10 +22,6 @@ func runBatch(o runOpts) error {
 	if o.devName != "reference" {
 		return fmt.Errorf("-batch supervises only -device reference (got %q)", o.devName)
 	}
-	method, err := parseMethod(o.method, o.precision)
-	if err != nil {
-		return err
-	}
 	inj, err := parseInject(o.inject)
 	if err != nil {
 		return err
@@ -33,7 +29,7 @@ func runBatch(o runOpts) error {
 
 	reps := make([]fleet.Replica, o.batch)
 	for i := range reps {
-		cfg, err := buildRunConfig(o, method, nil)
+		cfg, err := buildRunConfig(o, nil)
 		if err != nil {
 			return err
 		}

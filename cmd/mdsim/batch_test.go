@@ -26,7 +26,7 @@ func TestBatchPoisonedReplicaDoesNotSinkSiblings(t *testing.T) {
 	// The -inject spec arms replica 0 only; the guard ladder recovers it
 	// while the other replicas run clean, so the batch as a whole passes.
 	o := batchOpts(4)
-	o.method = "pardirect"
+	o.method = "direct"
 	o.workers = 2
 	o.maxInflight = 2
 	o.inject = "nan-forces@5"

@@ -12,6 +12,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/mdrun"
+	"repro/internal/parallel"
 )
 
 // runGuarded executes the reference simulation under the resilient run
@@ -21,19 +22,16 @@ func runGuarded(o runOpts) (err error) {
 	if o.devName != "reference" {
 		return fmt.Errorf("-guard supervises only -device reference (got %q)", o.devName)
 	}
-	method, err := parseMethod(o.method, o.precision)
-	if err != nil {
-		return err
-	}
 	inj, err := parseInject(o.inject)
 	if err != nil {
 		return err
 	}
 
-	cfg, err := buildRunConfig(o, method, inj)
+	cfg, err := buildRunConfig(o, inj)
 	if err != nil {
 		return err
 	}
+	cfg.Workers = parallel.ClampWorkers(o.workers)
 	if o.dump != "" {
 		f, ferr := os.Create(o.dump)
 		if ferr != nil {
@@ -72,7 +70,7 @@ func runGuarded(o runOpts) (err error) {
 		return err
 	}
 	fmt.Printf("guarded MD: %d atoms, %d steps, method %v, workers %d\n",
-		o.atoms, sum.Steps, rep.FinalMethod, cfg.Workers)
+		o.atoms, sum.Steps, rep.FinalMethod, rep.FinalWorkers)
 	fmt.Printf("energy:      initial %.6f  final %.6f\n", sum.InitialEnergy, sum.FinalEnergy)
 	fmt.Printf("temperature: %.4f (target %.4f)\n", sum.MeanTemperature, core.StdTemperature)
 	fmt.Printf("pressure:    %.4f\n", sum.Pressure)
@@ -80,9 +78,14 @@ func runGuarded(o runOpts) (err error) {
 }
 
 // buildRunConfig assembles the standard-workload mdrun config the
-// guarded and batch modes share: the paper's LJ argon state with the
-// StandardWorkload small-system cutoff reduction.
-func buildRunConfig(o runOpts, method mdrun.ForceMethod, inj faults.Injector) (mdrun.Config, error) {
+// reference, guarded and batch modes share: the paper's LJ argon state with the
+// StandardWorkload small-system cutoff reduction. Workers is -workers
+// as given; each mode resolves 0 its own way.
+func buildRunConfig(o runOpts, inj faults.Injector) (mdrun.Config, error) {
+	method, err := mdrun.ParseMethod(o.method)
+	if err != nil {
+		return mdrun.Config{}, err
+	}
 	cfg := mdrun.Config{
 		Atoms: o.atoms, Density: core.StdDensity, Temperature: core.StdTemperature,
 		Lattice: lattice.FCC, Seed: core.StdSeed,
@@ -105,45 +108,6 @@ func buildRunConfig(o runOpts, method mdrun.ForceMethod, inj faults.Injector) (m
 		return mdrun.Config{}, fmt.Errorf("unknown thermostat %q (want rescale|berendsen)", o.thermostat)
 	}
 	return cfg, nil
-}
-
-// parseMethod maps the -method and -precision flags to an mdrun force
-// method; -precision f32 selects the mixed-precision variant of the
-// pair-kernel methods (the guard's escalation ladder then stays on the
-// f32 ladder: ParallelPairlistF32 degrades to PairlistF32, never
-// silently to float64).
-func parseMethod(s, precision string) (mdrun.ForceMethod, error) {
-	if precision == "f32" {
-		switch s {
-		case "pairlist":
-			return mdrun.PairlistF32, nil
-		case "parpairlist":
-			return mdrun.ParallelPairlistF32, nil
-		case "cellgrid":
-			return mdrun.CellGridF32, nil
-		default:
-			return 0, fmt.Errorf("-precision f32 supports -method pairlist|parpairlist|cellgrid, got %q", s)
-		}
-	}
-	if precision != "" && precision != "f64" {
-		return 0, fmt.Errorf("-precision %q: want f64|f32", precision)
-	}
-	switch s {
-	case "direct", "":
-		return mdrun.Direct, nil
-	case "pairlist":
-		return mdrun.Pairlist, nil
-	case "cellgrid":
-		return mdrun.CellGrid, nil
-	case "pardirect":
-		return mdrun.ParallelDirect, nil
-	case "parpairlist":
-		return mdrun.ParallelPairlist, nil
-	case "parcellgrid":
-		return mdrun.ParallelCellGrid, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q (want direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid)", s)
-	}
 }
 
 // parseInject translates comma-separated fault specs into an armed

@@ -39,7 +39,7 @@ func TestGuardedCleanRun(t *testing.T) {
 func TestGuardedRecoversFromInjectedFaults(t *testing.T) {
 	// Worker panic: one-shot, plain retry suffices.
 	o := guardOpts()
-	o.method = "pardirect"
+	o.method = "direct"
 	o.workers = 3
 	o.inject = "worker-panic@10"
 	if err := run(o); err != nil {
@@ -50,7 +50,7 @@ func TestGuardedRecoversFromInjectedFaults(t *testing.T) {
 	o = guardOpts()
 	o.atoms = 864
 	o.steps = 30
-	o.method = "parcellgrid"
+	o.method = "cellgrid"
 	o.workers = 4
 	o.ckptDir = t.TempDir()
 	o.ckptEvery = 10

@@ -10,8 +10,8 @@
 //	mdsim -device gpu
 //	mdsim -device mta -threading partial
 //	mdsim -device reference        # pure physics, no performance model
-//	mdsim -device reference -method pardirect -workers 8   # multicore host kernel
-//	mdsim -guard -method parcellgrid -atoms 864 -checkpoint-dir /tmp/ckpt \
+//	mdsim -device reference -method direct -workers 8   # multicore host kernel
+//	mdsim -guard -method cellgrid -workers 4 -atoms 864 -checkpoint-dir /tmp/ckpt \
 //	      -inject nan-forces@25   # supervised run with fault injection
 //	mdsim -batch 8 -max-inflight 4 -replica-timeout 30s \
 //	      -inject nan-forces@25   # replica fleet; the fault hits replica 0 only
@@ -27,10 +27,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/md"
+	"repro/internal/mdrun"
 	"repro/internal/mta"
 	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/vec"
 )
 
 func main() {
@@ -46,9 +46,8 @@ func main() {
 		dump      = flag.String("dump", "", "reference: write an XYZ trajectory to this file")
 		every     = flag.Int("dump-every", 10, "reference: frames written every N steps")
 		thermo    = flag.String("thermostat", "", "reference: ''|rescale|berendsen (hold the standard temperature)")
-		method    = flag.String("method", "direct", "reference: direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid force evaluation")
-		precision = flag.String("precision", "f64", "reference: f64|f32 kernel precision (f32: float32 pair geometry, float64 accumulation; pairlist|parpairlist|cellgrid only)")
-		workers   = flag.Int("workers", 0, "reference: host worker pool for the par* methods (0 = one per CPU)")
+		method    = flag.String("method", "direct", "reference: direct|pairlist|cellgrid force evaluation")
+		workers   = flag.Int("workers", 1, "reference: host force workers (1 = serial kernel, 0 = one per CPU; in -batch, 0 shares the CPUs across in-flight replicas)")
 		skin      = flag.Float64("skin", 0.4, "reference: Verlet-list skin width for the pairlist methods")
 		saveCkpt  = flag.String("save-checkpoint", "", "reference: write a restart file after the run")
 		loadCkpt  = flag.String("load-checkpoint", "", "reference: resume from a restart file (ignores -atoms)")
@@ -67,7 +66,6 @@ func main() {
 		devName: *devName, atoms: *atoms, steps: *steps, nspe: *nspe,
 		mode: *mode, ppeOnly: *ppeOnly, threading: *threading, validate: *validate,
 		dump: *dump, dumpEvery: *every, thermostat: *thermo, method: *method,
-		precision: *precision,
 		workers: *workers, skin: *skin, saveCkpt: *saveCkpt, loadCkpt: *loadCkpt,
 		guard: *guarded, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 		maxRetries: *retries, inject: *inject,
@@ -95,17 +93,6 @@ func validateOpts(o runOpts) error {
 	}
 	if !(o.skin > 0) {
 		return fmt.Errorf("-skin %v: want a positive skin width", o.skin)
-	}
-	switch o.precision {
-	case "", "f64":
-	case "f32":
-		switch o.method {
-		case "pairlist", "parpairlist", "cellgrid":
-		default:
-			return fmt.Errorf("-precision f32 supports -method pairlist|parpairlist|cellgrid, got %q", o.method)
-		}
-	default:
-		return fmt.Errorf("-precision %q: want f64|f32", o.precision)
 	}
 	if o.ckptEvery < 1 {
 		return fmt.Errorf("-checkpoint-every %d: want a positive step interval", o.ckptEvery)
@@ -143,7 +130,6 @@ type runOpts struct {
 	dumpEvery    int
 	thermostat   string
 	method       string
-	precision    string
 	workers      int
 	skin         float64
 	saveCkpt     string
@@ -205,6 +191,10 @@ func run(o runOpts) error {
 }
 
 func runReference(w device.Workload, o runOpts) (err error) {
+	cfg, err := buildRunConfig(o, nil)
+	if err != nil {
+		return err
+	}
 	var sys *md.System[float64]
 	if o.loadCkpt != "" {
 		f, err := os.Open(o.loadCkpt)
@@ -225,32 +215,10 @@ func runReference(w device.Workload, o runOpts) (err error) {
 			return err
 		}
 	}
-	forces, closeForces, err := buildForces(sys, o.method, o.precision, o.workers, o.skin)
-	if err != nil {
-		return err
-	}
-	defer closeForces()
-	switch o.method {
-	case "pardirect", "parpairlist", "parcellgrid":
-		fmt.Printf("force method: %s, %d host workers\n", o.method, parallel.ClampWorkers(o.workers))
-	}
-	if o.precision == "f32" {
-		fmt.Println("precision: f32 pair kernel, f64 accumulation (master state f64)")
-	}
-	var th md.Thermostat[float64]
-	switch o.thermostat {
-	case "":
-	case "rescale":
-		th, err = md.NewRescaleThermostat(core.StdTemperature, 10)
-	case "berendsen":
-		th, err = md.NewBerendsenThermostat(core.StdTemperature, w.Dt, 0.1)
-	default:
-		return fmt.Errorf("unknown thermostat %q (want rescale|berendsen)", o.thermostat)
-	}
-	if err != nil {
-		return err
-	}
-	var traj *md.XYZWriter
+	// The system, fresh or restored, keeps its own numerics.
+	cfg.Cutoff, cfg.Dt, cfg.Shifted = sys.P.Cutoff, sys.P.Dt, sys.P.Shifted
+	cfg.Workers = parallel.ClampWorkers(o.workers)
+	cfg.Tau = 0.1
 	if o.dump != "" {
 		f, ferr := os.Create(o.dump)
 		if ferr != nil {
@@ -263,34 +231,29 @@ func runReference(w device.Workload, o runOpts) (err error) {
 				err = fmt.Errorf("closing trajectory %s: %w", o.dump, cerr)
 			}
 		}()
-		traj = md.NewXYZWriter(f, "Ar")
-		if o.dumpEvery < 1 {
-			o.dumpEvery = 1
-		}
+		cfg.Trajectory = f
+		cfg.TrajectoryEvery = max(o.dumpEvery, 1)
 	}
-	e0 := sys.TotalEnergy()
-	for s := 0; s < w.Steps; s++ {
-		sys.StepWith(forces)
-		if th != nil {
-			th.Apply(sys.Vel, sys.Temperature())
-			sys.KE = md.KineticEnergy(sys.Vel)
-		}
-		if traj != nil && sys.Steps%o.dumpEvery == 0 {
-			if err := traj.WriteFrame(fmt.Sprintf("step %d PE %.6f KE %.6f", sys.Steps, sys.PE, sys.KE), sys.Pos); err != nil {
-				return err
-			}
-		}
+	r, err := mdrun.NewFromSystem(sys, cfg)
+	if err != nil {
+		return err
 	}
-	if traj != nil {
-		if err := traj.Flush(); err != nil {
-			return err
-		}
-		fmt.Printf("trajectory: %d frames -> %s\n", traj.Frames(), o.dump)
+	defer r.Close()
+	if r.Workers() > 1 {
+		fmt.Printf("force method: %v, %d host workers\n", cfg.Method, r.Workers())
 	}
+	sum, err := r.Run(w.Steps)
+	if err != nil {
+		return err
+	}
+	if o.dump != "" {
+		fmt.Printf("trajectory: %d frames -> %s\n", sum.FramesWritten, o.dump)
+	}
+	e0 := sum.InitialEnergy
 	fmt.Printf("reference MD: %d atoms, %d steps, box %.4g, cutoff %.3g\n", sys.N(), w.Steps, w.State.Box, w.Cutoff)
 	fmt.Printf("energy:      PE %.6f  KE %.6f  total %.6f\n", sys.PE, sys.KE, sys.TotalEnergy())
 	fmt.Printf("temperature: %.4f (target %.4f)\n", sys.Temperature(), core.StdTemperature)
-	if th == nil {
+	if cfg.Thermostat == mdrun.NVE {
 		fmt.Printf("energy drift over run: %.3g (relative)\n",
 			abs((sys.TotalEnergy()-e0)/e0))
 	} else {
@@ -314,94 +277,6 @@ func runReference(w device.Workload, o runOpts) (err error) {
 		fmt.Printf("checkpoint: step %d -> %s\n", sys.Steps, o.saveCkpt)
 	}
 	return nil
-}
-
-// buildForces selects the non-bonded force evaluation for the
-// reference device. The par* methods shard the kernel across a host
-// worker pool (workers = 0 means one per CPU); the pairlist methods
-// take the Verlet skin width from -skin; precision "f32" swaps in the
-// mixed-precision fast path (float32 pair geometry over a narrowed
-// mirror, float64 accumulation into the master state); the returned
-// close function releases the pool and is a no-op for the serial
-// methods.
-func buildForces(sys *md.System[float64], method, precision string, workers int, skin float64) (func() float64, func(), error) {
-	noop := func() {}
-	if precision != "" && precision != "f64" && precision != "f32" {
-		return nil, nil, fmt.Errorf("-precision %q: want f64|f32", precision)
-	}
-	if precision == "f32" {
-		mx, err := md.NewMirror32(sys.P)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch method {
-		case "pairlist":
-			nl, err := md.NewNeighborList[float32](vec.Narrow[float32](skin))
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() float64 {
-				mx.RefreshSystem(sys)
-				return md.ForcesPairlistMixed(nl, mx.P, mx.Pos, sys.Acc)
-			}, noop, nil
-		case "parpairlist":
-			nl, err := md.NewNeighborList[float32](vec.Narrow[float32](skin))
-			if err != nil {
-				return nil, nil, err
-			}
-			e := parallel.New[float64](workers)
-			return func() float64 {
-				mx.RefreshSystem(sys)
-				return e.ForcesPairlistF32(nl, mx.P, mx.Pos, sys.Acc)
-			}, e.Close, nil
-		case "cellgrid":
-			cl, err := md.NewCellList(mx.P.Box, mx.P.Cutoff)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() float64 {
-				mx.RefreshSystem(sys)
-				return md.ForcesCellMixed(cl, mx.P, mx.Pos, sys.Acc)
-			}, noop, nil
-		default:
-			return nil, nil, fmt.Errorf("-precision f32 supports pairlist|parpairlist|cellgrid, got %q", method)
-		}
-	}
-	switch method {
-	case "direct", "":
-		return func() float64 { return md.ComputeForces(sys.P, sys.Pos, sys.Acc) }, noop, nil
-	case "pairlist":
-		nl, err := md.NewNeighborList[float64](skin)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }, noop, nil
-	case "cellgrid":
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }, noop, nil
-	case "pardirect":
-		e := parallel.New[float64](workers)
-		return func() float64 { return e.ForcesDirect(sys.P, sys.Pos, sys.Acc) }, e.Close, nil
-	case "parpairlist":
-		nl, err := md.NewNeighborList[float64](skin)
-		if err != nil {
-			return nil, nil, err
-		}
-		e := parallel.New[float64](workers)
-		return func() float64 { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }, e.Close, nil
-	case "parcellgrid":
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			return nil, nil, err
-		}
-		e := parallel.New[float64](workers)
-		return func() float64 { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, e.Close, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown method %q (want direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid)", method)
-	}
 }
 
 func abs(x float64) float64 {

@@ -10,6 +10,7 @@ func opts(dev string) runOpts {
 	return runOpts{
 		devName: dev, atoms: 108, steps: 2, nspe: 2, skin: 0.4,
 		mode: "amortized", threading: "full", validate: true, dumpEvery: 1,
+		method: "direct", workers: 1,
 	}
 }
 
@@ -70,75 +71,20 @@ func TestReferenceForceMethods(t *testing.T) {
 			t.Fatalf("%s: %v", m, err)
 		}
 	}
-	o := opts("reference")
-	o.method = "quantum"
-	if err := run(o); err == nil {
-		t.Fatal("unknown method accepted")
-	}
-}
-
-func TestReferenceMixedPrecision(t *testing.T) {
-	for _, m := range []string{"pairlist", "parpairlist", "cellgrid"} {
+	for _, m := range []string{"quantum", "pardirect"} {
 		o := opts("reference")
-		o.atoms = 864 // cellgrid needs >= 3 cutoff-wide cells per edge
 		o.method = m
-		o.precision = "f32"
-		if err := run(o); err != nil {
-			t.Fatalf("%s f32: %v", m, err)
+		if err := run(o); err == nil {
+			t.Fatalf("method %q accepted", m)
 		}
 	}
 }
 
-func TestGuardedAndBatchMixedPrecision(t *testing.T) {
-	// -guard and -batch route through parseMethod, not buildForces:
-	// -precision f32 must select the F32 mdrun methods there too, not
-	// silently fall back to float64.
-	o := opts("reference")
-	o.atoms = 256
-	o.method = "parpairlist"
-	o.precision = "f32"
-	o.guard = true
-	o.steps = 4
-	if err := run(o); err != nil {
-		t.Fatalf("guarded f32: %v", err)
-	}
-	o.guard = false
-	o.batch = 2
-	o.maxInflight = 2
-	if err := run(o); err != nil {
-		t.Fatalf("batch f32: %v", err)
-	}
-	o = opts("reference")
-	o.method = "direct"
-	o.precision = "f32"
-	o.guard = true
-	if err := run(o); err == nil {
-		t.Fatal("guarded -precision f32 accepted for -method direct")
-	}
-}
-
-func TestPrecisionFlagValidation(t *testing.T) {
-	// f32 is a reference-device pair-kernel option: only the methods
-	// with a mixed-precision kernel accept it.
-	o := opts("reference")
-	o.method = "direct"
-	o.precision = "f32"
-	if err := run(o); err == nil {
-		t.Fatal("-precision f32 accepted for -method direct")
-	}
-	o = opts("reference")
-	o.method = "pairlist"
-	o.precision = "f16"
-	if err := run(o); err == nil {
-		t.Fatal("unknown precision accepted")
-	}
-}
-
 func TestReferenceParallelForceMethods(t *testing.T) {
-	for _, m := range []string{"pardirect", "parpairlist", "parcellgrid"} {
+	for _, m := range []string{"direct", "pairlist", "cellgrid"} {
 		for _, workers := range []int{0, 1, 3} {
 			o := opts("reference")
-			o.atoms = 864 // parcellgrid needs >= 3 cutoff-wide cells per edge
+			o.atoms = 864 // cellgrid needs >= 3 cutoff-wide cells per edge
 			o.method = m
 			o.workers = workers
 			if err := run(o); err != nil {

@@ -32,8 +32,6 @@ var KernelRoots = []RootSpec{
 	"repro/internal/md:CellList.Forces",
 	"repro/internal/md:NeighborList.Forces",
 	"repro/internal/md:BondedForces",
-	"repro/internal/md:ForcesPairlistMixed",
-	"repro/internal/md:ForcesCellMixed",
 	// neighbor/cell builds
 	"repro/internal/md:CellList.Build",
 	"repro/internal/md:CellList.BinWrapped",
@@ -47,11 +45,6 @@ var KernelRoots = []RootSpec{
 	"repro/internal/parallel:Engine.ForcesPairlist",
 	"repro/internal/parallel:Engine.TryForcesPairlist",
 	"repro/internal/parallel:Engine.BuildPairlist",
-	"repro/internal/parallel:Engine.ForcesPairlistF32",
-	"repro/internal/parallel:Engine.TryForcesPairlistF32",
-	"repro/internal/parallel:Engine.BuildPairlistF32",
-	// deterministic reductions
-	"repro/internal/vec:PairwiseSum",
 }
 
 // AllowRule declares one dynamic call site the graph cannot resolve but

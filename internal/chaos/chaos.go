@@ -116,7 +116,6 @@ func oracleEnergy(steps int, scratch string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	gcfg.Run.Workers = 1
 	sup, err := guard.New(gcfg)
 	if err != nil {
 		return 0, err

@@ -115,7 +115,7 @@ func TestBatchIsolatesPoisonedReplica(t *testing.T) {
 // injected straggler fault on every call.
 func delayedReplica(id int, steps int, delay time.Duration) Replica {
 	cfg := replicaCfg(uint64(200 + id))
-	cfg.Run.Method = mdrun.ParallelDirect
+	cfg.Run.Method = mdrun.Direct
 	cfg.Run.Workers = 2
 	cfg.Run.Faults = faults.NewRegistry(uint64(id) + 1).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Delay, Delay: delay,

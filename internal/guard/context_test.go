@@ -52,7 +52,7 @@ func TestRunContextCancellationIsTerminal(t *testing.T) {
 // within one segment, even while the injected delay is sleeping.
 func TestRunContextDeadlineUnderFaults(t *testing.T) {
 	cfg := ctxRunConfig(6)
-	cfg.Method = mdrun.ParallelDirect
+	cfg.Method = mdrun.Direct
 	cfg.Workers = 2
 	cfg.Faults = faults.NewRegistry(1).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Delay, Delay: time.Second,

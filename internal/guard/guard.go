@@ -185,7 +185,7 @@ func supervise(cfg Config, r *mdrun.Runner) (*Supervisor, error) {
 		runner: r,
 		snap:   r.System().Clone(),
 		e0:     r.System().TotalEnergy(),
-		report: &RunReport{FinalMethod: cfg.Run.Method, FinalDt: cfg.Run.Dt},
+		report: &RunReport{FinalMethod: cfg.Run.Method, FinalWorkers: r.Workers(), FinalDt: cfg.Run.Dt},
 	}
 	if cfg.CheckpointDir != "" {
 		st, err := newStore(cfg.CheckpointDir, cfg.KeepCheckpoints, cfg.Run.Faults, cfg.FS)
@@ -309,6 +309,7 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 	}
 	rep.Completed = true
 	rep.FinalMethod = s.cur.Method
+	rep.FinalWorkers = s.runner.Workers()
 	rep.FinalDt = s.cur.Dt
 	return final, rep, nil
 }
@@ -381,7 +382,7 @@ func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) err
 
 	next, inc := s.rung(*attempt)
 	rep.log(restored.Steps, *attempt, inc,
-		fmt.Sprintf("attempt %d/%d: method %v, dt %g", *attempt, s.cfg.MaxRetries, next.Method, next.Dt))
+		fmt.Sprintf("attempt %d/%d: method %v, workers %d, dt %g", *attempt, s.cfg.MaxRetries, next.Method, max(next.Workers, 1), next.Dt))
 
 	if s.cfg.BaseBackoff > 0 {
 		s.cfg.Sleep(s.cfg.BaseBackoff << (*attempt - 1))
@@ -431,29 +432,9 @@ func (s *Supervisor) rung(attempt int) (mdrun.Config, sim.Incident) {
 		return c, sim.IncidentDtHalved
 	default:
 		c := s.cur
-		c.Method = SerialOf(s.base.Method)
+		c.Workers = 1
 		c.Dt = s.base.Dt
 		return c, sim.IncidentSerialFallback
-	}
-}
-
-// SerialOf maps a force method to its serial equivalent (serial
-// methods map to themselves) — the last rung of the escalation ladder.
-func SerialOf(m mdrun.ForceMethod) mdrun.ForceMethod {
-	switch m {
-	case mdrun.ParallelDirect:
-		return mdrun.Direct
-	case mdrun.ParallelPairlist:
-		return mdrun.Pairlist
-	case mdrun.ParallelCellGrid:
-		return mdrun.CellGrid
-	case mdrun.ParallelPairlistF32:
-		// The serial rung keeps the requested precision: a run that
-		// finishes on this rung is still the mixed-precision run the
-		// user asked for, just unsharded.
-		return mdrun.PairlistF32
-	default:
-		return m
 	}
 }
 

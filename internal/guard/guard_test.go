@@ -72,13 +72,13 @@ func TestCleanRunMatchesPlainRun(t *testing.T) {
 }
 
 // TestRecoveryEscalatesToSerial is the PR's acceptance scenario: NaN
-// forces injected mid-run under ParallelCellGrid must be detected by
+// forces injected mid-run under the sharded cell grid must be detected by
 // the watchdog, rolled back to a CRC-valid checkpoint, and escalated
 // through the ladder until the serial fallback (which never consults
 // the parallel-forces fault site) completes the run — with a final
 // energy matching an uninterrupted serial run to 1e-8 relative.
 func TestRecoveryEscalatesToSerial(t *testing.T) {
-	cfg := baseRun(mdrun.ParallelCellGrid, 864, 4)
+	cfg := baseRun(mdrun.CellGrid, 864, 4)
 	cfg.Faults = faults.NewRegistry(11).Arm(faults.Fault{
 		Site: faults.SiteParallelForces, Kind: faults.NaN,
 		Trigger: faults.Trigger{FromCall: 25},
@@ -99,7 +99,7 @@ func TestRecoveryEscalatesToSerial(t *testing.T) {
 
 	// Uninterrupted serial reference with the original dt.
 	ref := cfg
-	ref.Method = mdrun.CellGrid
+	ref.Workers = 1
 	ref.Faults = nil
 	plain, err := mdrun.New(ref)
 	if err != nil {
@@ -133,9 +133,10 @@ func TestRecoveryEscalatesToSerial(t *testing.T) {
 			t.Errorf("%v count = %d, want 1", inc, rep.Counts.Count(inc))
 		}
 	}
-	if !rep.Completed || rep.FinalMethod != mdrun.CellGrid || rep.FinalDt != cfg.Dt {
-		t.Errorf("final method/dt = %v/%g completed=%v, want cellgrid/%g/true",
-			rep.FinalMethod, rep.FinalDt, rep.Completed, cfg.Dt)
+	// The serial rung keeps the method and drops only the sharding.
+	if !rep.Completed || rep.FinalMethod != cfg.Method || rep.FinalWorkers != 1 || rep.FinalDt != cfg.Dt {
+		t.Errorf("final method/workers/dt = %v/%d/%g completed=%v, want %v/1/%g/true",
+			rep.FinalMethod, rep.FinalWorkers, rep.FinalDt, rep.Completed, cfg.Method, cfg.Dt)
 	}
 }
 
@@ -143,7 +144,7 @@ func TestRecoveryEscalatesToSerial(t *testing.T) {
 // cost one rollback and one plain retry — no escalation — and the run
 // still completes on the parallel method.
 func TestOneShotWorkerPanicRetried(t *testing.T) {
-	cfg := baseRun(mdrun.ParallelDirect, 108, 3)
+	cfg := baseRun(mdrun.Direct, 108, 3)
 	cfg.Faults = faults.NewRegistry(12).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Panic,
 		Trigger: faults.Trigger{AtCall: 10},
@@ -161,7 +162,7 @@ func TestOneShotWorkerPanicRetried(t *testing.T) {
 		t.Errorf("rollbacks=%d retries=%d, want 1/1; report: %v",
 			rep.Rollbacks, rep.Counts.Count(sim.IncidentRetry), rep)
 	}
-	if rep.Counts.Count(sim.IncidentSerialFallback) != 0 || rep.FinalMethod != mdrun.ParallelDirect {
+	if rep.Counts.Count(sim.IncidentSerialFallback) != 0 || rep.FinalWorkers != 3 {
 		t.Errorf("one-shot fault escalated: %v", rep)
 	}
 	if rep.Counts.Count(sim.IncidentRunError) != 1 {
@@ -221,7 +222,7 @@ func TestCorruptCheckpointSkipped(t *testing.T) {
 	if err := os.WriteFile(bogus, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := baseRun(mdrun.ParallelDirect, 108, 2)
+	cfg := baseRun(mdrun.Direct, 108, 2)
 	cfg.Faults = faults.NewRegistry(14).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Panic,
 		Trigger: faults.Trigger{AtCall: 3},
@@ -393,29 +394,6 @@ func TestBackoffDoubles(t *testing.T) {
 	for i := range want {
 		if slept[i] != want[i] {
 			t.Fatalf("slept %v, want %v", slept, want)
-		}
-	}
-}
-
-// TestSerialOf pins the escalation method mapping.
-func TestSerialOf(t *testing.T) {
-	cases := map[mdrun.ForceMethod]mdrun.ForceMethod{
-		mdrun.Direct:           mdrun.Direct,
-		mdrun.Pairlist:         mdrun.Pairlist,
-		mdrun.CellGrid:         mdrun.CellGrid,
-		mdrun.ParallelDirect:   mdrun.Direct,
-		mdrun.ParallelPairlist: mdrun.Pairlist,
-		mdrun.ParallelCellGrid: mdrun.CellGrid,
-		// The escalation ladder preserves the requested precision:
-		// mixed-precision runs land on the serial mixed kernel, never
-		// silently back on float64.
-		mdrun.PairlistF32:         mdrun.PairlistF32,
-		mdrun.CellGridF32:         mdrun.CellGridF32,
-		mdrun.ParallelPairlistF32: mdrun.PairlistF32,
-	}
-	for in, want := range cases {
-		if got := SerialOf(in); got != want {
-			t.Errorf("SerialOf(%v) = %v, want %v", in, got, want)
 		}
 	}
 }

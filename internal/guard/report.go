@@ -26,10 +26,12 @@ type RunReport struct {
 	Rollbacks          int
 	Attempts           int // recovery attempts actually performed
 
-	// FinalMethod and FinalDt describe the configuration the run ended
-	// on — they differ from the requested ones iff escalation happened.
-	FinalMethod mdrun.ForceMethod
-	FinalDt     float64
+	// FinalMethod, FinalWorkers and FinalDt describe the configuration
+	// the run ended on — FinalWorkers and FinalDt differ from the
+	// requested ones iff escalation happened.
+	FinalMethod  mdrun.ForceMethod
+	FinalWorkers int
+	FinalDt      float64
 
 	Completed bool
 }
@@ -47,8 +49,8 @@ func (r *RunReport) String() string {
 	if r.Completed {
 		status = "completed"
 	}
-	fmt.Fprintf(&b, "%s: method %v dt %g, %d checkpoints, %d rollbacks, %d attempts",
-		status, r.FinalMethod, r.FinalDt, r.CheckpointsWritten, r.Rollbacks, r.Attempts)
+	fmt.Fprintf(&b, "%s: method %v workers %d dt %g, %d checkpoints, %d rollbacks, %d attempts",
+		status, r.FinalMethod, r.FinalWorkers, r.FinalDt, r.CheckpointsWritten, r.Rollbacks, r.Attempts)
 	if s := r.Counts.String(); s != "" {
 		fmt.Fprintf(&b, " [%s]", s)
 	}

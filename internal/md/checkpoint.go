@@ -239,7 +239,6 @@ func ReadCheckpoint(r io.Reader) (*System[float64], error) {
 			return nil, fmt.Errorf("md: checkpoint CRC mismatch (file %#x, computed %#x)", want, got)
 		}
 	}
-	s.MarkPosDirty(0, int(n))
 	return s, nil
 }
 

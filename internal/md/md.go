@@ -96,21 +96,15 @@ type System[T vec.Float] struct {
 	KE T // kinetic energy
 
 	Steps int // completed integration steps
-
-	// [dirtyLo, dirtyHi) is the window of positions modified since the
-	// last ClaimPosDirty — the signal Mirror32's incremental refresh
-	// consumes. Single-consumer by design: the first claimer resets it.
-	dirtyLo, dirtyHi int
 }
 
 // newSystemState allocates the Pos/Vel/Acc planes for n atoms from a
-// single 9n-element arena and marks all positions dirty.
+// single 9n-element arena.
 func (s *System[T]) newSystemState(n int) {
 	arena := make([]T, 9*n)
 	s.Pos = coordsOver(arena, n)
 	s.Vel = coordsOver(arena[3*n:], n)
 	s.Acc = coordsOver(arena[6*n:], n)
-	s.MarkPosDirty(0, n)
 }
 
 // NewSystem builds a System at precision T from a generated initial
@@ -135,38 +129,6 @@ func NewSystem[T vec.Float](st *lattice.State, p Params[T]) (*System[T], error) 
 
 // N returns the number of atoms.
 func (s *System[T]) N() int { return s.Pos.Len() }
-
-// MarkPosDirty widens the dirty-position window to cover [lo, hi).
-// Anything that mutates Pos outside StepWithE (minimizers, checkpoint
-// restores, device downloads) must call this, or incremental shadow
-// refreshes will miss the rows.
-func (s *System[T]) MarkPosDirty(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	if s.dirtyLo >= s.dirtyHi { // empty window: adopt
-		s.dirtyLo, s.dirtyHi = lo, hi
-		return
-	}
-	if lo < s.dirtyLo {
-		s.dirtyLo = lo
-	}
-	if hi > s.dirtyHi {
-		s.dirtyHi = hi
-	}
-}
-
-// ClaimPosDirty returns the current dirty-position window and resets it
-// to empty. Single consumer: whoever claims the window owns refreshing
-// those rows; a second claimer before the next mutation sees [0, 0).
-func (s *System[T]) ClaimPosDirty() (lo, hi int) {
-	lo, hi = s.dirtyLo, s.dirtyHi
-	s.dirtyLo, s.dirtyHi = 0, 0
-	if lo >= hi {
-		return 0, 0
-	}
-	return lo, hi
-}
 
 // TotalEnergy returns PE + KE from the latest evaluation.
 func (s *System[T]) TotalEnergy() T { return s.PE + s.KE }
@@ -213,7 +175,6 @@ func (s *System[T]) wrapAll() {
 	for i, z := range s.Pos.Z {
 		s.Pos.Z[i] = wrap1(z, box)
 	}
-	s.MarkPosDirty(0, s.N())
 }
 
 // Wrap folds one coordinate vector into [0, box) per component. It
@@ -281,7 +242,6 @@ func (s *System[T]) StepWithE(forces func() (T, error)) error {
 	drift(s.Pos.X, s.Vel.X, dt, box)
 	drift(s.Pos.Y, s.Vel.Y, dt, box)
 	drift(s.Pos.Z, s.Vel.Z, dt, box)
-	s.MarkPosDirty(0, s.N())
 	pe, err := forces()
 	if err != nil {
 		return err

@@ -49,7 +49,6 @@ func Minimize(s *System[float64], maxSteps int, fTol float64) (*MinimizeResult, 
 		if trialPE < pe {
 			s.Pos.CopyFrom(trial)
 			s.Acc.CopyFrom(trialAcc)
-			s.MarkPosDirty(0, s.N())
 			pe = trialPE
 			step *= 1.2
 			if step > 0.2 {

@@ -1,7 +1,7 @@
 // soa_diff_test.go is the differential harness pinning the SoA hot-state
 // refactor bitwise against the AoS layout it replaced: randomized
 // thermalized systems are stepped under every force method × worker
-// count × precision combination, every step's full state (positions,
+// count combination, every step's full state (positions,
 // velocities, accelerations, PE, KE) is folded into a SHA-256 in a
 // canonical atom-major byte order that is independent of the in-memory
 // layout, and the digests are compared against goldens recorded from
@@ -70,14 +70,12 @@ type soaCase struct {
 // soaCases sweeps all force methods; the parallel families sweep
 // Workers ∈ {1, 2, 4, 8} because the scatter/tree-reduce kernels'
 // output bytes legitimately depend on the worker count (each count is
-// its own golden), while the F32 gather kernel's do not (pinned
-// elsewhere; swept here anyway as four independent goldens).
+// its own golden).
 func soaCases() []soaCase {
 	cases := []soaCase{
 		{Method: "direct"}, {Method: "pairlist"}, {Method: "cellgrid"},
-		{Method: "pairlist-f32"}, {Method: "cellgrid-f32"},
 	}
-	for _, m := range []string{"pardirect", "parpairlist", "parcellgrid", "parpairlist-f32"} {
+	for _, m := range []string{"pardirect", "parpairlist", "parcellgrid"} {
 		for _, w := range []int{1, 2, 4, 8} {
 			cases = append(cases, soaCase{Method: m, Workers: w})
 		}
@@ -104,8 +102,8 @@ func newSoASystem(t testing.TB, seed uint64) *md.System[float64] {
 	return sys
 }
 
-// soaForces wires the force evaluation for one case, mirroring
-// mdrun.buildForces. The returned cleanup closes any engine.
+// soaForces wires the force evaluation for one case on the md and
+// parallel kernels directly. The returned cleanup closes any engine.
 func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() float64, cleanup func()) {
 	t.Helper()
 	noop := func() {}
@@ -144,49 +142,10 @@ func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() 
 		}
 		e := newEngine()
 		return func() float64 { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, e.Close
-	case "pairlist-f32":
-		mx, nl := newSoAMixed(t, sys)
-		return func() float64 {
-			mx.Refresh(sys.Pos)
-			return md.ForcesPairlistMixed(nl, mx.P, mx.Pos, sys.Acc)
-		}, noop
-	case "parpairlist-f32":
-		mx, nl := newSoAMixed(t, sys)
-		e := newEngine()
-		return func() float64 {
-			mx.Refresh(sys.Pos)
-			return e.ForcesPairlistF32(nl, mx.P, mx.Pos, sys.Acc)
-		}, e.Close
-	case "cellgrid-f32":
-		mx, err := md.NewMirror32(sys.P)
-		if err != nil {
-			t.Fatalf("NewMirror32: %v", err)
-		}
-		cl, err := md.NewCellList(mx.P.Box, mx.P.Cutoff)
-		if err != nil {
-			t.Fatalf("NewCellList(f32): %v", err)
-		}
-		return func() float64 {
-			mx.Refresh(sys.Pos)
-			return md.ForcesCellMixed(cl, mx.P, mx.Pos, sys.Acc)
-		}, noop
 	default:
 		t.Fatalf("unknown method %q", c.Method)
 		return nil, nil
 	}
-}
-
-func newSoAMixed(t testing.TB, sys *md.System[float64]) (*md.Mirror32, *md.NeighborList[float32]) {
-	t.Helper()
-	mx, err := md.NewMirror32(sys.P)
-	if err != nil {
-		t.Fatalf("NewMirror32: %v", err)
-	}
-	nl, err := md.NewNeighborList[float32](float32(soaSkin))
-	if err != nil {
-		t.Fatalf("NewNeighborList(f32): %v", err)
-	}
-	return mx, nl
 }
 
 // appendStateBytes serializes the full dynamic state in the canonical,
@@ -241,7 +200,7 @@ func soaCaseKey(seed uint64, c soaCase) string {
 const soaGoldenPath = "testdata/soa_goldens.json"
 
 // TestSoATrajectoryGoldens is the differential gate: every method ×
-// workers × precision trajectory must reproduce, byte for byte, the
+// workers trajectory must reproduce, byte for byte, the
 // trajectory the AoS layout produced at the seed commit.
 func TestSoATrajectoryGoldens(t *testing.T) {
 	if testing.Short() {

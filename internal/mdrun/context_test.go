@@ -82,7 +82,7 @@ func TestRunContextDeadlineParallel(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	cfg := ctxTestConfig()
-	cfg.Method = ParallelDirect
+	cfg.Method = Direct
 	cfg.Workers = 3
 	r, err := New(cfg)
 	if err != nil {

@@ -249,4 +249,14 @@ func TestStrings(t *testing.T) {
 	if ForceMethod(42).String() == "" || ThermostatKind(42).String() == "" {
 		t.Fatal("unknown stringers empty")
 	}
+	for _, m := range []ForceMethod{Direct, Pairlist, CellGrid} {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "pardirect", "parpairlist", "parcellgrid", "pairlist-f32"} {
+		if _, err := ParseMethod(bad); err == nil {
+			t.Errorf("ParseMethod(%q) accepted", bad)
+		}
+	}
 }

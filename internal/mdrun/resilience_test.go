@@ -16,7 +16,7 @@ import (
 // error with a partial Summary — the process must not die, and the
 // runner must still Close cleanly afterwards.
 func TestWorkerPanicSurfacesAsError(t *testing.T) {
-	cfg := parallelBase(ParallelDirect, 3)
+	cfg := parallelBase(Direct, 3)
 	cfg.Faults = faults.NewRegistry(1).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Panic,
 		Trigger: faults.Trigger{AtCall: 7},
@@ -47,7 +47,7 @@ func TestWorkerPanicSurfacesAsError(t *testing.T) {
 // TestWorkerErrorFaultSurfacesAsError covers the non-panic worker
 // failure kind through the same path.
 func TestWorkerErrorFaultSurfacesAsError(t *testing.T) {
-	cfg := parallelBase(ParallelPairlist, 4)
+	cfg := parallelBase(Pairlist, 4)
 	cfg.Faults = faults.NewRegistry(2).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Error,
 		Trigger: faults.Trigger{AtCall: 3},
@@ -126,7 +126,7 @@ func TestForcesCorruptionIsSilentWithoutGuard(t *testing.T) {
 // TestCloseAfterRunError: the worker pool must drain and close cleanly
 // even when the last force evaluation failed mid-flight.
 func TestCloseAfterRunError(t *testing.T) {
-	cfg := parallelBase(ParallelDirect, 4)
+	cfg := parallelBase(Direct, 4)
 	cfg.Faults = faults.NewRegistry(5).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Panic,
 		Trigger: faults.Trigger{AtCall: 2},
@@ -145,7 +145,7 @@ func TestCloseAfterRunError(t *testing.T) {
 // TestCloseConcurrent: Close must be safe from several goroutines at
 // once (the supervisor and a signal handler may race to clean up).
 func TestCloseConcurrent(t *testing.T) {
-	r, err := New(parallelBase(ParallelDirect, 3))
+	r, err := New(parallelBase(Direct, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,13 @@
 package mdrun
 
 import (
+	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/lattice"
 	"repro/internal/md"
-	"repro/internal/parallel"
 )
-
-func TestWithDefaultsWorkersClamp(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, runtime.NumCPU()},
-		{-3, 1},
-		{1, 1},
-		{5, 5},
-		{1 << 20, parallel.MaxWorkers},
-	}
-	for _, c := range cases {
-		cfg := Config{Workers: c.in}.withDefaults()
-		if cfg.Workers != c.want {
-			t.Errorf("withDefaults Workers %d -> %d, want %d", c.in, cfg.Workers, c.want)
-		}
-	}
-}
 
 func TestWithDefaultsOtherFieldsUnchanged(t *testing.T) {
 	cfg := Config{Dt: 0.004}.withDefaults()
@@ -44,155 +27,96 @@ func parallelBase(method ForceMethod, workers int) Config {
 	}
 }
 
-// TestWorkersOneRoutesToSerialKernel pins the routing contract: with
-// Workers=1 the Parallel* methods run the corresponding serial kernel,
-// byte for byte — the summary of a ParallelDirect run must be bitwise
-// identical to hand-stepping the system with the serial full-loop
-// kernel, and no worker pool is created.
-func TestWorkersOneRoutesToSerialKernel(t *testing.T) {
+// serialKernel hand-wires the serial force kernel a method names, with
+// the defaults Config applies (pairlist skin 0.4).
+func serialKernel(t *testing.T, m ForceMethod, sys *md.System[float64]) func() float64 {
+	t.Helper()
+	switch m {
+	case Direct:
+		return func() float64 { return md.ComputeForces(sys.P, sys.Pos, sys.Acc) }
+	case Pairlist:
+		nl, err := md.NewNeighborList[float64](0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }
+	case CellGrid:
+		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }
+	}
+	t.Fatalf("no serial kernel for %v", m)
+	return nil
+}
+
+// TestWorkersRouting pins the Method × Workers contract: Workers 0 and
+// 1 run the serial kernel with no pool, bitwise equal to hand-stepping
+// that kernel; Workers 2 shards the same method on a pool and matches
+// the serial physics to rounding.
+func TestWorkersRouting(t *testing.T) {
 	const steps = 12
-	r, err := New(parallelBase(ParallelDirect, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.engine != nil {
-		t.Fatal("Workers=1 spawned a worker pool")
-	}
-	sum, err := r.Run(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, m := range []ForceMethod{Direct, Pairlist, CellGrid} {
+		atoms := 108
+		if m == CellGrid {
+			atoms = 864 // the cell grid needs a box >= 3 cutoffs
+		}
+		st, err := lattice.Generate(lattice.Config{
+			N: atoms, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := md.NewSystem(st, md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forces := serialKernel(t, m, ref)
+		for s := 0; s < steps; s++ {
+			ref.StepWith(forces)
+		}
 
-	// Serial reference: the same initial state stepped with the serial
-	// full-loop kernel directly.
-	st, err := lattice.Generate(lattice.Config{
-		N: 108, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := md.NewSystem(st, md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < steps; s++ {
-		sys.StepWith(func() float64 { return md.ComputeForcesFull(sys.P, sys.Pos, sys.Acc) })
-	}
-	if sum.FinalEnergy != sys.TotalEnergy() {
-		t.Fatalf("Workers=1 final energy %v differs bitwise from serial full-loop %v",
-			sum.FinalEnergy, sys.TotalEnergy())
-	}
-	for i := 0; i < sys.N(); i++ {
-		if r.System().Pos.At(i) != sys.Pos.At(i) {
-			t.Fatalf("Workers=1 position %d differs bitwise from serial full-loop", i)
-		}
-	}
-}
-
-// TestWorkersOneRoutesSerialOtherMethods checks the serial routing for
-// the pairlist and cell-grid variants against their serial methods.
-func TestWorkersOneRoutesSerialOtherMethods(t *testing.T) {
-	const steps = 10
-	for _, pair := range []struct{ par, serial ForceMethod }{
-		{ParallelPairlist, Pairlist},
-		{ParallelCellGrid, CellGrid},
-	} {
-		cfgPar := parallelBase(pair.par, 1)
-		cfgSer := parallelBase(pair.serial, 1)
-		if pair.serial == CellGrid {
-			// The cell grid needs a box >= 3 cutoffs.
-			cfgPar.Atoms, cfgSer.Atoms = 864, 864
-		}
-		rp, err := New(cfgPar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := New(cfgSer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rp.engine != nil {
-			t.Fatalf("%v: Workers=1 spawned a worker pool", pair.par)
-		}
-		sp, err := rp.Run(steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := rs.Run(steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp.FinalEnergy != ss.FinalEnergy {
-			t.Fatalf("%v Workers=1 final energy %v differs bitwise from %v %v",
-				pair.par, sp.FinalEnergy, pair.serial, ss.FinalEnergy)
-		}
-		rp.Close()
-		rs.Close()
-	}
-}
-
-// TestParallelMethodsMatchSerialPhysics runs the same workload through
-// serial and multi-worker parallel methods and pins the energies to
-// rounding.
-func TestParallelMethodsMatchSerialPhysics(t *testing.T) {
-	const steps = 15
-	for _, pair := range []struct {
-		par, serial ForceMethod
-		atoms       int
-	}{
-		{ParallelDirect, Direct, 108},
-		{ParallelPairlist, Pairlist, 108},
-		{ParallelCellGrid, CellGrid, 864},
-	} {
-		cfgSer := parallelBase(pair.serial, 1)
-		cfgSer.Atoms = pair.atoms
-		rs, err := New(cfgSer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := rs.Run(steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4} {
-			cfgPar := parallelBase(pair.par, workers)
-			cfgPar.Atoms = pair.atoms
-			rp, err := New(cfgPar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rp.engine == nil {
-				t.Fatalf("%v Workers=%d did not build an engine", pair.par, workers)
-			}
-			sp, err := rp.Run(steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rel := math.Abs(sp.FinalEnergy-ss.FinalEnergy) / (1 + math.Abs(ss.FinalEnergy)); rel > 1e-10 {
-				t.Errorf("%v w=%d final energy %v vs serial %v (rel %v)",
-					pair.par, workers, sp.FinalEnergy, ss.FinalEnergy, rel)
-			}
-			rp.Close()
-		}
-		rs.Close()
-	}
-}
-
-func TestParallelMethodStrings(t *testing.T) {
-	for m, want := range map[ForceMethod]string{
-		ParallelDirect:   "pardirect",
-		ParallelPairlist: "parpairlist",
-		ParallelCellGrid: "parcellgrid",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(m), got, want)
+		for _, workers := range []int{0, 1, 2} {
+			t.Run(fmt.Sprintf("%v/w%d", m, workers), func(t *testing.T) {
+				cfg := parallelBase(m, workers)
+				cfg.Atoms = atoms
+				r, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				if sharded := workers > 1; (r.engine != nil) != sharded {
+					t.Fatalf("engine built = %v, want %v", r.engine != nil, sharded)
+				}
+				if want := max(workers, 1); r.Workers() != want {
+					t.Fatalf("Workers() = %d, want %d", r.Workers(), want)
+				}
+				sum, err := r.Run(steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers > 1 {
+					if rel := math.Abs(sum.FinalEnergy-ref.TotalEnergy()) / (1 + math.Abs(ref.TotalEnergy())); rel > 1e-10 {
+						t.Errorf("final energy %v vs serial %v (rel %v)", sum.FinalEnergy, ref.TotalEnergy(), rel)
+					}
+					return
+				}
+				if sum.FinalEnergy != ref.TotalEnergy() {
+					t.Fatalf("final energy %v differs bitwise from the serial kernel's %v", sum.FinalEnergy, ref.TotalEnergy())
+				}
+				for i := 0; i < ref.N(); i++ {
+					if r.System().Pos.At(i) != ref.Pos.At(i) || r.System().Vel.At(i) != ref.Vel.At(i) {
+						t.Fatalf("atom %d differs bitwise from the serial kernel", i)
+					}
+				}
+			})
 		}
 	}
 }
 
 func TestRunnerCloseIdempotent(t *testing.T) {
-	r, err := New(parallelBase(ParallelDirect, 3))
+	r, err := New(parallelBase(Direct, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

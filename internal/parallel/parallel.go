@@ -95,12 +95,6 @@ type Engine[T vec.Float] struct {
 	ctx context.Context
 
 	shards []shard[T]
-
-	// Mixed-precision scratch (the F32 kernels): the gather view of
-	// the float32 neighbor list and the per-atom float64 energy
-	// partials the fixed-shape reduction runs over.
-	full32 md.FullRows[float32]
-	pe64   []float64
 }
 
 // shard is one worker's private state.
@@ -489,6 +483,16 @@ func (e *Engine[T]) TryForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc m
 // check is free against the ~100 distance tests each row costs.
 const buildCtxStride = 256
 
+// serialBuildAtoms is the atom count below which BuildPairlist runs
+// the build inline instead of sharding it: BENCH_PR5 measured the
+// sharded build at mid N losing to the serial cell-binned build
+// (parallel_n2048_w{2,4} ≈ 6.7–6.9 ms vs cell_n2048 ≈ 5.96 ms — task
+// hand-off and shard bookkeeping, since this host is effectively
+// single-core), and the crossover sits between 2048 and 8192. Output
+// is unaffected: rows are position-determined, so both paths emit
+// byte-identical lists (pinned by TestBuildPairlistWorkersBitwise).
+const serialBuildAtoms = 4096
+
 // BuildPairlist rebuilds nl from pos with row-range sharding over the
 // pool: BeginBuild bins the atoms once, then each worker fills a
 // contiguous range of rows. Rows are disjoint and each row's content
@@ -505,24 +509,6 @@ const buildCtxStride = 256
 // internal mutex. This is the fleet scheduler's shared-build-pool
 // contract; each call still observes only its own context.
 func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p md.Params[T], pos md.Coords[T]) error {
-	return buildPairlist(e, ctx, nl, p, pos)
-}
-
-// serialBuildAtoms is the atom count below which BuildPairlist runs
-// the build inline instead of sharding it: BENCH_PR5 measured the
-// sharded build at mid N losing to the serial cell-binned build
-// (parallel_n2048_w{2,4} ≈ 6.7–6.9 ms vs cell_n2048 ≈ 5.96 ms — task
-// hand-off and shard bookkeeping, since this host is effectively
-// single-core), and the crossover sits between 2048 and 8192. Output
-// is unaffected: rows are position-determined, so both paths emit
-// byte-identical lists (pinned by TestBuildPairlistWorkersBitwise).
-const serialBuildAtoms = 4096
-
-// buildPairlist is the shared build core behind BuildPairlist and
-// BuildPairlistF32: the engine's scheduling is independent of the
-// list's element width F, so one implementation serves both the
-// native-width and the mixed-precision builds.
-func buildPairlist[T, F vec.Float](e *Engine[T], ctx context.Context, nl *md.NeighborList[F], p md.Params[F], pos md.Coords[F]) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}

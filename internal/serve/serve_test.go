@@ -122,7 +122,6 @@ func oracleEnergy(t *testing.T, sp Spec, steps int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcfg.Run.Workers = 1
 	sup, err := guard.New(gcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -499,7 +498,6 @@ func TestBadRequests(t *testing.T) {
 		fmt.Sprintf(`{"atoms": 108, "steps": %d}`, MaxSteps+1),
 		`{"atoms": 108, "steps": 10, "method": "warp-drive"}`,
 		`{"atoms": 108, "steps": 10, "thermostat": "langevin"}`,
-		`{"atoms": 108, "steps": 10, "precision": "f32", "method": "direct"}`,
 		`{"atoms": 108, "steps": 10, "dt": -1}`,
 	} {
 		if code := post(bad); code != http.StatusUnprocessableEntity {
@@ -514,6 +512,61 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestSpecVocabulary pins the method/workers vocabulary of a job
+// spec: only direct|pairlist|cellgrid name a kernel, the retired
+// precision field is an unknown field, and workers 0 persists as 1 —
+// the exact serial kernel the job runs.
+func TestSpecVocabulary(t *testing.T) {
+	srv, hs := newTestServer(t, t.TempDir(), TenantPolicy{})
+	defer drainNow(t, srv)
+
+	for _, c := range []struct {
+		body        string
+		code        int
+		wantWorkers int // checked on the persisted spec when accepted
+	}{
+		{`{"atoms": 108, "steps": 5, "method": "pardirect", "workers": 2}`, http.StatusUnprocessableEntity, 0},
+		{`{"atoms": 108, "steps": 5, "method": "parpairlist"}`, http.StatusUnprocessableEntity, 0},
+		{`{"atoms": 864, "steps": 5, "method": "parcellgrid"}`, http.StatusUnprocessableEntity, 0},
+		{`{"atoms": 108, "steps": 5, "method": "pairlist", "precision": "f32"}`, http.StatusBadRequest, 0},
+		{`{"atoms": 108, "steps": 5, "precision": "f64"}`, http.StatusBadRequest, 0},
+		{`{"atoms": 108, "steps": 5, "workers": -1}`, http.StatusUnprocessableEntity, 0},
+		{`{"atoms": 108, "steps": 5, "method": "pairlist"}`, http.StatusAccepted, 1},
+		{`{"atoms": 108, "steps": 5, "method": "direct", "workers": 0}`, http.StatusAccepted, 1},
+		{`{"atoms": 108, "steps": 5, "method": "direct", "workers": 2}`, http.StatusAccepted, 2},
+	} {
+		resp, err := hs.Client().Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr submitResponse
+		derr := json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Fatalf("%s = %d, want %d", c.body, resp.StatusCode, c.code)
+		}
+		if c.code != http.StatusAccepted {
+			continue
+		}
+		if derr != nil {
+			t.Fatalf("%s: decoding submit response: %v", c.body, derr)
+		}
+		st, err := hs.Client().Get(hs.URL + "/v1/jobs/" + sr.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var status statusResponse
+		derr = json.NewDecoder(st.Body).Decode(&status)
+		st.Body.Close()
+		if derr != nil {
+			t.Fatalf("%s: decoding status: %v", c.body, derr)
+		}
+		if status.Spec.Workers != c.wantWorkers {
+			t.Errorf("%s: persisted workers %d, want %d", c.body, status.Spec.Workers, c.wantWorkers)
 		}
 	}
 }

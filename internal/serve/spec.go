@@ -63,14 +63,12 @@ type Spec struct {
 	// r_c); the default is the paper's plain truncated form.
 	Shifted bool `json:"shifted,omitempty"`
 
-	// Method selects the force kernel:
-	// direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid
-	// (default direct). Precision f32 swaps in the mixed-precision
-	// variants of the pair-kernel methods, exactly as mdsim -precision.
-	Method    string `json:"method,omitempty"`
-	Precision string `json:"precision,omitempty"`
-	// Workers sizes the host pool for the par* methods; 0 lets the
-	// fleet assign the shared-budget fair share.
+	// Method selects the force kernel: direct|pairlist|cellgrid
+	// (default direct).
+	Method string `json:"method,omitempty"`
+	// Workers is the host worker count for Method; 0 normalizes to 1,
+	// the serial kernel, so the persisted spec names the exact kernel
+	// the job runs.
 	Workers int     `json:"workers,omitempty"`
 	Skin    float64 `json:"skin,omitempty"`
 
@@ -115,8 +113,8 @@ func (sp Spec) withDefaults() Spec {
 	if sp.Method == "" {
 		sp.Method = "direct"
 	}
-	if sp.Precision == "" {
-		sp.Precision = "f64"
+	if sp.Workers == 0 {
+		sp.Workers = 1
 	}
 	if sp.Skin == 0 {
 		sp.Skin = 0.4
@@ -166,47 +164,10 @@ func (sp Spec) Validate() error {
 	default:
 		return fmt.Errorf("serve: unknown thermostat %q (want rescale|berendsen)", sp.Thermostat)
 	}
-	if _, err := sp.forceMethod(); err != nil {
-		return err
+	if _, err := mdrun.ParseMethod(sp.Method); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
-}
-
-// forceMethod maps the method/precision strings to an mdrun method,
-// mirroring mdsim's flag mapping (precision f32 stays on the audited
-// mixed-precision ladder; see guard.SerialOf).
-func (sp Spec) forceMethod() (mdrun.ForceMethod, error) {
-	if sp.Precision == "f32" {
-		switch sp.Method {
-		case "pairlist":
-			return mdrun.PairlistF32, nil
-		case "parpairlist":
-			return mdrun.ParallelPairlistF32, nil
-		case "cellgrid":
-			return mdrun.CellGridF32, nil
-		default:
-			return 0, fmt.Errorf("serve: precision f32 supports method pairlist|parpairlist|cellgrid, got %q", sp.Method)
-		}
-	}
-	if sp.Precision != "f64" && sp.Precision != "" {
-		return 0, fmt.Errorf("serve: precision %q: want f64|f32", sp.Precision)
-	}
-	switch sp.Method {
-	case "direct", "":
-		return mdrun.Direct, nil
-	case "pairlist":
-		return mdrun.Pairlist, nil
-	case "cellgrid":
-		return mdrun.CellGrid, nil
-	case "pardirect":
-		return mdrun.ParallelDirect, nil
-	case "parpairlist":
-		return mdrun.ParallelPairlist, nil
-	case "parcellgrid":
-		return mdrun.ParallelCellGrid, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown method %q (want direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid)", sp.Method)
-	}
 }
 
 // GuardConfig assembles the supervised-run configuration for this spec
@@ -214,7 +175,7 @@ func (sp Spec) forceMethod() (mdrun.ForceMethod, error) {
 // can run the oracle under exactly the admitted configuration. The
 // caller wires OnSegment (and FS, for fault-injected runs).
 func (sp Spec) GuardConfig(ckptDir string) (guard.Config, error) {
-	method, err := sp.forceMethod()
+	method, err := mdrun.ParseMethod(sp.Method)
 	if err != nil {
 		return guard.Config{}, err
 	}

@@ -116,58 +116,3 @@ func ToV3f64[T Float](a V3[T]) V3[float64] {
 func FromV3f64[T Float](a V3[float64]) V3[T] {
 	return V3[T]{T(a.X), T(a.Y), T(a.Z)}
 }
-
-// The widen-compute-narrow helpers below are the audited crossing
-// points of the mixed-precision host fast path: pair geometry and the
-// LJ pair evaluation run at kernel precision T (float32 on the fast
-// path), while per-atom force and energy accumulation stay in float64.
-// Every float32↔float64 boundary the fast path crosses goes through
-// one of these, so the mdlint precision rule can allowlist them by
-// name and flag any other width change in a kernel package.
-
-// Widen converts a kernel-precision value to the float64 accumulation
-// width. Widening is exact: every float32 is representable as a
-// float64, so no rounding occurs (the tests pin this bit for bit).
-func Widen[T Float](x T) float64 { return float64(x) }
-
-// Narrow rounds a float64 accumulation result back to kernel
-// precision T using IEEE-754 round-to-nearest-even — the same
-// correctly-rounded conversion the hardware performs, so the result is
-// within half a ULP of the double-precision value (pinned by the ULP
-// tests). NaN stays NaN and values beyond T's range become ±Inf.
-func Narrow[T Float](x float64) T { return T(x) }
-
-// AccumAdd returns acc + widen(b): one pair force folded into a
-// float64 per-atom accumulator. The widening is exact, so the only
-// rounding is the float64 addition itself — the accumulator never
-// loses the low bits of a float32 contribution.
-func AccumAdd[T Float](acc V3[float64], b V3[T]) V3[float64] {
-	return V3[float64]{acc.X + float64(b.X), acc.Y + float64(b.Y), acc.Z + float64(b.Z)}
-}
-
-// AccumSub returns acc - widen(b): the Newton's-third-law counterpart
-// of AccumAdd.
-func AccumSub[T Float](acc V3[float64], b V3[T]) V3[float64] {
-	return V3[float64]{acc.X - float64(b.X), acc.Y - float64(b.Y), acc.Z - float64(b.Z)}
-}
-
-// PairwiseSum reduces xs with a fixed-shape pairwise (binary-tree)
-// summation: halves are summed recursively down to 8-element runs,
-// which are summed left to right. The shape depends only on len(xs),
-// so for a given input the result is bitwise deterministic no matter
-// how the elements were produced — this is the float64 reduction the
-// mixed-precision kernels use for per-atom energy partials, where a
-// worker-count-dependent reduction order would leak into the output
-// bytes. Pairwise summation also bounds the rounding error at
-// O(log n) ULPs instead of the naive sum's O(n).
-func PairwiseSum(xs []float64) float64 {
-	if len(xs) <= 8 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	h := len(xs) / 2
-	return PairwiseSum(xs[:h]) + PairwiseSum(xs[h:])
-}

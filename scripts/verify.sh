@@ -22,9 +22,6 @@ go test -race -short ./internal/md/... ./internal/parallel/... \
     ./internal/fleet/... ./internal/mdrun/... ./internal/serve/... \
     ./internal/chaos/...
 
-echo "==> go test -bench=MixedPrecision -benchtime=1x (mixed-precision smoke)"
-go test -run='^$' -bench=MixedPrecision -benchtime=1x .
-
 echo "==> mdserve crash-recovery smoke (submit, kill -9, restart, resume, compare)"
 go test -count=1 -run 'TestMDServeKillRestart' ./cmd/mdserve/
 
