@@ -398,6 +398,28 @@ func TestBackoffDoubles(t *testing.T) {
 	}
 }
 
+// TestSerialOf pins the serial escalation rung for every method and
+// worker count: it keeps the method, drops the sharding (Workers 1)
+// and restores the base time step even after a halve-dt rung.
+func TestSerialOf(t *testing.T) {
+	for _, m := range []mdrun.ForceMethod{mdrun.Direct, mdrun.Pairlist, mdrun.CellGrid} {
+		for _, workers := range []int{0, 1, 4} {
+			base := baseRun(m, 108, workers)
+			halved := base
+			halved.Dt = base.Dt / 2
+			s := &Supervisor{base: base, cur: halved}
+			got, inc := s.rung(3)
+			if inc != sim.IncidentSerialFallback {
+				t.Errorf("%v w%d: rung 3 incident %v, want %v", m, workers, inc, sim.IncidentSerialFallback)
+			}
+			if got.Method != m || got.Workers != 1 || got.Dt != base.Dt {
+				t.Errorf("%v w%d: serial rung method/workers/dt = %v/%d/%g, want %v/1/%g",
+					m, workers, got.Method, got.Workers, got.Dt, m, base.Dt)
+			}
+		}
+	}
+}
+
 // TestSupervisorSingleUse: a second Run must refuse cleanly.
 func TestSupervisorSingleUse(t *testing.T) {
 	sup, err := New(Config{Run: baseRun(mdrun.Direct, 108, 1)})
