@@ -164,6 +164,71 @@ func FuzzNeighborListBuild(f *testing.F) {
 	})
 }
 
+// FuzzObservableRows pins the observables that moved onto neighbor-list
+// rows against their all-pairs oracles on fuzzed positions: random
+// atoms in a grid or fallback box, a fuzzed atom anywhere (in or out
+// of the box, huge, NaN, ±Inf) with a partner next to it, and every
+// third seed a share of atoms shifted whole boxes away. Finite
+// positions must give the oracle's bits; an input the oracle scores as
+// NaN must be NaN on the row path too. The RDF drops a NaN distance on
+// both paths, so its bins must match for every input.
+func FuzzObservableRows(f *testing.F) {
+	f.Add(uint64(1), uint8(60), 9.0, 0.5, 0.5, 0.5)
+	f.Add(uint64(2), uint8(60), 9.0, -3.0, 12.5, 4.0) // outside [0, box)
+	f.Add(uint64(3), uint8(60), 6.0, 0.0, 0.0, 0.0)   // fallback box, atom at the origin
+	f.Add(uint64(4), uint8(40), 9.0, math.Nextafter(9, 0), 0.0, 0.0)
+	f.Add(uint64(5), uint8(40), 9.0, math.NaN(), 1.0, 1.0)
+	f.Add(uint64(6), uint8(40), 9.0, math.Inf(1), 1.0, 1.0)
+	f.Add(uint64(7), uint8(40), 9.0, 1e300, -1e300, 5.0)
+	f.Add(uint64(9), uint8(80), 12.0, 3.0, 3.0, 3.0) // shifted atoms
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, box, x, y, z float64) {
+		if !(box >= 5.5 && box <= 40) {
+			box = 9
+		}
+		nn := int(n%96) + 2
+		rng := xrand.New(seed)
+		pos := randomPositions(rng, nn, box)
+		pos.Set(0, vec.V3[float64]{X: x, Y: y, Z: z})
+		pos.Set(1, vec.V3[float64]{X: x + 0.9, Y: y, Z: z})
+		if seed%3 == 0 {
+			for i := 2; i < nn; i += 3 {
+				k := float64(rng.Intn(5) - 2)
+				pos.Set(i, pos.At(i).Add(vec.V3[float64]{X: k * box, Y: -k * box, Z: box}))
+			}
+		}
+		p := Params[float64]{Box: box, Cutoff: 2.5, Dt: 0.004}
+
+		want, got := virialN2(p, pos), Virial(p, pos)
+		if pos.finite() {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("virial %v (bits %x), oracle %v (bits %x)", got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		} else if math.IsNaN(want) && !math.IsNaN(got) {
+			t.Fatalf("virial %v on an input the oracle scores NaN", got)
+		}
+
+		for _, rMax := range []float64{p.Cutoff, 0.99 * box / 2} {
+			rows, err := NewRDF(box, rMax, 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := NewRDF(box, rMax, 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rows.Accumulate(pos); err != nil {
+				t.Fatal(err)
+			}
+			accumulateN2(oracle, pos)
+			for b := range oracle.bins {
+				if rows.bins[b] != oracle.bins[b] {
+					t.Fatalf("rMax %v bin %d: %d, oracle %d", rMax, b, rows.bins[b], oracle.bins[b])
+				}
+			}
+		}
+	})
+}
+
 // FuzzMinImageAgreement checks the three minimum-image formulations on
 // arbitrary in-range displacements.
 func FuzzMinImageAgreement(f *testing.F) {

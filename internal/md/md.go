@@ -19,7 +19,10 @@
 //
 // The package also provides the neighbor-pairlist optimization the
 // paper cites as the standard cache-friendly technique but deliberately
-// does not use (section 3.4); it exists here for the ablation benches.
+// does not use (section 3.4); it exists here for the ablation benches,
+// and its rows are the pair enumerator for every host pass that is not
+// the paper's kernel: the set-up forces in NewSystem, the virial
+// pressure and the RDF.
 package md
 
 import (
@@ -65,14 +68,15 @@ func (p Params[T]) Sigma1() T {
 }
 
 // Validate reports whether the parameters describe a runnable system.
+// The !(x > 0) form rejects NaN along with non-positive values.
 func (p Params[T]) Validate() error {
-	if p.Box <= 0 {
+	if !(p.Box > 0) {
 		return fmt.Errorf("md: box must be positive, got %v", p.Box)
 	}
-	if p.Cutoff <= 0 {
+	if !(p.Cutoff > 0) {
 		return fmt.Errorf("md: cutoff must be positive, got %v", p.Cutoff)
 	}
-	if p.Dt <= 0 {
+	if !(p.Dt > 0) {
 		return fmt.Errorf("md: dt must be positive, got %v", p.Dt)
 	}
 	if 2*p.Cutoff > p.Box {
@@ -109,7 +113,11 @@ func (s *System[T]) newSystemState(n int) {
 
 // NewSystem builds a System at precision T from a generated initial
 // condition, evaluating forces once so that Acc and PE are valid before
-// the first step.
+// the first step. The evaluation runs over the rows of a throwaway
+// neighbor list — ComputeForces bit for bit (see NeighborList.Forces)
+// at the cost of a build instead of an O(N²) scan. A NaN coordinate,
+// which a list build drops, takes ComputeForces itself, so it poisons
+// PE and Acc exactly as the scan does.
 func NewSystem[T vec.Float](st *lattice.State, p Params[T]) (*System[T], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -122,7 +130,11 @@ func NewSystem[T vec.Float](st *lattice.State, p Params[T]) (*System[T], error) 
 		s.Vel.Set(i, vec.FromV3f64[T](st.Vel[i]))
 	}
 	s.wrapAll()
-	s.PE = ComputeForces(s.P, s.Pos, s.Acc)
+	if s.Pos.finite() {
+		s.PE = scanList(s.P, s.Pos).Forces(s.P, s.Pos, s.Acc)
+	} else {
+		s.PE = ComputeForces(s.P, s.Pos, s.Acc)
+	}
 	s.KE = KineticEnergy(s.Vel)
 	return s, nil
 }

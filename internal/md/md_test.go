@@ -53,6 +53,17 @@ func TestNewSystemRejectsBadParams(t *testing.T) {
 	if _, err := NewSystem(st, Params[float64]{Box: st.Box, Cutoff: 0, Dt: 0.001}); err == nil {
 		t.Fatal("NewSystem accepted zero cutoff")
 	}
+	// NaN fails every comparison, so it must be rejected explicitly.
+	nan := math.NaN()
+	for _, p := range []Params[float64]{
+		{Box: nan, Cutoff: 1, Dt: 0.001},
+		{Box: st.Box, Cutoff: nan, Dt: 0.001},
+		{Box: st.Box, Cutoff: 1, Dt: nan},
+	} {
+		if _, err := NewSystem(st, p); err == nil {
+			t.Fatalf("NewSystem accepted %+v", p)
+		}
+	}
 }
 
 func TestEnergyConservation(t *testing.T) {

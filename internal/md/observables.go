@@ -2,6 +2,7 @@ package md
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/vec"
 )
@@ -33,21 +34,53 @@ func NewRDF(box, rMax float64, bins int) (*RDF, error) {
 	return &RDF{box: box, rMax: rMax, bins: make([]int64, bins)}, nil
 }
 
-// Accumulate adds one snapshot (O(N²)).
-func (r *RDF) Accumulate(pos Coords[float64]) {
+// Accumulate adds one snapshot, scoring the pairs within rMax over the
+// rows of a throwaway neighbor list. Every snapshot must hold the same
+// number of atoms: Result normalizes all frames by one N.
+func (r *RDF) Accumulate(pos Coords[float64]) error {
+	return r.accumulate(scanList(Params[float64]{Box: r.box, Cutoff: r.rMax}, pos), pos)
+}
+
+// AccumulateOver is Accumulate over the rows of nl, the live neighbor
+// list of a run with parameters p; a nil nl is Accumulate. nl is
+// refreshed first, exactly as a force evaluation refreshes it, and
+// must reach rMax: p.Box must be the RDF's box and rMax at most
+// p.Cutoff+nl.Skin. Any valid list holds every pair within rMax, so
+// the bins do not depend on which list scored them.
+func (r *RDF) AccumulateOver(nl *NeighborList[float64], p Params[float64], pos Coords[float64]) error {
+	if nl == nil {
+		return r.Accumulate(pos)
+	}
+	if p.Box != r.box || !(r.rMax <= p.Cutoff+nl.Skin) {
+		return fmt.Errorf("md: RDF (box %v, rMax %v) cannot use a neighbor list of box %v and radius %v",
+			r.box, r.rMax, p.Box, p.Cutoff+nl.Skin)
+	}
+	nl.Refresh(p, pos)
+	return r.accumulate(nl, pos)
+}
+
+// accumulate bins the pairs within rMax from nl's rows.
+func (r *RDF) accumulate(nl *NeighborList[float64], pos Coords[float64]) error {
 	n := pos.Len()
+	if r.frames > 0 && n != r.atoms {
+		return fmt.Errorf("md: RDF fed %d atoms, accumulating %d", n, r.atoms)
+	}
 	dr := r.rMax / float64(len(r.bins))
+	last := len(r.bins) - 1
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := MinImage(pos.At(i).Sub(pos.At(j)), r.box)
+		pi := pos.At(i)
+		for _, j := range nl.Neighbors(i) {
+			d := MinImage(pi.Sub(pos.At(int(j))), r.box)
 			dist := d.Norm()
 			if dist < r.rMax {
-				r.bins[int(dist/dr)] += 2 // both orderings
+				// dist/dr can round up to len(bins) just below rMax.
+				r.bins[min(int(dist/dr), last)] += 2 // both orderings
 			}
 		}
 	}
 	r.frames++
 	r.atoms = n
+	return nil
 }
 
 // Frames returns the number of accumulated snapshots.
@@ -151,15 +184,35 @@ func (m *MSD) Value() float64 {
 	return sum / float64(len(m.prev))
 }
 
-// Virial computes the instantaneous virial sum W = Σ_pairs f·r and the
-// corresponding pressure P = (N k T + W/3) / V for the LJ system.
+// Virial computes the instantaneous virial sum W = Σ_pairs f·r for the
+// LJ system, over the rows of a throwaway neighbor list.
 func Virial(p Params[float64], pos Coords[float64]) float64 {
+	return VirialOver(nil, p, pos)
+}
+
+// VirialOver is Virial over the rows of nl, the live neighbor list of
+// a run with parameters p, refreshed first as a force evaluation would
+// refresh it; a nil nl builds a throwaway list on pos instead. The sum
+// visits the pairs within the cutoff in (i ascending, j ascending)
+// order, as an all-pairs scan does, so it is bitwise independent of
+// the list. A non-finite coordinate returns NaN: the all-pairs scan
+// scores a NaN pair distance and sums NaN, but a list build drops such
+// pairs, and a blown-up state must not report a finite pressure.
+func VirialOver(nl *NeighborList[float64], p Params[float64], pos Coords[float64]) float64 {
+	if !pos.finite() {
+		return math.NaN()
+	}
+	if nl == nil {
+		nl = scanList(p, pos)
+	} else {
+		nl.Refresh(p, pos)
+	}
 	rc2 := p.Cutoff * p.Cutoff
 	var w float64
-	n := pos.Len()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := MinImage(pos.At(i).Sub(pos.At(j)), p.Box)
+	for i := 0; i < pos.Len(); i++ {
+		pi := pos.At(i)
+		for _, j := range nl.Neighbors(i) {
+			d := MinImage(pi.Sub(pos.At(int(j))), p.Box)
 			r2 := d.Norm2()
 			if r2 >= rc2 || r2 == 0 {
 				continue
@@ -171,12 +224,17 @@ func Virial(p Params[float64], pos Coords[float64]) float64 {
 	return w
 }
 
-// Pressure returns the instantaneous pressure from the virial theorem
-// (unit masses, k_B = 1).
+// Pressure returns the instantaneous pressure P = (N k T + W/3) / V
+// from the virial theorem (unit masses, k_B = 1).
 func Pressure(p Params[float64], pos Coords[float64], temperature float64) float64 {
+	return PressureOver(nil, p, pos, temperature)
+}
+
+// PressureOver is Pressure with the virial taken by VirialOver(nl, ...).
+func PressureOver(nl *NeighborList[float64], p Params[float64], pos Coords[float64], temperature float64) float64 {
 	vol := p.Box * p.Box * p.Box
 	n := float64(pos.Len())
-	return (n*temperature + Virial(p, pos)/3) / vol
+	return (n*temperature + VirialOver(nl, p, pos)/3) / vol
 }
 
 // VACF accumulates the velocity autocorrelation function

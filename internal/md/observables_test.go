@@ -156,6 +156,40 @@ func TestMSDSizeMismatch(t *testing.T) {
 	}
 }
 
+func TestRDFSizeMismatch(t *testing.T) {
+	rdf, err := NewRDF(10, 2.5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(5)
+	if err := rdf.Accumulate(randomPositions(rng, 40, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rdf.Accumulate(randomPositions(rng, 39, 10)); err == nil {
+		t.Fatal("size change accepted")
+	}
+	if rdf.Frames() != 1 {
+		t.Fatalf("rejected frame was counted: %d frames", rdf.Frames())
+	}
+}
+
+// TestRDFBinJustBelowRMax pins the last-bin clamp: a distance one ULP
+// below rMax is inside the RDF, but dist/dr rounds up to the bin count
+// for some bin counts (here 3 bins of rMax = 1).
+func TestRDFBinJustBelowRMax(t *testing.T) {
+	rdf, err := NewRDF(10, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := CoordsFromV3([]vec.V3[float64]{{}, {X: math.Nextafter(1, 0)}})
+	if err := rdf.Accumulate(pos); err != nil {
+		t.Fatal(err)
+	}
+	if rdf.bins[2] != 2 {
+		t.Fatalf("bins %v, want the pair in the last bin", rdf.bins)
+	}
+}
+
 func TestVirialSignAtHighDensity(t *testing.T) {
 	// A strongly compressed lattice is dominated by repulsion: positive
 	// virial, positive pressure.

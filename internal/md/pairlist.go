@@ -279,14 +279,37 @@ func (nl *NeighborList[T]) Stale(p Params[T], pos Coords[T]) bool {
 	return false
 }
 
-// Forces evaluates the LJ forces using the list, rebuilding it first if
-// it is stale. acc is overwritten; the return value is the potential
-// energy. The result matches ComputeForces to rounding (the list only
-// prunes pairs that are provably outside the cutoff).
-func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
+// Refresh rebuilds the list if it is stale for pos. Forces calls it
+// before every evaluation; observables that read rows between
+// evaluations call it too, so a list they are handed is always valid
+// for the positions they score.
+func (nl *NeighborList[T]) Refresh(p Params[T], pos Coords[T]) {
 	if nl.Stale(p, pos) {
 		nl.Build(p, pos)
 	}
+}
+
+// scanList returns a throwaway list built on pos whose rows hold every
+// pair within p.Cutoff: the pair enumerator for one-off passes (set-up
+// forces, observables without a live list). A valid list scores the
+// same pairs in the same order whatever its skin, so the skin is a
+// hair over zero, to keep the rows short. Even a skin that underflows
+// to zero leaves the radius at the cutoff, and the list is never
+// checked for staleness, so it needs no positive floor.
+func scanList[T vec.Float](p Params[T], pos Coords[T]) *NeighborList[T] {
+	nl := &NeighborList[T]{Skin: p.Cutoff * 1e-6}
+	nl.Build(p, pos)
+	return nl
+}
+
+// Forces evaluates the LJ forces using the list, rebuilding it first if
+// it is stale. acc is overwritten; the return value is the potential
+// energy. The result is ComputeForces bit for bit: the rows hold every
+// pair within the cutoff, in the same (i ascending, j ascending) order
+// ComputeForces visits them, and the pairs the list prunes contribute
+// nothing there.
+func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
+	nl.Refresh(p, pos)
 	acc.Zero()
 	rc2 := p.Cutoff * p.Cutoff
 	var pe T

@@ -26,11 +26,13 @@ func TestNeighborListMatchesReference(t *testing.T) {
 	accNL := MakeCoords[float64](s.N())
 	peRef := ComputeForces(s.P, s.Pos, accRef)
 	peNL := nl.Forces(s.P, s.Pos, accNL)
-	if math.Abs(peRef-peNL) > 1e-10*(1+math.Abs(peRef)) {
+	// Bitwise, not to rounding: the list sums the same pairs in the same
+	// order, which NewSystem and the row-path observables rely on.
+	if math.Float64bits(peRef) != math.Float64bits(peNL) {
 		t.Fatalf("PE mismatch: ref %v, pairlist %v", peRef, peNL)
 	}
 	for i := 0; i < accRef.Len(); i++ {
-		if accRef.At(i).Sub(accNL.At(i)).Norm() > 1e-9*(1+accRef.At(i).Norm()) {
+		if accRef.At(i) != accNL.At(i) {
 			t.Fatalf("acc mismatch at %d: %+v vs %+v", i, accRef.At(i), accNL.At(i))
 		}
 	}

@@ -101,6 +101,19 @@ func (c Coords[T]) Zero() {
 	}
 }
 
+// finite reports whether every coordinate is finite: x-x is 0 for a
+// finite x and NaN for NaN and ±Inf.
+func (c Coords[T]) finite() bool {
+	for _, plane := range [3][]T{c.X, c.Y, c.Z} {
+		for _, x := range plane {
+			if x-x != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // CopyFrom copies src's elements into c. Lengths must match.
 func (c Coords[T]) CopyFrom(src Coords[T]) {
 	copy(c.X, src.X)

@@ -9,6 +9,13 @@
 // All force methods integrate the identical physics (pinned by tests),
 // so switching between them is purely a performance decision — the same
 // property the device models rely on.
+//
+// The observables never scan all pairs. The RDF samples and the final
+// pressure read neighbor-list rows: with the Pairlist method, the rows
+// of the live force list (refreshed first if stale, as a force
+// evaluation would); with the other methods, a throwaway list md
+// builds for the pass. Either way the results are bitwise those of an
+// all-pairs scan (see md.VirialOver and md.RDF.AccumulateOver).
 package mdrun
 
 import (
@@ -205,6 +212,10 @@ type Runner struct {
 	traj   *md.XYZWriter
 	rdf    *md.RDF
 	msd    *md.MSD
+	// nl is the Pairlist method's live force list (nil otherwise). The
+	// RDF samples and the end-of-run pressure read its rows instead of
+	// building a list of their own.
+	nl     *md.NeighborList[float64]
 	engine *parallel.Engine[float64] // non-nil when Workers > 1
 
 	// runCtx is the context of the Run in progress; the shared-engine
@@ -349,6 +360,7 @@ func (r *Runner) buildForces() (func() (float64, error), error) {
 		if err != nil {
 			return nil, err
 		}
+		r.nl = nl
 		forces := infallible(func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) })
 		if sharded {
 			e := r.newEngine()
@@ -485,7 +497,9 @@ func (r *Runner) RunContext(ctx context.Context, steps int) (*Summary, error) {
 			tempSum += sys.Temperature()
 			tempSamples++
 			if r.rdf != nil {
-				r.rdf.Accumulate(sys.Pos)
+				if err := r.rdf.AccumulateOver(r.nl, sys.P, sys.Pos); err != nil {
+					return fail(s, err)
+				}
 			}
 		}
 		if r.traj != nil && s%r.cfg.TrajectoryEvery == 0 {
@@ -505,7 +519,7 @@ func (r *Runner) RunContext(ctx context.Context, steps int) (*Summary, error) {
 	if tempSamples > 0 {
 		sum.MeanTemperature = tempSum / float64(tempSamples)
 	}
-	sum.Pressure = md.Pressure(sys.P, sys.Pos, sys.Temperature())
+	sum.Pressure = md.PressureOver(r.nl, sys.P, sys.Pos, sys.Temperature())
 	sum.MSD = r.msd.Value()
 	if r.rdf != nil {
 		sum.RDFCenters, sum.RDF = r.rdf.Result()

@@ -29,15 +29,21 @@ echo "==> mdchaos fixed-seed smoke campaign (12 schedules, all invariants)"
 go test -count=1 -run 'TestChaosSmoke' ./internal/chaos/
 
 echo "==> build mdlint once (gates below reuse the binary)"
-MDLINT="$(mktemp -d)/mdlint"
-trap 'rm -rf "$(dirname "$MDLINT")"' EXIT
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+MDLINT="$SCRATCH/mdlint"
 go build -o "$MDLINT" ./cmd/mdlint
 
-echo "==> mdlint ./... (with BENCH_PR10.json lint/certification stats)"
-"$MDLINT" -bench-json BENCH_PR10.json ./...
+# The gates below append bench records to a scratch copy of the
+# committed BENCH_PR10.json, so a run leaves the tree clean.
+BENCH="$SCRATCH/BENCH_PR10.json"
+cp BENCH_PR10.json "$BENCH"
+
+echo "==> mdlint ./... (with lint/certification stats appended to a copy of BENCH_PR10.json)"
+"$MDLINT" -bench-json "$BENCH" ./...
 
 echo "==> go test -bench=StepAllocs -benchmem (zero-alloc steady-state stepping gate)"
-STEPALLOCS_OUT="$(BENCH_JSON=BENCH_PR10.json go test -run='^$' -bench=StepAllocs -benchmem -benchtime=50x .)"
+STEPALLOCS_OUT="$(BENCH_JSON="$BENCH" go test -run='^$' -bench=StepAllocs -benchmem -benchtime=50x .)"
 printf '%s\n' "$STEPALLOCS_OUT"
 if printf '%s\n' "$STEPALLOCS_OUT" | grep -E ' [1-9][0-9]* allocs/op' >/dev/null; then
     echo "verify: BenchmarkStepAllocs reported a nonzero allocs/op — steady-state stepping must not allocate" >&2
@@ -62,7 +68,7 @@ if [ -z "$SITES" ] || [ "$SITES" -gt 10 ]; then
     exit 1
 fi
 
-echo "==> bench trajectory: BENCH_PR9.json -> BENCH_PR10.json"
-scripts/bench_diff.sh BENCH_PR9.json BENCH_PR10.json
+echo "==> bench trajectory: BENCH_PR9.json -> BENCH_PR10.json (+ this run's records)"
+scripts/bench_diff.sh BENCH_PR9.json "$BENCH"
 
 echo "verify: all gates passed"
