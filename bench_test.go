@@ -390,7 +390,9 @@ func BenchmarkParallelForces(b *testing.B) {
 				defer e.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.ForcesDirect(p, pos, acc)
+					if _, err := e.ForcesDirect(p, pos, acc); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.StopTimer()
 				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -425,7 +427,9 @@ func BenchmarkParallelForces(b *testing.B) {
 		defer e.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ForcesCell(cl, p, pos, acc)
+			if _, err := e.ForcesCell(cl, p, pos, acc); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -441,7 +445,9 @@ func BenchmarkParallelForces(b *testing.B) {
 		defer e.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ForcesPairlist(nl, p, pos, acc)
+			if _, err := e.ForcesPairlist(nl, p, pos, acc); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

@@ -33,7 +33,6 @@ var ctxSteppers = map[string]bool{
 	"Step": true, "StepWith": true, "StepWithE": true,
 	"Run": true, "RunContext": true,
 	"ForcesDirect": true, "ForcesPairlist": true, "ForcesCell": true,
-	"TryForcesDirect": true, "TryForcesPairlist": true, "TryForcesCell": true,
 	"BuildPairlist": true, "BuildRow": true,
 	"Sleep": true, "Submit": true, "Wait": true,
 	"attempt": true, "backoff": true,

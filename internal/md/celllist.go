@@ -18,34 +18,32 @@ import (
 // benches and as the scalable path for the full-framework extensions
 // the paper's conclusion anticipates.
 //
-// All scratch state is carved from two grow-once arenas (one int32, one
-// T), so a steady-state rebuild allocates nothing and the whole ledger
-// cost of the cell path is the two arena makes below.
+// There is one layout and one sizing rule: BinWrapped folds every
+// position into the box, sizes the grid for the atom count with
+// buildGridDims, and counting-sorts the atoms into packed per-cell runs
+// that the force kernels and the neighbor-list build all walk. All
+// scratch state is carved from two grow-once arenas (one int32, one T),
+// so a steady-state rebuild allocates nothing and the whole ledger cost
+// of the cell path is the two arena makes below.
 type CellList[T vec.Float] struct {
-	dims  int // cells per box edge
-	width T   // cell edge length (>= cutoff)
-	box   T   // box edge the grid was sized for
+	dims  int // cells per box edge, set by BinWrapped
+	width T   // cell edge length (>= reach)
+	box   T   // box edge the grid covers
+	reach T   // the smallest cell edge allowed: the cutoff or list radius
 
-	// Chain layout, built by Build for the force traversal.
-	heads []int32 // heads[c] = first atom in cell c, -1 if empty
-	next  []int32 // next[i] = next atom in i's cell, -1 at the end
-
-	// Packed (CSR) layout, built by BinWrapped for the neighbor-list
-	// gather: order holds atom indices grouped by cell (ascending within
-	// each cell), packed the corresponding positions copied alongside as
-	// SoA planes, and starts[c]..starts[c+1] delimits cell c's run.
-	// Streaming these contiguous runs beats chasing the head/next chains
-	// — each chain step is a dependent load — by a wide margin in the
-	// build's inner loop.
+	// Packed (CSR) layout: order holds atom indices grouped by cell
+	// (ascending within each cell), packed the corresponding positions
+	// copied alongside as SoA planes, and starts[c]..starts[c+1]
+	// delimits cell c's run. Streaming contiguous runs keeps every
+	// inner loop on sequential loads.
 	starts []int32
 	order  []int32
 	packed Coords[T]
 	cursor []int32 // counting-sort scratch
 	cellOf []int32 // counting-sort scratch: each atom's cell, one fold per atom
 
-	chainInts []int32 // arena behind heads+next
-	csrInts   []int32 // arena behind starts+cursor+order+cellOf
-	csrPos    []T     // arena behind packed
+	csrInts []int32 // arena behind starts+cursor+order+cellOf
+	csrPos  []T     // arena behind packed
 
 	builds int
 }
@@ -65,57 +63,21 @@ func NewCellList[T vec.Float](box, cutoff T) (*CellList[T], error) {
 		dims:  dims,
 		width: box / T(dims),
 		box:   box,
+		reach: cutoff,
 	}, nil
 }
 
-// NewCellListDims sizes a grid with an explicit per-edge cell count.
-// The neighbor-list builder used to call this per geometry change; it
-// now embeds a grid by value and regeometries it with reinit, so this
-// constructor is off the hot path entirely.
-func NewCellListDims[T vec.Float](box T, dims int) (*CellList[T], error) {
-	if !(box > 0) {
-		return nil, fmt.Errorf("md: cell list needs a positive box, got %v", box)
-	}
-	if dims < 3 {
-		return nil, fmt.Errorf("md: cell grid needs >= 3 cells per edge, got %d", dims)
-	}
-	return &CellList[T]{
-		dims:  dims,
-		width: box / T(dims),
-		box:   box,
-	}, nil
-}
-
-// reinit re-geometries the grid in place, keeping every arena. The
-// caller must guarantee box > 0 and dims >= 3 (the neighbor-list
-// builder's buildGridDims does); that precondition is what lets the
-// hot path skip the erroring constructor.
-func (cl *CellList[T]) reinit(box T, dims int) {
-	if cl.box == box && cl.dims == dims {
-		return
-	}
-	cl.dims = dims
-	cl.width = box / T(dims)
-	cl.box = box
-}
-
-// Dims returns the grid dimension per edge.
+// Dims returns the grid dimension per edge. BinWrapped caps it for the
+// atom count it bins (buildGridDims); before the first binning it is
+// the uncapped box/cutoff count.
 func (cl *CellList[T]) Dims() int { return cl.dims }
 
 // Builds returns how many times the grid has been rebuilt.
 func (cl *CellList[T]) Builds() int { return cl.builds }
 
-// cellIndex maps a wrapped position to its cell.
-func (cl *CellList[T]) cellIndex(p vec.V3[T]) int {
-	return (cl.axisCell(p.X)*cl.dims+cl.axisCell(p.Y))*cl.dims + cl.axisCell(p.Z)
-}
-
-// axisCell maps one wrapped coordinate to its cell along an axis.
-// Positions exactly at the box edge (x == box after rounding) land one
-// past the last cell, and positions perturbed just below 0 (x == -0.0,
-// or a wrap that rounds to a tiny negative) would truncate toward zero
-// or go negative; clamp both ends so any representable coordinate maps
-// to a valid cell.
+// axisCell maps one folded coordinate to its cell along an axis. A
+// coordinate just below the box edge can round to one past the last
+// cell; clamp both ends so any folded coordinate maps to a valid cell.
 func (cl *CellList[T]) axisCell(x T) int {
 	c := int(x / cl.width)
 	if c < 0 {
@@ -129,14 +91,6 @@ func (cl *CellList[T]) axisCell(x T) int {
 
 // NumCells returns the total number of cells in the grid.
 func (cl *CellList[T]) NumCells() int { return cl.dims * cl.dims * cl.dims }
-
-// Head returns the first atom in cell c, or -1 if the cell is empty.
-// Valid after Build.
-func (cl *CellList[T]) Head(c int) int32 { return cl.heads[c] }
-
-// Next returns the atom after i in i's cell chain, or -1 at the end.
-// Valid after Build.
-func (cl *CellList[T]) Next(i int32) int32 { return cl.next[i] }
 
 // NeighborCells writes cell c itself followed by its 26 periodic
 // neighbors into buf (which must have length >= 27) and returns the
@@ -184,9 +138,10 @@ func foldCoord[T vec.Float](x, box T) T {
 	return x
 }
 
-// CellOfWrapped returns the cell BinWrapped assigns to position p —
-// the lookup the neighbor-list row builder uses to find an atom's home
-// cell without storing a per-atom cell table.
+// CellOfWrapped returns the cell the last BinWrapped assigned, or
+// would assign, to position p — the lookup the neighbor-list row
+// builder uses to find an atom's home cell without storing a per-atom
+// cell table. Valid after BinWrapped, which sizes the grid.
 func (cl *CellList[T]) CellOfWrapped(p vec.V3[T]) int {
 	return (cl.axisCell(foldCoord(p.X, cl.box))*cl.dims+
 		cl.axisCell(foldCoord(p.Y, cl.box)))*cl.dims +
@@ -217,16 +172,54 @@ func (cl *CellList[T]) ensureCSR(n, ncells int) {
 	cl.packed = coordsOver(cl.csrPos[:3*n], n)
 }
 
-// BinWrapped rebuilds the packed cell layout, folding each coordinate
-// into [0, box) first. The force-path Build assumes pre-wrapped
-// positions and clamps strays into edge cells; the neighbor-list build
-// uses this folding variant instead so that an unwrapped (or
-// adversarial) input still bins every atom into the cell its minimum
-// image lives in. Binning is a counting sort — count, prefix-sum,
-// scatter — so order stays ascending within every cell and the whole
-// pass is O(N + cells).
+// maxBuildGridDims bounds a cell grid's per-edge cell count: more
+// cells than ~8 atoms' worth buys nothing (most cells are empty) and a
+// pathological box/cutoff ratio must not size a grid at all. The floor
+// of 3 is the CellList minimum; the hard ceiling keeps the per-cell
+// arrays bounded for any input.
+func maxBuildGridDims(n int) int {
+	const hardCap = 128 // 128³ cells ≈ 2M int32 run starts, the most a binning may allocate
+	d := 3
+	for d < hardCap && (d+1)*(d+1)*(d+1) <= 8*n {
+		d++
+	}
+	return d
+}
+
+// buildGridDims returns the per-edge cell count BinWrapped sizes the
+// grid to for n atoms — the one sizing rule the cell force kernels and
+// the neighbor-list build share — or 0 when cells rl wide do not fit
+// three to the box (the list build then falls back to the O(N²) scan).
+// Guards are written so NaN/Inf boxes and radii answer 0 or a clamped
+// grid, never a panic: the comparison form !(x > 0) is false-for-NaN on
+// both sides.
+func buildGridDims[T vec.Float](box, rl T, n int) int {
+	if !(box > 0) || !(rl > 0) {
+		return 0
+	}
+	r := box / rl // +Inf when rl underflows the division; handled below
+	if !(r >= 3) {
+		return 0
+	}
+	maxDims := maxBuildGridDims(n)
+	if r >= T(maxDims) { // also catches +Inf before any float→int conversion
+		return maxDims
+	}
+	return int(r)
+}
+
+// BinWrapped rebuilds the packed cell layout. It first sizes the grid
+// for pos.Len() atoms with buildGridDims — the cap that keeps a
+// pathological box/cutoff ratio from sizing a grid larger than the
+// atoms can fill — then folds each coordinate into [0, box), so an
+// unwrapped (or adversarial) input still bins every atom into the cell
+// its minimum image lives in. Binning is a counting sort — count,
+// prefix-sum, scatter — so order stays ascending within every cell and
+// the whole pass is O(N + cells).
 func (cl *CellList[T]) BinWrapped(pos Coords[T]) {
 	n := pos.Len()
+	cl.dims = buildGridDims(cl.box, cl.reach, n)
+	cl.width = cl.box / T(cl.dims)
 	ncells := cl.dims * cl.dims * cl.dims
 	cl.ensureCSR(n, ncells)
 	for c := range cl.cursor {
@@ -259,45 +252,23 @@ func (cl *CellList[T]) CellSpan(c int) (lo, hi int32) {
 	return cl.starts[c], cl.starts[c+1]
 }
 
-// ensureChains carves the head/next arrays out of the chain arena.
-// noinline for the same single-ledger-site reason as ensureCSR.
-//
-//go:noinline
-func (cl *CellList[T]) ensureChains(n, ncells int) {
-	need := ncells + n
-	if cap(cl.chainInts) < need {
-		cl.chainInts = make([]int32, need) //mdlint:ignore hotalloc amortized grow-once chain arena, reused while capacity suffices
-	}
-	b := cl.chainInts[:need]
-	cl.heads = b[0:ncells:ncells]
-	cl.next = b[ncells : ncells+n : ncells+n]
+// Packed returns the packed layout: slot k holds atom order[k] at
+// position pos.At(k), and cell c's atoms fill slots CellSpan(c).
+// Valid after BinWrapped; callers must treat both as read-only.
+func (cl *CellList[T]) Packed() (order []int32, pos Coords[T]) {
+	return cl.order, cl.packed
 }
 
-// resetChains sizes and clears the head/next arrays for n atoms.
-func (cl *CellList[T]) resetChains(n int) {
-	cl.ensureChains(n, cl.dims*cl.dims*cl.dims)
-	for i := range cl.heads {
-		cl.heads[i] = -1
-	}
-}
-
-// Build rebuilds the linked cells from the wrapped positions.
-func (cl *CellList[T]) Build(pos Coords[T]) {
-	cl.resetChains(pos.Len())
-	for i := 0; i < pos.Len(); i++ {
-		c := cl.cellIndex(pos.At(i))
-		cl.next[i] = cl.heads[c]
-		cl.heads[c] = int32(i)
-	}
-	cl.builds++
-}
-
-// Forces evaluates the LJ forces using the cell grid, rebuilding it
+// Forces evaluates the LJ forces using the cell grid, rebinning it
 // from the current positions first (a rebuild is O(N) and must track
 // every step). acc is overwritten; the return value is the potential
 // energy. Results match ComputeForces to rounding.
+//
+// Every run is walked from its last slot down: that fixes the pair
+// order, and so the summation order, the committed trajectory goldens
+// were recorded under.
 func (cl *CellList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
-	cl.Build(pos)
+	cl.BinWrapped(pos)
 	acc.Zero()
 	rc2 := p.Cutoff * p.Cutoff
 	var pe T
@@ -305,19 +276,20 @@ func (cl *CellList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 	for cx := 0; cx < d; cx++ {
 		for cy := 0; cy < d; cy++ {
 			for cz := 0; cz < d; cz++ {
-				c := (cx*d+cy)*d + cz
-				for i := cl.heads[c]; i >= 0; i = cl.next[i] {
-					pi := pos.At(int(i))
-					// Within the home cell: pairs i<j only.
-					for j := cl.next[i]; j >= 0; j = cl.next[j] {
-						pe += cl.pair(p, rc2, pos, acc, int(i), int(j), pi)
+				lo, hi := cl.CellSpan((cx*d+cy)*d + cz)
+				for k := hi - 1; k >= lo; k-- {
+					i := int(cl.order[k])
+					pi := cl.packed.At(int(k))
+					// Within the home cell: each pair once.
+					for m := k - 1; m >= lo; m-- {
+						pe += cl.pair(p, rc2, acc, i, m, pi)
 					}
 					// Half of the 26 neighbor cells (to visit each
 					// unordered cell pair once).
 					for _, off := range halfNeighborOffsets {
-						nc := cl.wrapCell(cx+off[0], cy+off[1], cz+off[2])
-						for j := cl.heads[nc]; j >= 0; j = cl.next[j] {
-							pe += cl.pair(p, rc2, pos, acc, int(i), int(j), pi)
+						nlo, nhi := cl.CellSpan(cl.wrapCell(cx+off[0], cy+off[1], cz+off[2]))
+						for m := nhi - 1; m >= nlo; m-- {
+							pe += cl.pair(p, rc2, acc, i, m, pi)
 						}
 					}
 				}
@@ -327,9 +299,10 @@ func (cl *CellList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 	return pe
 }
 
-// pair applies one i-j interaction with the minimum image.
-func (cl *CellList[T]) pair(p Params[T], rc2 T, pos Coords[T], acc Coords[T], i, j int, pi vec.V3[T]) T {
-	dv := MinImage(pi.Sub(pos.At(j)), p.Box)
+// pair applies one interaction between atom i (at pi) and the atom in
+// packed slot m, with the minimum image.
+func (cl *CellList[T]) pair(p Params[T], rc2 T, acc Coords[T], i int, m int32, pi vec.V3[T]) T {
+	dv := MinImage(pi.Sub(cl.packed.At(int(m))), p.Box)
 	r2 := dv.Norm2()
 	if r2 >= rc2 || r2 == 0 {
 		return 0
@@ -337,7 +310,7 @@ func (cl *CellList[T]) pair(p Params[T], rc2 T, pos Coords[T], acc Coords[T], i,
 	v, f := LJPair(p, r2)
 	fd := dv.Scale(f)
 	acc.Add(i, fd)
-	acc.Sub(j, fd)
+	acc.Sub(int(cl.order[m]), fd)
 	return v
 }
 

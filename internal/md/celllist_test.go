@@ -97,22 +97,42 @@ func md32Params(st *lattice.State) Params[float32] {
 	return Params[float32]{Box: float32(st.Box), Cutoff: 2.5, Dt: 0.004}
 }
 
+// checkBinning bins pos and checks that every atom sits in exactly
+// one CSR run, and that the run is the one CellOfWrapped names (so
+// every cell index is in range).
+func checkBinning(t *testing.T, cl *CellList[float64], pos Coords[float64]) {
+	t.Helper()
+	cl.BinWrapped(pos)
+	order, _ := cl.Packed()
+	found := make([]int, pos.Len())
+	for c := 0; c < cl.NumCells(); c++ {
+		lo, hi := cl.CellSpan(c)
+		for k := lo; k < hi; k++ {
+			i := int(order[k])
+			found[i]++
+			if got := cl.CellOfWrapped(pos.At(i)); got != c {
+				t.Fatalf("atom %d at %+v sits in cell %d's run, CellOfWrapped says %d", i, pos.At(i), c, got)
+			}
+		}
+	}
+	for i, n := range found {
+		if n != 1 {
+			t.Fatalf("atom %d appears in %d cell runs, want 1", i, n)
+		}
+	}
+}
+
 func TestCellIndexInRange(t *testing.T) {
 	cl, err := NewCellList[float64](10, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncells := cl.Dims() * cl.Dims() * cl.Dims()
 	// Edge positions must clamp, not overflow.
-	for _, p := range []vec.V3[float64]{
+	checkBinning(t, cl, CoordsFromV3([]vec.V3[float64]{
 		{},
 		{X: 9.9999999999, Y: 9.9999999999, Z: 9.9999999999},
 		{X: 5, Y: 0, Z: 9.99},
-	} {
-		if c := cl.cellIndex(p); c < 0 || c >= ncells {
-			t.Fatalf("cellIndex(%+v) = %d out of [0,%d)", p, c, ncells)
-		}
-	}
+	}))
 }
 
 func TestCellIndexNegativeCoordinatesClamp(t *testing.T) {
@@ -120,41 +140,60 @@ func TestCellIndexNegativeCoordinatesClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncells := cl.Dims() * cl.Dims() * cl.Dims()
 	// Positions perturbed just below zero (a wrap that rounds to -0.0 or
-	// a tiny negative) must land in cell 0 on that axis, not truncate
-	// into a negative index.
-	for _, p := range []vec.V3[float64]{
+	// a tiny negative) must fold to their periodic image, not truncate
+	// into a negative index; so must the boundary atoms below, every
+	// one reachable from exactly one cell run.
+	checkBinning(t, cl, CoordsFromV3([]vec.V3[float64]{
 		{X: -1e-15, Y: 5, Z: 5},
 		{X: 5, Y: math.Copysign(0, -1), Z: 5},
 		{X: -1e-15, Y: -1e-300, Z: -0.0},
-		{X: -2.6, Y: 5, Z: 5}, // a full cell below zero still clamps
-	} {
-		c := cl.cellIndex(p)
-		if c < 0 || c >= ncells {
-			t.Fatalf("cellIndex(%+v) = %d out of [0,%d)", p, c, ncells)
-		}
-	}
-	if c := cl.cellIndex(vec.V3[float64]{X: -1e-15, Y: 0.1, Z: 0.1}); c != 0 {
-		t.Fatalf("just-below-zero position landed in cell %d, want 0", c)
-	}
-	// Build at the boundary must produce a consistent grid: every atom
-	// reachable from exactly one cell chain.
-	pos := CoordsFromV3([]vec.V3[float64]{
+		{X: -2.6, Y: 5, Z: 5}, // a full cell below zero folds too
 		{X: -1e-15, Y: 9.9999999999, Z: 0},
 		{X: 5, Y: 5, Z: 5},
 		{X: 0, Y: 0, Z: -1e-16},
-	})
-	cl.Build(pos)
-	found := make([]int, pos.Len())
-	for c := 0; c < cl.NumCells(); c++ {
-		for i := cl.Head(c); i >= 0; i = cl.Next(i) {
-			found[i]++
-		}
+	}))
+	d := cl.Dims()
+	if c, want := cl.CellOfWrapped(vec.V3[float64]{X: -1e-15, Y: 0.1, Z: 0.1}), (d-1)*d*d; c != want {
+		t.Fatalf("just-below-zero position landed in cell %d, want %d (the last cell along x)", c, want)
 	}
-	for i, n := range found {
-		if n != 1 {
-			t.Fatalf("atom %d appears in %d cell chains, want 1", i, n)
+}
+
+// TestCellListSparseBoxCapsGrid pins the grid cap on a box far larger
+// than its atoms can fill: two atoms at density 1e-12 give a box of
+// ~12600 cutoffs per edge, which the uncapped box/cutoff rule would
+// size to 5039³ cells (a 512 GB arena). The grid must stay within
+// maxBuildGridDims(2) and the forces must still be right, for a pair
+// in the interior and for one straddling the periodic boundary.
+func TestCellListSparseBoxCapsGrid(t *testing.T) {
+	const n = 2
+	box := math.Cbrt(n / 1e-12)
+	p := Params[float64]{Box: box, Cutoff: 2.5, Dt: 0.004}
+	for _, pos := range []Coords[float64]{
+		CoordsFromV3([]vec.V3[float64]{{X: 100, Y: 200, Z: 300}, {X: 101.1, Y: 200.2, Z: 299.9}}),
+		CoordsFromV3([]vec.V3[float64]{{X: 0.3, Y: 5, Z: box - 0.2}, {X: box - 0.8, Y: 5.1, Z: 0.4}}),
+	} {
+		cl, err := NewCellList(p.Box, p.Cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := MakeCoords[float64](n)
+		accRef := MakeCoords[float64](n)
+		pe := cl.Forces(p, pos, acc)
+		peRef := ComputeForces(p, pos, accRef)
+		if d := cl.Dims(); d > maxBuildGridDims(n) {
+			t.Fatalf("grid dims %d, want <= maxBuildGridDims(%d) = %d", d, n, maxBuildGridDims(n))
+		}
+		if peRef == 0 {
+			t.Fatal("test pair does not interact")
+		}
+		if math.Abs(pe-peRef) > 1e-9*(1+math.Abs(peRef)) {
+			t.Fatalf("PE %v, want %v", pe, peRef)
+		}
+		for i := 0; i < n; i++ {
+			if acc.At(i).Sub(accRef.At(i)).Norm() > 1e-9*(1+accRef.At(i).Norm()) {
+				t.Fatalf("acc[%d] = %+v, want %+v", i, acc.At(i), accRef.At(i))
+			}
 		}
 	}
 }

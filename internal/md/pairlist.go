@@ -38,7 +38,7 @@ type NeighborList[T vec.Float] struct {
 	stride   int
 
 	// grid is the cell binning the build gathers over, embedded by
-	// value so rebuilds re-geometry it in place (reinit) instead of
+	// value so rebuilds re-geometry it in place instead of
 	// reconstructing — its arenas persist across box/dims changes and
 	// the erroring constructor stays off the hot path. gridOK is false
 	// when the box cannot support cell binning and the build falls back
@@ -89,39 +89,6 @@ func (nl *NeighborList[T]) BuildN2(p Params[T], pos Coords[T]) {
 	nl.EndBuild(pos)
 }
 
-// maxBuildGridDims bounds the build grid's per-edge cell count: more
-// cells than ~8 atoms' worth buys nothing (most cells are empty) and a
-// pathological box/cutoff ratio must not size a grid at all. The floor
-// of 3 is the CellList minimum; the hard ceiling keeps the head array
-// bounded for any input.
-func maxBuildGridDims(n int) int {
-	const hardCap = 128 // 128³ cells ≈ 2M int32 heads, the most a build may allocate
-	d := 3
-	for d < hardCap && (d+1)*(d+1)*(d+1) <= 8*n {
-		d++
-	}
-	return d
-}
-
-// buildGridDims returns the per-edge cell count for the cell-binned
-// build, or 0 when the geometry forces the O(N²) fallback. Guards are
-// written so NaN/Inf boxes and radii answer 0 or a clamped grid, never
-// a panic: the comparison form !(x > 0) is false-for-NaN on both sides.
-func buildGridDims[T vec.Float](box, rl T, n int) int {
-	if !(box > 0) || !(rl > 0) {
-		return 0
-	}
-	r := box / rl // +Inf when rl underflows the division; handled below
-	if !(r >= 3) {
-		return 0
-	}
-	maxDims := maxBuildGridDims(n)
-	if r >= T(maxDims) { // also catches +Inf before any float→int conversion
-		return maxDims
-	}
-	return int(r)
-}
-
 // BeginBuild prepares a rebuild: it sizes the row table and returns
 // the cell grid rows should gather over, or nil when the box cannot
 // support cell binning (rows then fall back to the O(N²) scan). It is
@@ -130,12 +97,11 @@ func buildGridDims[T vec.Float](box, rl T, n int) int {
 func (nl *NeighborList[T]) BeginBuild(p Params[T], pos Coords[T]) *CellList[T] {
 	nl.sizeRows(pos.Len())
 	rl := p.Cutoff + nl.Skin
-	dims := buildGridDims(p.Box, rl, pos.Len())
-	if dims == 0 {
+	if buildGridDims(p.Box, rl, pos.Len()) == 0 {
 		nl.gridOK = false
 		return nil
 	}
-	nl.grid.reinit(p.Box, dims)
+	nl.grid.box, nl.grid.reach = p.Box, rl
 	nl.gridOK = true
 	nl.grid.BinWrapped(pos)
 	return &nl.grid

@@ -127,24 +127,36 @@ func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() 
 		return func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }, noop
 	case "pardirect":
 		e := newEngine()
-		return func() float64 { return e.ForcesDirect(sys.P, sys.Pos, sys.Acc) }, e.Close
+		return mustForces(t, func() (float64, error) { return e.ForcesDirect(sys.P, sys.Pos, sys.Acc) }), e.Close
 	case "parpairlist":
 		nl, err := md.NewNeighborList[float64](soaSkin)
 		if err != nil {
 			t.Fatalf("NewNeighborList: %v", err)
 		}
 		e := newEngine()
-		return func() float64 { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }, e.Close
+		return mustForces(t, func() (float64, error) { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }), e.Close
 	case "parcellgrid":
 		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
 		if err != nil {
 			t.Fatalf("NewCellList: %v", err)
 		}
 		e := newEngine()
-		return func() float64 { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, e.Close
+		return mustForces(t, func() (float64, error) { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }), e.Close
 	default:
 		t.Fatalf("unknown method %q", c.Method)
 		return nil, nil
+	}
+}
+
+// mustForces adapts a sharded kernel to the infallible step signature:
+// no fault is armed in these runs, so any worker error fails the test.
+func mustForces(t testing.TB, kernel func() (float64, error)) func() float64 {
+	return func() float64 {
+		pe, err := kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pe
 	}
 }
 

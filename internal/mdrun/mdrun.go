@@ -352,7 +352,7 @@ func (r *Runner) buildForces() (func() (float64, error), error) {
 	case Direct:
 		if sharded {
 			e := r.newEngine()
-			return func() (float64, error) { return e.TryForcesDirect(sys.P, sys.Pos, sys.Acc) }, nil
+			return func() (float64, error) { return e.ForcesDirect(sys.P, sys.Pos, sys.Acc) }, nil
 		}
 		return infallible(func() float64 { return md.ComputeForces(sys.P, sys.Pos, sys.Acc) }), nil
 	case Pairlist:
@@ -364,7 +364,7 @@ func (r *Runner) buildForces() (func() (float64, error), error) {
 		forces := infallible(func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) })
 		if sharded {
 			e := r.newEngine()
-			forces = func() (float64, error) { return e.TryForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }
+			forces = func() (float64, error) { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }
 		}
 		return r.withSharedBuild(nl, forces), nil
 	case CellGrid:
@@ -374,7 +374,7 @@ func (r *Runner) buildForces() (func() (float64, error), error) {
 		}
 		if sharded {
 			e := r.newEngine()
-			return func() (float64, error) { return e.TryForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, nil
+			return func() (float64, error) { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, nil
 		}
 		return infallible(func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }), nil
 	default:

@@ -37,7 +37,7 @@ func TestEngineContextCancelInterruptsDelayedWorker(t *testing.T) {
 	time.AfterFunc(10*time.Millisecond, cancel)
 
 	start := time.Now()
-	_, err = e.TryForcesDirect(p, pos, acc)
+	_, err = e.ForcesDirect(p, pos, acc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
@@ -65,20 +65,20 @@ func TestEngineCancelledContextSkipsWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e.SetContext(ctx)
-	if _, err := e.TryForcesDirect(p, pos, acc); !errors.Is(err, context.Canceled) {
+	if _, err := e.ForcesDirect(p, pos, acc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("direct: %v, want context.Canceled", err)
 	}
 	nl, err := md.NewNeighborList[float64](0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.TryForcesPairlist(nl, p, pos, acc); !errors.Is(err, context.Canceled) {
+	if _, err := e.ForcesPairlist(nl, p, pos, acc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pairlist: %v, want context.Canceled", err)
 	}
 
 	// Clearing the context restores normal evaluation.
 	e.SetContext(nil)
-	if _, err := e.TryForcesDirect(p, pos, acc); err != nil {
+	if _, err := e.ForcesDirect(p, pos, acc); err != nil {
 		t.Fatalf("after clearing context: %v", err)
 	}
 }

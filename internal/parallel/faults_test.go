@@ -37,7 +37,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 		})
 		e.SetInjector(reg)
 
-		_, err := e.TryForcesDirect(p, pos, acc)
+		_, err := e.ForcesDirect(p, pos, acc)
 		if err == nil {
 			t.Fatalf("workers=%d: injected panic did not surface as error", workers)
 		}
@@ -46,7 +46,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 		}
 
 		// The pool must still work: the next evaluation matches serial.
-		pe, err := e.TryForcesDirect(p, pos, acc)
+		pe, err := e.ForcesDirect(p, pos, acc)
 		if err != nil {
 			t.Fatalf("workers=%d: pool dead after recovered panic: %v", workers, err)
 		}
@@ -77,9 +77,9 @@ func TestWorkerPanicAllKernels(t *testing.T) {
 		name string
 		eval func() (float64, error)
 	}{
-		{"direct", func() (float64, error) { return e.TryForcesDirect(p, pos, acc) }},
-		{"cell", func() (float64, error) { return e.TryForcesCell(cl, p, pos, acc) }},
-		{"pairlist", func() (float64, error) { return e.TryForcesPairlist(nl, p, pos, acc) }},
+		{"direct", func() (float64, error) { return e.ForcesDirect(p, pos, acc) }},
+		{"cell", func() (float64, error) { return e.ForcesCell(cl, p, pos, acc) }},
+		{"pairlist", func() (float64, error) { return e.ForcesPairlist(nl, p, pos, acc) }},
 	}
 	for _, k := range kernels {
 		reg := faults.NewRegistry(1).Arm(faults.Fault{
@@ -96,24 +96,6 @@ func TestWorkerPanicAllKernels(t *testing.T) {
 	}
 }
 
-// TestLegacyKernelPanicsOnCaller pins the legacy non-Try path: the
-// worker failure re-panics on the caller's goroutine (recoverable),
-// never on the worker goroutine (fatal).
-func TestLegacyKernelPanicsOnCaller(t *testing.T) {
-	p, pos, acc := faultState(t, 108)
-	e := New[float64](4)
-	defer e.Close()
-	e.SetInjector(faults.NewRegistry(1).Arm(faults.Fault{
-		Site: faults.SiteWorker, Kind: faults.Panic, Trigger: faults.Trigger{AtCall: 1},
-	}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("legacy ForcesDirect swallowed the worker failure")
-		}
-	}()
-	e.ForcesDirect(p, pos, acc)
-}
-
 // TestWorkerDelayKeepsResultsCorrect injects a straggler: the kernel
 // is slower but bit-identical in result.
 func TestWorkerDelayKeepsResultsCorrect(t *testing.T) {
@@ -121,7 +103,7 @@ func TestWorkerDelayKeepsResultsCorrect(t *testing.T) {
 	e := New[float64](4)
 	defer e.Close()
 	clean := md.MakeCoords[float64](pos.Len())
-	peClean, err := e.TryForcesDirect(p, pos, clean)
+	peClean, err := e.ForcesDirect(p, pos, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +111,7 @@ func TestWorkerDelayKeepsResultsCorrect(t *testing.T) {
 		Site: faults.SiteWorker, Kind: faults.Delay, Delay: 2 * time.Millisecond,
 		Trigger: faults.Trigger{AtCall: 1},
 	}))
-	pe, err := e.TryForcesDirect(p, pos, acc)
+	pe, err := e.ForcesDirect(p, pos, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +136,13 @@ func TestParallelForcesCorruption(t *testing.T) {
 		Site: faults.SiteParallelForces, Kind: faults.NaN, Trigger: faults.Trigger{AtCall: 2},
 	})
 	e.SetInjector(reg)
-	if _, err := e.TryForcesDirect(p, pos, acc); err != nil {
+	if _, err := e.ForcesDirect(p, pos, acc); err != nil {
 		t.Fatal(err)
 	}
 	if hasNaN(acc) {
 		t.Fatal("corruption fired early")
 	}
-	if _, err := e.TryForcesDirect(p, pos, acc); err != nil {
+	if _, err := e.ForcesDirect(p, pos, acc); err != nil {
 		t.Fatal(err)
 	}
 	if !hasNaN(acc) {
@@ -191,12 +173,12 @@ func TestErrorLeavesPoolDrainedNotWedged(t *testing.T) {
 		Site: faults.SiteWorker, Kind: faults.Panic, Trigger: faults.Trigger{FromCall: 1},
 	}))
 	for i := 0; i < 50; i++ {
-		if _, err := e.TryForcesDirect(p, pos, acc); err == nil {
+		if _, err := e.ForcesDirect(p, pos, acc); err == nil {
 			t.Fatal("persistent fault stopped firing")
 		}
 	}
 	e.SetInjector(nil)
-	if _, err := e.TryForcesDirect(p, pos, acc); err != nil {
+	if _, err := e.ForcesDirect(p, pos, acc); err != nil {
 		t.Fatalf("pool wedged after 50 failures: %v", err)
 	}
 }

@@ -8,15 +8,17 @@
 // scatter Newton's-third-law updates into another shard's atoms.
 //
 // Three kernels are provided, matching the three serial host paths in
-// internal/md:
+// internal/md. Each has one entry point, which returns an error when a
+// worker fails:
 //
 //   - ForcesDirect: the paper's O(N²) kernel over the full-loop
 //     (gather-only) layout of md.ComputeForcesFull, sharded by atom
 //     range. Each atom's acceleration is written by exactly one worker,
 //     so no synchronization is needed beyond the join.
-//   - ForcesCell: the linked-cell O(N) method, sharded by cell range.
-//     Workers gather over the full 27-cell shell (not the serial
-//     half-shell), again writing only their own cells' atoms.
+//   - ForcesCell: the cell-grid O(N) method over the packed cell runs
+//     md.CellList.BinWrapped builds, sharded by cell range. Workers
+//     gather over the full 27-cell shell (not the serial half-shell),
+//     again writing only their own cells' atoms.
 //   - ForcesPairlist: the Verlet neighbor list, sharded by pair chunk.
 //     The half-triangle pair layout forces scatter to both atoms of a
 //     pair, so each worker scatters into a private acceleration buffer
@@ -43,7 +45,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/md"
-	"repro/internal/sim"
 	"repro/internal/vec"
 )
 
@@ -100,8 +101,6 @@ type Engine[T vec.Float] struct {
 // shard is one worker's private state.
 type shard[T vec.Float] struct {
 	pe      T            // partial potential energy
-	pairs   int64        // partial interacting-pair count
-	ledger  sim.Ledger   // partial op accounting (instrumented runs)
 	acc     md.Coords[T] // private accumulator (pairlist kernel)
 	cellbuf []int        // neighbor-cell scratch (cell kernel)
 }
@@ -265,39 +264,15 @@ func (e *Engine[T]) reducePE() T {
 // ForcesDirect evaluates the paper's O(N²) kernel with atom-range
 // sharding over the full-loop layout. acc is overwritten; the return
 // value is the total potential energy. With one worker the result is
-// bitwise identical to md.ComputeForcesFull. A worker failure panics
-// on the caller's goroutine; error-aware callers use TryForcesDirect.
-func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) T {
-	pe, _ := e.ForcesDirectCount(p, pos, acc)
-	return pe
-}
-
-// TryForcesDirect is ForcesDirect on the error-returning kernel path:
-// a worker panic (real or injected) surfaces as an error and the
-// process — and the pool — survive. On error, acc is undefined.
-func (e *Engine[T]) TryForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, error) {
-	pe, _, err := e.forcesDirectCount(p, pos, acc)
-	return pe, err
-}
-
-// ForcesDirectCount is ForcesDirect plus the count of ordered
-// interacting pairs, mirroring md.ComputeForcesFullCount.
-func (e *Engine[T]) ForcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T, int64) {
-	pe, pairs, err := e.forcesDirectCount(p, pos, acc)
-	if err != nil {
-		panic(err)
-	}
-	return pe, pairs
-}
-
-func (e *Engine[T]) forcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T, int64, error) {
+// bitwise identical to md.ComputeForcesFull. A worker panic (real or
+// injected) surfaces as an error and the process — and the pool —
+// survive. On error, acc is undefined.
+func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	n := pos.Len()
 	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
 		lo, hi := e.shardRange(n, w)
-		sh := &e.shards[w]
 		var pe T
-		var pairs int64
 		for i := lo; i < hi; i++ {
 			pi := pos.At(i)
 			var ai vec.V3[T]
@@ -311,7 +286,6 @@ func (e *Engine[T]) forcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T,
 				if r2 >= rc2 || r2 == 0 {
 					continue
 				}
-				pairs++
 				v, f := md.LJPair(p, r2)
 				pei += v
 				ai = ai.Add(d.Scale(f))
@@ -319,142 +293,55 @@ func (e *Engine[T]) forcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T,
 			acc.Set(i, ai)
 			pe += pei
 		}
-		sh.pe = pe
-		sh.pairs = pairs
+		e.shards[w].pe = pe
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	e.corruptOutput(acc)
-	var pairs int64
-	for w := range e.shards {
-		pairs += e.shards[w].pairs
-	}
-	return e.reducePE() / 2, pairs, nil
+	return e.reducePE() / 2, nil
 }
 
-// Coarse per-candidate and per-interaction operation mixes for the
-// instrumented direct kernel: the same first-order accounting the
-// device models apply to this loop (pos gather, minimum image, r²,
-// cutoff test; then the LJ pair evaluation and force accumulation).
-// The counts depend only on which (i, j) pairs are visited, so the
-// merged ledger is identical for every worker count.
-var (
-	candidateOps = []struct {
-		op sim.Op
-		n  int64
-	}{
-		{sim.OpLoad, 3}, {sim.OpFAdd, 5}, {sim.OpFMul, 3}, {sim.OpCmp, 4},
-	}
-	interactionOps = []struct {
-		op sim.Op
-		n  int64
-	}{
-		{sim.OpFDiv, 1}, {sim.OpFMul, 9}, {sim.OpFAdd, 5}, {sim.OpStore, 3},
-	}
-)
-
-// ForcesDirectInstrumented is ForcesDirect with per-worker op
-// accounting: each worker tallies its shard's modeled operation mix
-// into a private sim.Ledger and the ledgers are folded with
-// sim.MergeAll. The physics is identical to ForcesDirect; the ledger
-// feeds device-model-style cycle accounting for the host path.
-func (e *Engine[T]) ForcesDirectInstrumented(p md.Params[T], pos, acc md.Coords[T]) (T, sim.Ledger) {
-	n := pos.Len()
-	rc2 := p.Cutoff * p.Cutoff
-	err := e.run(func(w int) {
-		lo, hi := e.shardRange(n, w)
-		sh := &e.shards[w]
-		sh.ledger.Reset()
-		var pe T
-		var candidates, interactions int64
-		for i := lo; i < hi; i++ {
-			pi := pos.At(i)
-			var ai vec.V3[T]
-			var pei T
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				candidates++
-				d := md.MinImage(pi.Sub(pos.At(j)), p.Box)
-				r2 := d.Norm2()
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				interactions++
-				v, f := md.LJPair(p, r2)
-				pei += v
-				ai = ai.Add(d.Scale(f))
-			}
-			acc.Set(i, ai)
-			pe += pei
-		}
-		sh.pe = pe
-		for _, c := range candidateOps {
-			sh.ledger.Add(c.op, c.n*candidates)
-		}
-		for _, c := range interactionOps {
-			sh.ledger.Add(c.op, c.n*interactions)
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	e.corruptOutput(acc)
-	ledgers := make([]sim.Ledger, len(e.shards))
-	for w := range e.shards {
-		ledgers[w] = e.shards[w].ledger
-	}
-	return e.reducePE() / 2, sim.MergeAll(ledgers)
-}
-
-// ForcesCell evaluates the linked-cell method with cell-range sharding:
-// the grid is rebuilt from the positions, then each worker computes the
-// forces on the atoms of its cell range by gathering over the full
-// 27-cell shell. Every atom belongs to exactly one cell, so acc is
-// written race-free; each pair is visited from both sides, so the
-// summed energy is halved. acc is overwritten; the return value is the
-// potential energy, matching cl.Forces to rounding. A worker failure
-// panics on the caller's goroutine; error-aware callers use
-// TryForcesCell.
-func (e *Engine[T]) ForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc md.Coords[T]) T {
-	pe, err := e.TryForcesCell(cl, p, pos, acc)
-	if err != nil {
-		panic(err)
-	}
-	return pe
-}
-
-// TryForcesCell is ForcesCell on the error-returning kernel path: a
-// worker panic (real or injected) surfaces as an error and the process
-// — and the pool — survive. On error, acc is undefined.
-func (e *Engine[T]) TryForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
-	cl.Build(pos)
+// ForcesCell evaluates the cell-grid method with cell-range sharding:
+// the grid is rebinned from the positions, then each worker computes
+// the forces on the atoms of its cell range by gathering over the full
+// 27-cell shell of packed runs. Every atom belongs to exactly one
+// cell, so acc is written race-free; each pair is visited from both
+// sides, so the summed energy is halved. acc is overwritten; the
+// return value is the potential energy, matching cl.Forces to
+// rounding. Runs are walked from their last slot down, the pair order
+// the committed trajectory goldens were recorded under. A worker panic
+// (real or injected) surfaces as an error and the process — and the
+// pool — survive. On error, acc is undefined.
+func (e *Engine[T]) ForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
+	cl.BinWrapped(pos)
 	ncells := cl.NumCells()
 	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
 		lo, hi := e.shardRange(ncells, w)
+		order, packed := cl.Packed()
 		sh := &e.shards[w]
 		if cap(sh.cellbuf) < 27 {
 			sh.cellbuf = make([]int, 27)
 		}
 		var pe T
 		for c := lo; c < hi; c++ {
-			if cl.Head(c) < 0 {
+			clo, chi := cl.CellSpan(c)
+			if clo == chi {
 				continue
 			}
 			cells := cl.NeighborCells(c, sh.cellbuf)
-			for i := cl.Head(c); i >= 0; i = cl.Next(i) {
-				pi := pos.At(int(i))
+			for k := chi - 1; k >= clo; k-- {
+				pi := packed.At(int(k))
 				var ai vec.V3[T]
 				var pei T
 				for _, nc := range cells {
-					for j := cl.Head(nc); j >= 0; j = cl.Next(j) {
-						if j == i {
+					nlo, nhi := cl.CellSpan(nc)
+					for m := nhi - 1; m >= nlo; m-- {
+						if m == k {
 							continue
 						}
-						d := md.MinImage(pi.Sub(pos.At(int(j))), p.Box)
+						d := md.MinImage(pi.Sub(packed.At(int(m))), p.Box)
 						r2 := d.Norm2()
 						if r2 >= rc2 || r2 == 0 {
 							continue
@@ -464,7 +351,7 @@ func (e *Engine[T]) TryForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc m
 						ai = ai.Add(d.Scale(f))
 					}
 				}
-				acc.Set(int(i), ai)
+				acc.Set(int(order[k]), ai)
 				pe += pei
 			}
 		}
@@ -557,21 +444,10 @@ func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p
 // private acceleration buffer, and the buffers are combined by a
 // parallel tree reduction before being written to acc. The list is
 // rebuilt first if stale. acc is overwritten; the return value is the
-// potential energy, matching nl.Forces to rounding. A worker failure
-// panics on the caller's goroutine; error-aware callers use
-// TryForcesPairlist.
-func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, acc md.Coords[T]) T {
-	pe, err := e.TryForcesPairlist(nl, p, pos, acc)
-	if err != nil {
-		panic(err)
-	}
-	return pe
-}
-
-// TryForcesPairlist is ForcesPairlist on the error-returning kernel
-// path: a worker panic (real or injected) surfaces as an error and the
-// process — and the pool — survive. On error, acc is undefined.
-func (e *Engine[T]) TryForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
+// potential energy, matching nl.Forces to rounding. A worker panic
+// (real or injected) surfaces as an error and the process — and the
+// pool — survive. On error, acc is undefined.
+func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	if nl.Stale(p, pos) {
 		if err := e.BuildPairlist(e.evalCtx(), nl, p, pos); err != nil {
 			return 0, err

@@ -58,7 +58,10 @@ func TestDirectOneWorkerBitwise(t *testing.T) {
 	defer e.Close()
 	accPar := md.MakeCoords[float64](pos.Len())
 	accRef := md.MakeCoords[float64](pos.Len())
-	pePar := e.ForcesDirect(p, pos, accPar)
+	pePar, err := e.ForcesDirect(p, pos, accPar)
+	if err != nil {
+		t.Fatal(err)
+	}
 	peRef := md.ComputeForcesFull(p, pos, accRef)
 	if pePar != peRef {
 		t.Fatalf("PE differs bitwise: parallel %v, serial %v", pePar, peRef)
@@ -78,13 +81,13 @@ func TestDirectMatchesSerial(t *testing.T) {
 	accHalf := md.MakeCoords[float64](pos.Len())
 	accFull := md.MakeCoords[float64](pos.Len())
 	peHalf := md.ComputeForces(p, pos, accHalf)
-	peFull, wantPairs := md.ComputeForcesFullCount(p, pos, accFull)
+	peFull := md.ComputeForcesFull(p, pos, accFull)
 	for _, w := range workerCounts {
 		e := New[float64](w)
 		acc := md.MakeCoords[float64](pos.Len())
-		pe, pairs := e.ForcesDirectCount(p, pos, acc)
-		if pairs != wantPairs {
-			t.Errorf("w=%d: %d interacting pairs, want %d", w, pairs, wantPairs)
+		pe, err := e.ForcesDirect(p, pos, acc)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if d := relDiff(pe, peFull); d > 1e-12 {
 			t.Errorf("w=%d: PE %v vs full-loop %v (rel %v)", w, pe, peFull, d)
@@ -119,7 +122,10 @@ func TestCellMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc := md.MakeCoords[float64](pos.Len())
-		pe := e.ForcesCell(cl, p, pos, acc)
+		pe, err := e.ForcesCell(cl, p, pos, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if d := relDiff(pe, peRef); d > 1e-12 {
 			t.Errorf("w=%d: PE %v vs serial cells %v (rel %v)", w, pe, peRef, d)
 		}
@@ -148,7 +154,10 @@ func TestPairlistMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc := md.MakeCoords[float64](pos.Len())
-		pe := e.ForcesPairlist(nl, p, pos, acc)
+		pe, err := e.ForcesPairlist(nl, p, pos, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if d := relDiff(pe, peRef); d > 1e-12 {
 			t.Errorf("w=%d: PE %v vs serial pairlist %v (rel %v)", w, pe, peRef, d)
 		}
@@ -179,7 +188,10 @@ func TestPairlistOneWorkerBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := md.MakeCoords[float64](pos.Len())
-	pe := e.ForcesPairlist(nl, p, pos, acc)
+	pe, err := e.ForcesPairlist(nl, p, pos, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pe != peRef {
 		t.Fatalf("PE differs bitwise: %v vs %v", pe, peRef)
 	}
@@ -187,36 +199,6 @@ func TestPairlistOneWorkerBitwise(t *testing.T) {
 		if acc.At(i) != accRef.At(i) {
 			t.Fatalf("acc[%d] differs bitwise: %+v vs %+v", i, acc.At(i), accRef.At(i))
 		}
-	}
-}
-
-// TestInstrumentedLedgerWorkerInvariant: the merged op ledger depends
-// only on the pairs visited, so it must be identical for every worker
-// count, and the physics must be unchanged by instrumentation.
-func TestInstrumentedLedgerWorkerInvariant(t *testing.T) {
-	st, p := makeState(t, 256)
-	pos := md.CoordsFromV3(st.Pos)
-	e1 := New[float64](1)
-	defer e1.Close()
-	acc := md.MakeCoords[float64](pos.Len())
-	peWant := e1.ForcesDirect(p, pos, acc)
-	pe1, want := e1.ForcesDirectInstrumented(p, pos, acc)
-	if pe1 != peWant {
-		t.Fatalf("instrumentation changed the PE: %v vs %v", pe1, peWant)
-	}
-	if want.Total() == 0 {
-		t.Fatal("instrumented ledger is empty")
-	}
-	for _, w := range workerCounts[1:] {
-		e := New[float64](w)
-		pe, got := e.ForcesDirectInstrumented(p, pos, acc)
-		if got != want {
-			t.Errorf("w=%d: ledger %v, want %v", w, got.String(), want.String())
-		}
-		if d := relDiff(pe, peWant); d > 1e-12 {
-			t.Errorf("w=%d: PE %v, want %v", w, pe, peWant)
-		}
-		e.Close()
 	}
 }
 
@@ -233,26 +215,28 @@ func TestTrajectoryReuse(t *testing.T) {
 		}
 		par := ref.Clone()
 		e := New[float64](4)
-		var forces func() float64
+		var forces func() (float64, error)
 		switch kernel {
 		case "direct":
-			forces = func() float64 { return e.ForcesDirect(par.P, par.Pos, par.Acc) }
+			forces = func() (float64, error) { return e.ForcesDirect(par.P, par.Pos, par.Acc) }
 		case "cell":
 			cl, err := md.NewCellList(par.P.Box, par.P.Cutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
-			forces = func() float64 { return e.ForcesCell(cl, par.P, par.Pos, par.Acc) }
+			forces = func() (float64, error) { return e.ForcesCell(cl, par.P, par.Pos, par.Acc) }
 		case "pairlist":
 			nl, err := md.NewNeighborList[float64](0.4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			forces = func() float64 { return e.ForcesPairlist(nl, par.P, par.Pos, par.Acc) }
+			forces = func() (float64, error) { return e.ForcesPairlist(nl, par.P, par.Pos, par.Acc) }
 		}
 		for s := 0; s < steps; s++ {
 			ref.Step()
-			par.StepWith(forces)
+			if err := par.StepWithE(forces); err != nil {
+				t.Fatalf("%s: %v", kernel, err)
+			}
 		}
 		for i := 0; i < ref.N(); i++ {
 			if d := ref.Pos.At(i).Sub(par.Pos.At(i)).Norm(); d > 1e-8 {
@@ -274,7 +258,10 @@ func TestFloat32Instantiation(t *testing.T) {
 	defer e.Close()
 	acc := md.MakeCoords[float32](pos.Len())
 	accRef := md.MakeCoords[float32](pos.Len())
-	pe := e.ForcesDirect(p, pos, acc)
+	pe, err := e.ForcesDirect(p, pos, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	peRef := md.ComputeForcesFull(p, pos, accRef)
 	if rel := math.Abs(float64(pe-peRef)) / math.Abs(float64(peRef)); rel > 1e-5 {
 		t.Fatalf("float32 PE mismatch: %v vs %v (rel %v)", pe, peRef, rel)
@@ -301,14 +288,17 @@ func TestEmptyAndTinySystems(t *testing.T) {
 	e := New[float64](4)
 	defer e.Close()
 	// No atoms.
-	if pe := e.ForcesDirect(p, md.Coords[float64]{}, md.Coords[float64]{}); pe != 0 {
-		t.Fatalf("empty system PE = %v", pe)
+	if pe, err := e.ForcesDirect(p, md.Coords[float64]{}, md.Coords[float64]{}); err != nil || pe != 0 {
+		t.Fatalf("empty system PE = %v, err %v", pe, err)
 	}
 	// Fewer atoms than workers.
 	pos := md.CoordsFromV3([]vec.V3[float64]{{X: 1, Y: 1, Z: 1}, {X: 2, Y: 1, Z: 1}})
 	acc := md.MakeCoords[float64](2)
 	accRef := md.MakeCoords[float64](2)
-	pe := e.ForcesDirect(p, pos, acc)
+	pe, err := e.ForcesDirect(p, pos, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	peRef := md.ComputeForcesFull(p, pos, accRef)
 	if pe != peRef {
 		t.Fatalf("2-atom PE %v, want %v", pe, peRef)

@@ -516,6 +516,30 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSparseCellGridJobCompletes pins that a valid spec cannot take
+// the process down: two atoms at density 1e-12 put the cell grid in a
+// box ~5000 cutoffs wide, and the job must still run to done (the grid
+// is sized for the atom count, not the box).
+func TestSparseCellGridJobCompletes(t *testing.T) {
+	srv, hs := newTestServer(t, t.TempDir(), TenantPolicy{})
+	defer drainNow(t, srv)
+
+	resp, err := hs.Client().Post(hs.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"atoms":2,"steps":1,"density":1e-12,"method":"cellgrid"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr submitResponse
+	derr := json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || derr != nil {
+		t.Fatalf("submit = %d (%v), want 202", resp.StatusCode, derr)
+	}
+	if rec := awaitReport(t, hs, sr.ID); rec.Status != StatusDone {
+		t.Fatalf("terminal record: %+v", rec)
+	}
+}
+
 // TestSpecVocabulary pins the method/workers vocabulary of a job
 // spec: only direct|pairlist|cellgrid name a kernel, the retired
 // precision field is an unknown field, and workers 0 persists as 1 —

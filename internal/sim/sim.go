@@ -129,26 +129,6 @@ func (l *Ledger) Merge(other *Ledger) {
 // Reset clears all counts.
 func (l *Ledger) Reset() { l.counts = [NumOps]int64{} }
 
-// MergeAll combines per-worker ledgers into one by pairwise tree
-// reduction — the reduction shape parallel host kernels use for their
-// force buffers, mirrored here so a sharded kernel's op accounting can
-// be folded the same way. Counts are integers, so the result is
-// identical to a sequential left-to-right merge; the inputs are not
-// modified.
-func MergeAll(ledgers []Ledger) Ledger {
-	if len(ledgers) == 0 {
-		return Ledger{}
-	}
-	work := make([]Ledger, len(ledgers))
-	copy(work, ledgers)
-	for stride := 1; stride < len(work); stride *= 2 {
-		for i := 0; i+stride < len(work); i += 2 * stride {
-			work[i].Merge(&work[i+stride])
-		}
-	}
-	return work[0]
-}
-
 // String renders the non-zero counts, largest first.
 func (l *Ledger) String() string {
 	type kv struct {

@@ -72,43 +72,6 @@ func TestLedgerMergeEqualsSequential(t *testing.T) {
 	}
 }
 
-func TestMergeAllEqualsSequential(t *testing.T) {
-	// Tree reduction over any number of worker ledgers must equal the
-	// sequential fold, and must leave the inputs untouched.
-	prop := func(counts []uint16) bool {
-		ledgers := make([]Ledger, len(counts))
-		var want Ledger
-		for i, c := range counts {
-			op := Op(i % int(NumOps))
-			ledgers[i].Add(op, int64(c))
-			want.Add(op, int64(c))
-		}
-		before := make([]Ledger, len(ledgers))
-		copy(before, ledgers)
-		got := MergeAll(ledgers)
-		for i := range ledgers {
-			if ledgers[i] != before[i] {
-				return false
-			}
-		}
-		return got == want
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeAllEmpty(t *testing.T) {
-	if got := MergeAll(nil); got.Total() != 0 {
-		t.Fatalf("MergeAll(nil).Total() = %d, want 0", got.Total())
-	}
-	var l Ledger
-	l.Add(OpVec, 7)
-	if got := MergeAll([]Ledger{l}); got != l {
-		t.Fatalf("MergeAll of one ledger altered it: %v", got)
-	}
-}
-
 func TestLedgerReset(t *testing.T) {
 	var l Ledger
 	l.Add(OpInt, 42)

@@ -60,11 +60,11 @@ if ! diff -u DETERMINISM_CERT.json DETERMINISM_CERT.json.new; then
 fi
 rm -f DETERMINISM_CERT.json.new
 
-echo "==> hotalloc ledger <= 10 sites (PR-10 SoA arena contract)"
+echo "==> hotalloc ledger <= 8 sites (grow-once arena contract)"
 SITES="$(sed -n 's/.*"count": *\([0-9][0-9]*\).*/\1/p' DETERMINISM_CERT.json | head -n 1)"
 echo "hotalloc ledger: ${SITES:-?} sites"
-if [ -z "$SITES" ] || [ "$SITES" -gt 10 ]; then
-    echo "verify: hotalloc ledger has ${SITES:-unknown} sites, budget is 10" >&2
+if [ -z "$SITES" ] || [ "$SITES" -gt 8 ]; then
+    echo "verify: hotalloc ledger has ${SITES:-unknown} sites, budget is 8" >&2
     exit 1
 fi
 
