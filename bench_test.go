@@ -405,8 +405,8 @@ func BenchmarkParallelForces(b *testing.B) {
 		}
 	}
 
-	// One cell-list and one pairlist point at full parallelism: the
-	// scalable methods the direct kernel is compared against.
+	// One pairlist point at full parallelism: the scalable method the
+	// direct kernel is compared against.
 	const n = 2048
 	st, err := lattice.Generate(lattice.Config{
 		N: n, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 7,
@@ -418,24 +418,6 @@ func BenchmarkParallelForces(b *testing.B) {
 	pos := md.CoordsFromV3(st.Pos)
 	acc := md.MakeCoords[float64](n)
 	ncpu := runtime.NumCPU()
-	b.Run(fmt.Sprintf("cellgrid/n%d_w%d", n, ncpu), func(b *testing.B) {
-		cl, err := md.NewCellList(p.Box, p.Cutoff)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := parallel.New[float64](ncpu)
-		defer e.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.ForcesCell(cl, p, pos, acc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		sink.Record(fmt.Sprintf("ParallelForces/cellgrid_n%d_w%d", n, ncpu),
-			map[string]float64{"ns_per_op": perOp, "workers": float64(ncpu)})
-	})
 	b.Run(fmt.Sprintf("pairlist/n%d_w%d", n, ncpu), func(b *testing.B) {
 		nl, err := md.NewNeighborList[float64](0.4)
 		if err != nil {
@@ -1412,15 +1394,6 @@ func BenchmarkStepAllocs(b *testing.B) {
 	}{
 		{"direct_serial", func(b *testing.B, s *md.System[float64]) func() {
 			return s.Step
-		}},
-		{"cellgrid_serial", func(b *testing.B, s *md.System[float64]) func() {
-			cl, err := md.NewCellList(s.P.Box, s.P.Cutoff)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return func() {
-				s.StepWith(func() float64 { return cl.Forces(s.P, s.Pos, s.Acc) })
-			}
 		}},
 		{"pairlist_serial", func(b *testing.B, s *md.System[float64]) func() {
 			nl, err := md.NewNeighborList[float64](0.4)

@@ -83,6 +83,12 @@ func TestValidateOpts(t *testing.T) {
 		{"unknown inject kind", func(o *runOpts) { o.inject = "cosmic-ray@3" }, "cosmic-ray"},
 		{"malformed inject spec", func(o *runOpts) { o.inject = "nan-forces" }, "kind@N"},
 		{"bad inject call number", func(o *runOpts) { o.inject = "nan-forces@zero" }, "positive integer"},
+		{"unknown method", func(o *runOpts) { o.method = "bogus" }, "bogus"},
+		{"retired cellgrid method", func(o *runOpts) { o.method = "cellgrid" }, "cellgrid"},
+		{"retired par method", func(o *runOpts) { o.method = "pardirect" }, "pardirect"},
+		{"unknown thermostat", func(o *runOpts) { o.thermostat = "maxwell-daemon" }, "maxwell-daemon"},
+		{"modeled device, bad method", func(o *runOpts) { o.devName = "opteron"; o.method = "bogus" }, "bogus"},
+		{"modeled device, bad thermostat", func(o *runOpts) { o.devName = "cell"; o.thermostat = "nose" }, "nose"},
 	}
 	for _, tc := range cases {
 		o := good

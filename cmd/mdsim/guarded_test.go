@@ -46,11 +46,11 @@ func TestGuardedRecoversFromInjectedFaults(t *testing.T) {
 		t.Fatalf("worker-panic recovery failed: %v", err)
 	}
 
-	// NaN forces under the parallel cell grid: full ladder to serial.
+	// NaN forces under the parallel pairlist: full ladder to serial.
 	o = guardOpts()
 	o.atoms = 864
 	o.steps = 30
-	o.method = "cellgrid"
+	o.method = "pairlist"
 	o.workers = 4
 	o.ckptDir = t.TempDir()
 	o.ckptEvery = 10

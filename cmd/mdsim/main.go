@@ -11,7 +11,7 @@
 //	mdsim -device mta -threading partial
 //	mdsim -device reference        # pure physics, no performance model
 //	mdsim -device reference -method direct -workers 8   # multicore host kernel
-//	mdsim -guard -method cellgrid -workers 4 -atoms 864 -checkpoint-dir /tmp/ckpt \
+//	mdsim -guard -method pairlist -workers 4 -atoms 864 -checkpoint-dir /tmp/ckpt \
 //	      -inject nan-forces@25   # supervised run with fault injection
 //	mdsim -batch 8 -max-inflight 4 -replica-timeout 30s \
 //	      -inject nan-forces@25   # replica fleet; the fault hits replica 0 only
@@ -46,9 +46,9 @@ func main() {
 		dump      = flag.String("dump", "", "reference: write an XYZ trajectory to this file")
 		every     = flag.Int("dump-every", 10, "reference: frames written every N steps")
 		thermo    = flag.String("thermostat", "", "reference: ''|rescale|berendsen (hold the standard temperature)")
-		method    = flag.String("method", "direct", "reference: direct|pairlist|cellgrid force evaluation")
+		method    = flag.String("method", "direct", "reference: direct|pairlist force evaluation")
 		workers   = flag.Int("workers", 1, "reference: host force workers (1 = serial kernel, 0 = one per CPU; in -batch, 0 shares the CPUs across in-flight replicas)")
-		skin      = flag.Float64("skin", 0.4, "reference: Verlet-list skin width for the pairlist methods")
+		skin      = flag.Float64("skin", 0.4, "reference: Verlet-list skin width for the pairlist method")
 		saveCkpt  = flag.String("save-checkpoint", "", "reference: write a restart file after the run")
 		loadCkpt  = flag.String("load-checkpoint", "", "reference: resume from a restart file (ignores -atoms)")
 		guarded   = flag.Bool("guard", false, "reference: run under the resilient supervisor (watchdog + checkpoint/rollback recovery)")
@@ -109,9 +109,13 @@ func validateOpts(o runOpts) error {
 	if o.replicaTimeout < 0 {
 		return fmt.Errorf("-replica-timeout %v: want >= 0 (0 = no deadline)", o.replicaTimeout)
 	}
-	// Parse the fault spec in every mode so an unknown -inject kind is
-	// an immediate usage error, not a silently ignored flag.
+	// Parse the fault spec, the method and the thermostat in every mode
+	// so an unknown value is an immediate usage error, not a silently
+	// ignored flag.
 	if _, err := parseInject(o.inject); err != nil {
+		return err
+	}
+	if _, err := buildRunConfig(o, nil); err != nil {
 		return err
 	}
 	return nil

@@ -27,7 +27,7 @@ func main() {
 		Cutoff:      2.5,
 		Dt:          0.004,
 		Shifted:     true,
-		Method:      mdrun.CellGrid, // O(N): the production choice
+		Method:      mdrun.Pairlist, // O(N): the production choice
 		Thermostat:  mdrun.Berendsen,
 		SampleRDF:   true,
 		SampleEvery: 5,
@@ -78,5 +78,5 @@ func main() {
 		fmt.Printf("  r=%4.2f |%s %.2f\n", c, strings.Repeat("#", bar), g)
 	}
 	fmt.Println("\nthe first peak near r≈1.1σ and the depleted core are the liquid's signature;")
-	fmt.Println("the same structure holds whichever force method computes it (direct, pairlist, cellgrid).")
+	fmt.Println("the same structure holds whichever force method computes it (direct or pairlist).")
 }

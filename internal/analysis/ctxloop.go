@@ -32,7 +32,7 @@ var CtxLoop = &Analyzer{
 var ctxSteppers = map[string]bool{
 	"Step": true, "StepWith": true, "StepWithE": true,
 	"Run": true, "RunContext": true,
-	"ForcesDirect": true, "ForcesPairlist": true, "ForcesCell": true,
+	"ForcesDirect": true, "ForcesPairlist": true,
 	"BuildPairlist": true, "BuildRow": true,
 	"Sleep": true, "Submit": true, "Wait": true,
 	"attempt": true, "backoff": true,

@@ -26,16 +26,13 @@ var KernelRoots = []RootSpec{
 	"repro/internal/md:ComputeForces",
 	"repro/internal/md:ComputeForcesFull",
 	"repro/internal/md:ComputeForcesFullCount",
-	"repro/internal/md:CellList.Forces",
 	"repro/internal/md:NeighborList.Forces",
 	"repro/internal/md:BondedForces",
-	// neighbor/cell builds
-	"repro/internal/md:CellList.BinWrapped",
+	// neighbor builds
 	"repro/internal/md:NeighborList.Build",
 	"repro/internal/md:NeighborList.BuildN2",
 	// parallel kernels and builds
 	"repro/internal/parallel:Engine.ForcesDirect",
-	"repro/internal/parallel:Engine.ForcesCell",
 	"repro/internal/parallel:Engine.ForcesPairlist",
 	"repro/internal/parallel:Engine.BuildPairlist",
 }

@@ -72,13 +72,13 @@ func TestCleanRunMatchesPlainRun(t *testing.T) {
 }
 
 // TestRecoveryEscalatesToSerial is the PR's acceptance scenario: NaN
-// forces injected mid-run under the sharded cell grid must be detected by
+// forces injected mid-run under the sharded pairlist must be detected by
 // the watchdog, rolled back to a CRC-valid checkpoint, and escalated
 // through the ladder until the serial fallback (which never consults
 // the parallel-forces fault site) completes the run — with a final
 // energy matching an uninterrupted serial run to 1e-8 relative.
 func TestRecoveryEscalatesToSerial(t *testing.T) {
-	cfg := baseRun(mdrun.CellGrid, 864, 4)
+	cfg := baseRun(mdrun.Pairlist, 864, 4)
 	cfg.Faults = faults.NewRegistry(11).Arm(faults.Fault{
 		Site: faults.SiteParallelForces, Kind: faults.NaN,
 		Trigger: faults.Trigger{FromCall: 25},
@@ -402,7 +402,7 @@ func TestBackoffDoubles(t *testing.T) {
 // worker count: it keeps the method, drops the sharding (Workers 1)
 // and restores the base time step even after a halve-dt rung.
 func TestSerialOf(t *testing.T) {
-	for _, m := range []mdrun.ForceMethod{mdrun.Direct, mdrun.Pairlist, mdrun.CellGrid} {
+	for _, m := range []mdrun.ForceMethod{mdrun.Direct, mdrun.Pairlist} {
 		for _, workers := range []int{0, 1, 4} {
 			base := baseRun(m, 108, workers)
 			halved := base

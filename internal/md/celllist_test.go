@@ -8,110 +8,144 @@ import (
 	"repro/internal/vec"
 )
 
-func TestCellListRejectsBadGeometry(t *testing.T) {
-	if _, err := NewCellList[float64](0, 2.5); err == nil {
-		t.Fatal("zero box accepted")
-	}
-	if _, err := NewCellList[float64](10, 0); err == nil {
-		t.Fatal("zero cutoff accepted")
-	}
-	// Box of 7 with cutoff 2.5 -> 2 cells per edge: too few.
-	if _, err := NewCellList[float64](7, 2.5); err == nil {
-		t.Fatal("2-cell grid accepted")
-	}
-}
+// The cell grid lives inside NeighborList, so the force-level tests
+// below drive it through the list: 864 atoms at the standard density
+// give a box of ~10.1, which holds three (Cutoff+Skin)-wide cells per
+// edge, so every build bins (each such test asserts gridOK to keep
+// that true). The binning tests further down use a cellGrid directly.
 
-func TestCellListMatchesReference(t *testing.T) {
-	// Needs a box >= 3 cutoffs: 864 atoms at standard density gives
-	// box ~10.1 with cutoff 2.5 -> 4 cells per edge.
-	s := makeSystem(t, 864, false)
-	cl, err := NewCellList(s.P.Box, s.P.Cutoff)
+// TestCellListRejectsBadGeometry pins the sizing rule's refusals: a
+// box that cannot hold three list-radius-wide cells per edge, a zero
+// or NaN box or radius, all answer 0 (the list then falls back to the
+// O(N²) row scan) instead of sizing a degenerate grid.
+func TestCellListRejectsBadGeometry(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct{ box, rl float64 }{
+		{0, 2.9}, {10, 0}, {-10, 2.9}, {10, -1},
+		{8.6, 2.9}, // 2.97 cells per edge: too few
+		{nan, 2.9}, {10, nan},
+	} {
+		if d := buildGridDims(c.box, c.rl, 864); d != 0 {
+			t.Errorf("buildGridDims(%v, %v) = %d, want 0", c.box, c.rl, d)
+		}
+	}
+	if d := buildGridDims(10.1, 2.9, 864); d != 3 {
+		t.Fatalf("buildGridDims(10.1, 2.9) = %d, want 3", d)
+	}
+	nl, err := NewNeighborList[float64](0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Dims() < 3 {
-		t.Fatalf("dims = %d", cl.Dims())
+	s := makeSystem(t, 500, false) // box ~8.4: 2.9 cells of 2.9
+	nl.Build(s.P, s.Pos)
+	if nl.gridOK {
+		t.Fatal("a box under three cells per edge took the cell-binned build")
+	}
+}
+
+// TestCellListMatchesReference: forces over a cell-binned list are
+// ComputeForces bit for bit.
+func TestCellListMatchesReference(t *testing.T) {
+	s := makeSystem(t, 864, false)
+	nl, err := NewNeighborList[float64](0.4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	accRef := MakeCoords[float64](s.N())
-	accCL := MakeCoords[float64](s.N())
+	accNL := MakeCoords[float64](s.N())
 	peRef := ComputeForces(s.P, s.Pos, accRef)
-	peCL := cl.Forces(s.P, s.Pos, accCL)
-	if math.Abs(peRef-peCL) > 1e-9*(1+math.Abs(peRef)) {
-		t.Fatalf("PE mismatch: ref %v, cells %v", peRef, peCL)
+	peNL := nl.Forces(s.P, s.Pos, accNL)
+	if !nl.gridOK || nl.grid.dims < 3 {
+		t.Fatalf("build did not bin: gridOK %v, dims %d", nl.gridOK, nl.grid.dims)
+	}
+	if peRef != peNL {
+		t.Fatalf("PE mismatch: ref %v, cell-binned list %v", peRef, peNL)
 	}
 	for i := 0; i < accRef.Len(); i++ {
-		if accRef.At(i).Sub(accCL.At(i)).Norm() > 1e-9*(1+accRef.At(i).Norm()) {
-			t.Fatalf("acc mismatch at %d: %+v vs %+v", i, accRef.At(i), accCL.At(i))
+		if accRef.At(i) != accNL.At(i) {
+			t.Fatalf("acc mismatch at %d: %+v vs %+v", i, accRef.At(i), accNL.At(i))
 		}
 	}
 }
 
+// TestCellListTrajectoryMatches integrates through several rebuilds of
+// a cell-binned list (a tight skin forces them) and must stay on the
+// reference trajectory bit for bit.
 func TestCellListTrajectoryMatches(t *testing.T) {
-	ref := makeSystem(t, 500, false)
+	ref := makeSystem(t, 864, false)
 	opt := ref.Clone()
-	cl, err := NewCellList(opt.P.Box, opt.P.Cutoff)
+	nl, err := NewNeighborList[float64](0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const steps = 30
 	for i := 0; i < steps; i++ {
 		ref.Step()
-		opt.StepWith(func() float64 { return cl.Forces(opt.P, opt.Pos, opt.Acc) })
+		opt.StepWith(func() float64 { return nl.Forces(opt.P, opt.Pos, opt.Acc) })
+	}
+	if !nl.gridOK {
+		t.Fatal("build did not bin")
 	}
 	for i := 0; i < ref.N(); i++ {
-		if d := ref.Pos.At(i).Sub(opt.Pos.At(i)).Norm(); d > 1e-8 {
-			t.Fatalf("trajectories diverged at atom %d by %v", i, d)
+		if ref.Pos.At(i) != opt.Pos.At(i) || ref.Vel.At(i) != opt.Vel.At(i) {
+			t.Fatalf("trajectories diverged at atom %d", i)
 		}
 	}
-	if cl.Builds() != steps {
-		t.Fatalf("builds = %d, want %d", cl.Builds(), steps)
+	if nl.Builds() < 2 {
+		t.Fatalf("builds = %d, want several over %d steps", nl.Builds(), steps)
 	}
 }
 
+// TestCellListFloat32 runs the cell-binned build at float32, where
+// folding and cell lookup round differently, and pins its forces to
+// ComputeForces bit for bit.
 func TestCellListFloat32(t *testing.T) {
 	st, err := lattice.Generate(lattice.Config{
-		N: 500, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 3,
+		N: 864, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := md32Params(st)
+	p := Params[float32]{Box: float32(st.Box), Cutoff: 2.5, Dt: 0.004}
 	pos := MakeCoords[float32](len(st.Pos))
 	for i := range st.Pos {
 		pos.Set(i, vec.FromV3f64[float32](st.Pos[i]))
 	}
-	cl, err := NewCellList(p.Box, p.Cutoff)
+	nl, err := NewNeighborList[float32](0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	accRef := MakeCoords[float32](pos.Len())
-	accCL := MakeCoords[float32](pos.Len())
+	accNL := MakeCoords[float32](pos.Len())
 	peRef := ComputeForces(p, pos, accRef)
-	peCL := cl.Forces(p, pos, accCL)
-	if rel := math.Abs(float64(peRef-peCL)) / math.Abs(float64(peRef)); rel > 1e-4 {
-		t.Fatalf("float32 PE mismatch: %v vs %v", peRef, peCL)
+	peNL := nl.Forces(p, pos, accNL)
+	if !nl.gridOK {
+		t.Fatal("build did not bin")
+	}
+	if peRef != peNL {
+		t.Fatalf("float32 PE mismatch: %v vs %v", peRef, peNL)
+	}
+	for i := 0; i < accRef.Len(); i++ {
+		if accRef.At(i) != accNL.At(i) {
+			t.Fatalf("float32 acc mismatch at %d: %+v vs %+v", i, accRef.At(i), accNL.At(i))
+		}
 	}
 }
 
-func md32Params(st *lattice.State) Params[float32] {
-	return Params[float32]{Box: float32(st.Box), Cutoff: 2.5, Dt: 0.004}
-}
-
 // checkBinning bins pos and checks that every atom sits in exactly
-// one CSR run, and that the run is the one CellOfWrapped names (so
+// one CSR run, and that the run is the one cellOfWrapped names (so
 // every cell index is in range).
-func checkBinning(t *testing.T, cl *CellList[float64], pos Coords[float64]) {
+func checkBinning(t *testing.T, g *cellGrid[float64], pos Coords[float64]) {
 	t.Helper()
-	cl.BinWrapped(pos)
-	order, _ := cl.Packed()
+	g.binWrapped(pos)
 	found := make([]int, pos.Len())
-	for c := 0; c < cl.NumCells(); c++ {
-		lo, hi := cl.CellSpan(c)
+	for c := 0; c < g.dims*g.dims*g.dims; c++ {
+		lo, hi := g.cellSpan(c)
 		for k := lo; k < hi; k++ {
-			i := int(order[k])
+			i := int(g.order[k])
 			found[i]++
-			if got := cl.CellOfWrapped(pos.At(i)); got != c {
-				t.Fatalf("atom %d at %+v sits in cell %d's run, CellOfWrapped says %d", i, pos.At(i), c, got)
+			if got := g.cellOfWrapped(pos.At(i)); got != c {
+				t.Fatalf("atom %d at %+v sits in cell %d's run, cellOfWrapped says %d", i, pos.At(i), c, got)
 			}
 		}
 	}
@@ -123,12 +157,8 @@ func checkBinning(t *testing.T, cl *CellList[float64], pos Coords[float64]) {
 }
 
 func TestCellIndexInRange(t *testing.T) {
-	cl, err := NewCellList[float64](10, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Edge positions must clamp, not overflow.
-	checkBinning(t, cl, CoordsFromV3([]vec.V3[float64]{
+	checkBinning(t, &cellGrid[float64]{box: 10, reach: 2.5}, CoordsFromV3([]vec.V3[float64]{
 		{},
 		{X: 9.9999999999, Y: 9.9999999999, Z: 9.9999999999},
 		{X: 5, Y: 0, Z: 9.99},
@@ -136,15 +166,12 @@ func TestCellIndexInRange(t *testing.T) {
 }
 
 func TestCellIndexNegativeCoordinatesClamp(t *testing.T) {
-	cl, err := NewCellList[float64](10, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := &cellGrid[float64]{box: 10, reach: 2.5}
 	// Positions perturbed just below zero (a wrap that rounds to -0.0 or
 	// a tiny negative) must fold to their periodic image, not truncate
 	// into a negative index; so must the boundary atoms below, every
 	// one reachable from exactly one cell run.
-	checkBinning(t, cl, CoordsFromV3([]vec.V3[float64]{
+	checkBinning(t, g, CoordsFromV3([]vec.V3[float64]{
 		{X: -1e-15, Y: 5, Z: 5},
 		{X: 5, Y: math.Copysign(0, -1), Z: 5},
 		{X: -1e-15, Y: -1e-300, Z: -0.0},
@@ -153,18 +180,19 @@ func TestCellIndexNegativeCoordinatesClamp(t *testing.T) {
 		{X: 5, Y: 5, Z: 5},
 		{X: 0, Y: 0, Z: -1e-16},
 	}))
-	d := cl.Dims()
-	if c, want := cl.CellOfWrapped(vec.V3[float64]{X: -1e-15, Y: 0.1, Z: 0.1}), (d-1)*d*d; c != want {
+	d := g.dims
+	if c, want := g.cellOfWrapped(vec.V3[float64]{X: -1e-15, Y: 0.1, Z: 0.1}), (d-1)*d*d; c != want {
 		t.Fatalf("just-below-zero position landed in cell %d, want %d (the last cell along x)", c, want)
 	}
 }
 
 // TestCellListSparseBoxCapsGrid pins the grid cap on a box far larger
 // than its atoms can fill: two atoms at density 1e-12 give a box of
-// ~12600 cutoffs per edge, which the uncapped box/cutoff rule would
-// size to 5039³ cells (a 512 GB arena). The grid must stay within
-// maxBuildGridDims(2) and the forces must still be right, for a pair
-// in the interior and for one straddling the periodic boundary.
+// ~12600 cutoffs per edge, which an uncapped box/radius rule would
+// size to billions of cells (a 512 GB arena). The neighbor list's grid
+// must stay within maxBuildGridDims(2) and its forces must still be
+// ComputeForces bit for bit, for a pair in the interior and for one
+// straddling the periodic boundary.
 func TestCellListSparseBoxCapsGrid(t *testing.T) {
 	const n = 2
 	box := math.Cbrt(n / 1e-12)
@@ -173,25 +201,28 @@ func TestCellListSparseBoxCapsGrid(t *testing.T) {
 		CoordsFromV3([]vec.V3[float64]{{X: 100, Y: 200, Z: 300}, {X: 101.1, Y: 200.2, Z: 299.9}}),
 		CoordsFromV3([]vec.V3[float64]{{X: 0.3, Y: 5, Z: box - 0.2}, {X: box - 0.8, Y: 5.1, Z: 0.4}}),
 	} {
-		cl, err := NewCellList(p.Box, p.Cutoff)
+		nl, err := NewNeighborList[float64](0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		acc := MakeCoords[float64](n)
 		accRef := MakeCoords[float64](n)
-		pe := cl.Forces(p, pos, acc)
+		pe := nl.Forces(p, pos, acc)
 		peRef := ComputeForces(p, pos, accRef)
-		if d := cl.Dims(); d > maxBuildGridDims(n) {
+		if !nl.gridOK {
+			t.Fatal("sparse box did not take the cell-binned build")
+		}
+		if d := nl.grid.dims; d > maxBuildGridDims(n) {
 			t.Fatalf("grid dims %d, want <= maxBuildGridDims(%d) = %d", d, n, maxBuildGridDims(n))
 		}
 		if peRef == 0 {
 			t.Fatal("test pair does not interact")
 		}
-		if math.Abs(pe-peRef) > 1e-9*(1+math.Abs(peRef)) {
+		if pe != peRef {
 			t.Fatalf("PE %v, want %v", pe, peRef)
 		}
 		for i := 0; i < n; i++ {
-			if acc.At(i).Sub(accRef.At(i)).Norm() > 1e-9*(1+accRef.At(i).Norm()) {
+			if acc.At(i) != accRef.At(i) {
 				t.Fatalf("acc[%d] = %+v, want %+v", i, acc.At(i), accRef.At(i))
 			}
 		}
@@ -199,13 +230,11 @@ func TestCellListSparseBoxCapsGrid(t *testing.T) {
 }
 
 func TestNeighborCellsFullShell(t *testing.T) {
-	cl, err := NewCellList[float64](10, 2.5) // dims = 4
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := &cellGrid[float64]{dims: 4}
+	ncells := g.dims * g.dims * g.dims
 	buf := make([]int, 27)
-	for c := 0; c < cl.NumCells(); c++ {
-		cells := cl.NeighborCells(c, buf)
+	for c := 0; c < ncells; c++ {
+		cells := g.neighborCells(c, buf)
 		if len(cells) != 27 {
 			t.Fatalf("cell %d: %d neighbor cells, want 27", c, len(cells))
 		}
@@ -214,7 +243,7 @@ func TestNeighborCellsFullShell(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for _, nc := range cells {
-			if nc < 0 || nc >= cl.NumCells() {
+			if nc < 0 || nc >= ncells {
 				t.Fatalf("cell %d: neighbor %d out of range", c, nc)
 			}
 			if seen[nc] {
@@ -223,50 +252,4 @@ func TestNeighborCellsFullShell(t *testing.T) {
 			seen[nc] = true
 		}
 	}
-}
-
-func TestHalfNeighborOffsetsCoverAllPairs(t *testing.T) {
-	// The 13 half-shell offsets plus their negations plus zero must be
-	// exactly the 27 cube offsets.
-	seen := map[[3]int]bool{{0, 0, 0}: true}
-	for _, off := range halfNeighborOffsets {
-		neg := [3]int{-off[0], -off[1], -off[2]}
-		if seen[off] || seen[neg] {
-			t.Fatalf("offset %v duplicated (directly or as negation)", off)
-		}
-		seen[off] = true
-		seen[neg] = true
-	}
-	if len(seen) != 27 {
-		t.Fatalf("half shell covers %d offsets, want 27", len(seen))
-	}
-}
-
-func BenchmarkForcesDirectVsCellList(b *testing.B) {
-	st, err := lattice.Generate(lattice.Config{
-		N: 2048, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004}
-	sys, err := NewSystem(st, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ComputeForces(sys.P, sys.Pos, sys.Acc)
-		}
-	})
-	b.Run("celllist", func(b *testing.B) {
-		cl, err := NewCellList(p.Box, p.Cutoff)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cl.Forces(sys.P, sys.Pos, sys.Acc)
-		}
-	})
 }

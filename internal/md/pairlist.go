@@ -10,14 +10,15 @@ import (
 // NeighborList is the Verlet pairlist optimization the paper describes
 // as "one of the most common techniques" for taming the MD kernel's
 // cache behaviour (section 3.4) — and then deliberately avoids, to keep
-// the kernel's memory access pattern irregular. It lives here for the
-// ablation benches that quantify exactly what the paper left on the
-// table on the cache-based baseline.
+// the kernel's memory access pattern irregular. It is the host's one
+// O(N) force path, and the ablation benches use it to quantify what the
+// paper left on the table on the cache-based baseline.
 //
 // The list stores, for every atom i, the atoms j > i within
 // Cutoff+Skin. It is valid until some atom has moved more than Skin/2
 // since the last build, at which point pairs may be missed and the list
-// must be rebuilt.
+// must be rebuilt. Builds bin the atoms into a private cell grid first
+// (see cellGrid), so a build is O(N) at fixed density too.
 type NeighborList[T vec.Float] struct {
 	Skin T // extra shell beyond the cutoff (> 0)
 
@@ -39,11 +40,11 @@ type NeighborList[T vec.Float] struct {
 
 	// grid is the cell binning the build gathers over, embedded by
 	// value so rebuilds re-geometry it in place instead of
-	// reconstructing — its arenas persist across box/dims changes and
-	// the erroring constructor stays off the hot path. gridOK is false
-	// when the box cannot support cell binning and the build falls back
-	// to the reference O(N²) scan.
-	grid   CellList[T]
+	// reconstructing — its arenas persist across box/dims changes.
+	// BeginBuild bins into it and BuildRow reads it; gridOK is false
+	// when the box cannot support cell binning (or BuildN2 asked for
+	// the scan) and rows fall back to the reference O(N²) scan.
+	grid   cellGrid[T]
 	gridOK bool
 }
 
@@ -70,9 +71,9 @@ func (nl *NeighborList[T]) Queries() int { return nl.queries }
 // built list (and every force evaluation over it) is bitwise
 // independent of the path taken. BuildN2 pins this in the tests.
 func (nl *NeighborList[T]) Build(p Params[T], pos Coords[T]) {
-	grid := nl.BeginBuild(p, pos)
+	nl.BeginBuild(p, pos)
 	for i := 0; i < pos.Len(); i++ {
-		nl.BuildRow(p, pos, grid, i)
+		nl.BuildRow(p, pos, i)
 	}
 	nl.EndBuild(pos)
 }
@@ -83,28 +84,28 @@ func (nl *NeighborList[T]) Build(p Params[T], pos Coords[T]) {
 // cell-binned and parallel builds against.
 func (nl *NeighborList[T]) BuildN2(p Params[T], pos Coords[T]) {
 	nl.sizeRows(pos.Len())
+	nl.gridOK = false
 	for i := 0; i < pos.Len(); i++ {
-		nl.BuildRow(p, pos, nil, i)
+		nl.BuildRow(p, pos, i)
 	}
 	nl.EndBuild(pos)
 }
 
-// BeginBuild prepares a rebuild: it sizes the row table and returns
-// the cell grid rows should gather over, or nil when the box cannot
-// support cell binning (rows then fall back to the O(N²) scan). It is
-// exported, together with BuildRow and EndBuild, for the sharded
-// parallel builder in internal/parallel; serial callers use Build.
-func (nl *NeighborList[T]) BeginBuild(p Params[T], pos Coords[T]) *CellList[T] {
+// BeginBuild prepares a rebuild: it sizes the row table and, when the
+// box can support cell binning, bins the atoms into the list's grid
+// for BuildRow to gather over (otherwise rows fall back to the O(N²)
+// scan). It is exported, together with BuildRow and EndBuild, for the
+// sharded parallel builder in internal/parallel; serial callers use
+// Build.
+func (nl *NeighborList[T]) BeginBuild(p Params[T], pos Coords[T]) {
 	nl.sizeRows(pos.Len())
 	rl := p.Cutoff + nl.Skin
-	if buildGridDims(p.Box, rl, pos.Len()) == 0 {
-		nl.gridOK = false
-		return nil
+	nl.gridOK = buildGridDims(p.Box, rl, pos.Len()) != 0
+	if !nl.gridOK {
+		return
 	}
 	nl.grid.box, nl.grid.reach = p.Box, rl
-	nl.gridOK = true
-	nl.grid.BinWrapped(pos)
-	return &nl.grid
+	nl.grid.binWrapped(pos)
 }
 
 // initialRowStride is the first-build guess at the per-row arena
@@ -132,7 +133,7 @@ func (nl *NeighborList[T]) sizeRows(n int) {
 	nl.rowArena = nl.rowArena[:n*nl.stride]
 	for i := range nl.pairs {
 		off := i * nl.stride
-		nl.pairs[i] = nl.rowArena[off:off : off+nl.stride]
+		nl.pairs[i] = nl.rowArena[off : off : off+nl.stride]
 	}
 }
 
@@ -171,18 +172,19 @@ func (nl *NeighborList[T]) restride() {
 }
 
 // BuildRow fills pairs[i]: the neighbors j > i within Cutoff+Skin, in
-// ascending-j order. With a grid it gathers candidates from atom i's
-// cell and its 26 periodic neighbors and sorts the survivors (the
-// gather visits cells in shell order, so a sort restores the global
-// ascending order the O(N²) scan produces by construction); with a nil
-// grid it is the reference scan for one row. Rows are independent:
-// the parallel builder shards them by range with no post-merge.
-func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], grid *CellList[T], i int) {
+// ascending-j order. When BeginBuild binned the atoms it gathers
+// candidates from atom i's cell and its 26 periodic neighbors and sorts
+// the survivors (the gather visits cells in shell order, so a sort
+// restores the global ascending order the O(N²) scan produces by
+// construction); otherwise it is the reference scan for one row. Rows
+// are independent and only read the grid: the parallel builder shards
+// them by range with no post-merge.
+func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], i int) {
 	row := nl.pairs[i][:0]
 	rl := p.Cutoff + nl.Skin
 	rl2 := rl * rl
 	pi := pos.At(i)
-	if grid == nil {
+	if !nl.gridOK {
 		for j := i + 1; j < pos.Len(); j++ {
 			d := MinImage(pi.Sub(pos.At(j)), p.Box)
 			if d.Norm2() < rl2 {
@@ -193,9 +195,10 @@ func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], grid *CellList[T
 		return
 	}
 	var cellbuf [27]int
+	grid := &nl.grid
 	order, packed := grid.order, grid.packed
-	for _, c := range grid.NeighborCells(grid.CellOfWrapped(pi), cellbuf[:]) {
-		lo, hi := grid.CellSpan(c)
+	for _, c := range grid.neighborCells(grid.cellOfWrapped(pi), cellbuf[:]) {
+		lo, hi := grid.cellSpan(c)
 		// order is ascending within the run, so the j <= i prefix ends at
 		// the first index past i; everything after it needs only the
 		// distance test.

@@ -93,8 +93,8 @@ func TestBuildCellBinnedMatchesN2Randomized(t *testing.T) {
 }
 
 // TestBuildGridReusedAcrossRebuilds pins the grid cache: rebuilding in
-// the same box reuses one CellList (no per-rebuild allocation of the
-// head arrays), while a box change re-sizes it.
+// the same box reuses one cell grid (no per-rebuild allocation of its
+// arenas), while a box change re-sizes it.
 func TestBuildGridReusedAcrossRebuilds(t *testing.T) {
 	rng := xrand.New(3)
 	p := Params[float64]{Box: 9, Cutoff: 2.5, Dt: 0.001}
@@ -107,7 +107,7 @@ func TestBuildGridReusedAcrossRebuilds(t *testing.T) {
 	if !nl.gridOK {
 		t.Fatal("geometry supports binning but no grid was built")
 	}
-	dims := nl.grid.Dims()
+	dims := nl.grid.dims
 	arena := &nl.grid.csrInts[0]
 	nl.Build(p, pos)
 	if &nl.grid.csrInts[0] != arena {
@@ -116,7 +116,7 @@ func TestBuildGridReusedAcrossRebuilds(t *testing.T) {
 	p2 := p
 	p2.Box = 14
 	nl.Build(p2, randomPositions(rng, 200, p2.Box))
-	if nl.grid.Dims() == dims {
+	if nl.grid.dims == dims {
 		t.Fatal("box change did not re-size the grid")
 	}
 }

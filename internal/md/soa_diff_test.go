@@ -73,9 +73,9 @@ type soaCase struct {
 // its own golden).
 func soaCases() []soaCase {
 	cases := []soaCase{
-		{Method: "direct"}, {Method: "pairlist"}, {Method: "cellgrid"},
+		{Method: "direct"}, {Method: "pairlist"},
 	}
-	for _, m := range []string{"pardirect", "parpairlist", "parcellgrid"} {
+	for _, m := range []string{"pardirect", "parpairlist"} {
 		for _, w := range []int{1, 2, 4, 8} {
 			cases = append(cases, soaCase{Method: m, Workers: w})
 		}
@@ -119,12 +119,6 @@ func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() 
 			t.Fatalf("NewNeighborList: %v", err)
 		}
 		return func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }, noop
-	case "cellgrid":
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			t.Fatalf("NewCellList: %v", err)
-		}
-		return func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }, noop
 	case "pardirect":
 		e := newEngine()
 		return mustForces(t, func() (float64, error) { return e.ForcesDirect(sys.P, sys.Pos, sys.Acc) }), e.Close
@@ -135,13 +129,6 @@ func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() 
 		}
 		e := newEngine()
 		return mustForces(t, func() (float64, error) { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }), e.Close
-	case "parcellgrid":
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			t.Fatalf("NewCellList: %v", err)
-		}
-		e := newEngine()
-		return mustForces(t, func() (float64, error) { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }), e.Close
 	default:
 		t.Fatalf("unknown method %q", c.Method)
 		return nil, nil

@@ -1,10 +1,10 @@
 // Package mdrun composes the MD building blocks into the kind of
 // simulation front end the paper's future plans point at ("full-scale
 // bio-molecular simulation frameworks"): one Config selects the force
-// method (the paper's direct O(N²) kernel, the Verlet pairlist, or the
-// linked-cell grid), an optional bonded topology, an optional
-// thermostat, trajectory output, and on-line observables (temperature
-// averages, RDF, MSD, pressure); one Run produces a Summary.
+// method (the paper's direct O(N²) kernel or the O(N) Verlet pairlist),
+// an optional bonded topology, an optional thermostat, trajectory
+// output, and on-line observables (temperature averages, RDF, MSD,
+// pressure); one Run produces a Summary.
 //
 // All force methods integrate the identical physics (pinned by tests),
 // so switching between them is purely a performance decision — the same
@@ -13,9 +13,9 @@
 // The observables never scan all pairs. The RDF samples and the final
 // pressure read neighbor-list rows: with the Pairlist method, the rows
 // of the live force list (refreshed first if stale, as a force
-// evaluation would); with the other methods, a throwaway list md
-// builds for the pass. Either way the results are bitwise those of an
-// all-pairs scan (see md.VirialOver and md.RDF.AccumulateOver).
+// evaluation would); with Direct, a throwaway list md builds for the
+// pass. Either way the results are bitwise those of an all-pairs scan
+// (see md.VirialOver and md.RDF.AccumulateOver).
 package mdrun
 
 import (
@@ -36,10 +36,9 @@ type ForceMethod int
 const (
 	// Direct is the paper's kernel: O(N²), distances on the fly.
 	Direct ForceMethod = iota
-	// Pairlist is the Verlet neighbor list (cutoff + skin).
+	// Pairlist is the Verlet neighbor list (cutoff + skin), built over
+	// a cell binning: the O(N) method.
 	Pairlist
-	// CellGrid is the linked-cell O(N) method.
-	CellGrid
 )
 
 // String implements fmt.Stringer.
@@ -49,22 +48,20 @@ func (f ForceMethod) String() string {
 		return "direct"
 	case Pairlist:
 		return "pairlist"
-	case CellGrid:
-		return "cellgrid"
 	default:
 		return fmt.Sprintf("ForceMethod(%d)", int(f))
 	}
 }
 
 // ParseMethod is the inverse of ForceMethod.String: it accepts
-// "direct", "pairlist" or "cellgrid".
+// "direct" or "pairlist".
 func ParseMethod(s string) (ForceMethod, error) {
-	for m := Direct; m <= CellGrid; m++ {
+	for m := Direct; m <= Pairlist; m++ {
 		if s == m.String() {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("mdrun: unknown force method %q (want direct|pairlist|cellgrid)", s)
+	return 0, fmt.Errorf("mdrun: unknown force method %q (want direct|pairlist)", s)
 }
 
 // ThermostatKind selects temperature control.
@@ -249,20 +246,23 @@ func New(cfg Config) (*Runner, error) {
 // Config's lattice-shape fields (Atoms, Density, Lattice, Seed) are
 // ignored; the box comes from sys, while Cutoff, Dt, and Shifted are
 // taken from cfg when set (Dt overriding is what lets the supervisor
-// halve the time step on retry). The system is adopted, not copied,
-// and its stored accelerations are kept so a same-method resume stays
-// bit-exact with an uninterrupted run.
+// halve the time step on retry). An unset Cutoff or Dt is filled from
+// sys before the defaults, so the Berendsen Tau default and the
+// thermostat's time step follow the system's Dt. The system is
+// adopted, not copied, and its stored accelerations are kept so a
+// same-method resume stays bit-exact with an uninterrupted run.
 func NewFromSystem(sys *md.System[float64], cfg Config) (*Runner, error) {
 	if sys == nil || sys.N() == 0 {
 		return nil, fmt.Errorf("mdrun: NewFromSystem needs a non-empty system")
 	}
+	if !(cfg.Cutoff > 0) {
+		cfg.Cutoff = sys.P.Cutoff
+	}
+	if !(cfg.Dt > 0) {
+		cfg.Dt = sys.P.Dt
+	}
 	cfg = cfg.withDefaults()
-	if cfg.Cutoff > 0 {
-		sys.P.Cutoff = cfg.Cutoff
-	}
-	if cfg.Dt > 0 {
-		sys.P.Dt = cfg.Dt
-	}
+	sys.P.Cutoff, sys.P.Dt = cfg.Cutoff, cfg.Dt
 	sys.P.Shifted = cfg.Shifted
 	if err := sys.P.Validate(); err != nil {
 		return nil, err
@@ -367,16 +367,6 @@ func (r *Runner) buildForces() (func() (float64, error), error) {
 			forces = func() (float64, error) { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }
 		}
 		return r.withSharedBuild(nl, forces), nil
-	case CellGrid:
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			return nil, err
-		}
-		if sharded {
-			e := r.newEngine()
-			return func() (float64, error) { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, nil
-		}
-		return infallible(func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }), nil
 	default:
 		return nil, fmt.Errorf("mdrun: unknown force method %d", int(r.cfg.Method))
 	}

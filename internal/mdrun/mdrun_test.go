@@ -61,8 +61,8 @@ func TestThermostatsHoldTemperature(t *testing.T) {
 }
 
 func TestForceMethodsAgree(t *testing.T) {
-	// The three force methods must produce the same trajectory. 864
-	// atoms gives a box wide enough for the cell grid.
+	// Both force methods must produce the same trajectory. 864 atoms
+	// gives a box wide enough for the pairlist build's cell binning.
 	run := func(m ForceMethod) *md.System[float64] {
 		cfg := baseConfig()
 		cfg.Atoms = 864
@@ -77,7 +77,7 @@ func TestForceMethodsAgree(t *testing.T) {
 		return r.System()
 	}
 	ref := run(Direct)
-	for _, m := range []ForceMethod{Pairlist, CellGrid} {
+	for _, m := range []ForceMethod{Pairlist} {
 		got := run(m)
 		for i := 0; i < ref.N(); i++ {
 			if d := ref.Pos.At(i).Sub(got.Pos.At(i)).Norm(); d > 1e-8 {
@@ -240,7 +240,7 @@ func TestZeroSteps(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	if Direct.String() != "direct" || Pairlist.String() != "pairlist" || CellGrid.String() != "cellgrid" {
+	if Direct.String() != "direct" || Pairlist.String() != "pairlist" {
 		t.Fatal("ForceMethod.String")
 	}
 	if NVE.String() != "nve" || Rescale.String() != "rescale" || Berendsen.String() != "berendsen" || Langevin.String() != "langevin" {
@@ -249,7 +249,7 @@ func TestStrings(t *testing.T) {
 	if ForceMethod(42).String() == "" || ThermostatKind(42).String() == "" {
 		t.Fatal("unknown stringers empty")
 	}
-	for _, m := range []ForceMethod{Direct, Pairlist, CellGrid} {
+	for _, m := range []ForceMethod{Direct, Pairlist} {
 		if got, err := ParseMethod(m.String()); err != nil || got != m {
 			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}

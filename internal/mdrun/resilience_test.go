@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/md"
 )
 
 // TestWorkerPanicSurfacesAsError pins the tentpole isolation contract:
@@ -243,6 +244,46 @@ func TestNewFromSystemDtOverride(t *testing.T) {
 	defer r3.Close()
 	if got := r3.System().P.Dt; got != cfg.Dt {
 		t.Fatalf("zero Dt must keep the system's: got %v, want %v", got, cfg.Dt)
+	}
+}
+
+// TestNewFromSystemThermostatUsesSystemDt: with Dt unset, the
+// thermostat and the Berendsen Tau default must follow the adopted
+// system's Dt, so the run is bitwise the one the same config gives
+// with that Dt spelled out.
+func TestNewFromSystemThermostatUsesSystemDt(t *testing.T) {
+	base := baseConfig()
+	base.Atoms = 108
+	r, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, th := range []ThermostatKind{Berendsen, Langevin} {
+		implicit := Config{Thermostat: th, Temperature: 1, Seed: 5}
+		explicit := implicit
+		explicit.Dt = base.Dt
+		var sys [2]*md.System[float64]
+		for k, cfg := range []Config{implicit, explicit} {
+			run, err := NewFromSystem(r.System().Clone(), cfg)
+			if err != nil {
+				t.Fatalf("%v, Dt %v: %v", th, cfg.Dt, err)
+			}
+			if _, err := run.Run(20); err != nil {
+				t.Fatal(err)
+			}
+			run.Close()
+			sys[k] = run.System()
+		}
+		a, b := sys[0], sys[1]
+		for i := 0; i < a.N(); i++ {
+			if a.Pos.At(i) != b.Pos.At(i) || a.Vel.At(i) != b.Vel.At(i) {
+				t.Fatalf("%v: unset Dt diverged from explicit Dt at atom %d", th, i)
+			}
+		}
+		if a.PE != b.PE || a.KE != b.KE {
+			t.Fatalf("%v: energies %v/%v vs %v/%v", th, a.PE, a.KE, b.PE, b.KE)
+		}
 	}
 }
 

@@ -41,24 +41,9 @@ func serialKernel(t *testing.T, m ForceMethod, sys *md.System[float64]) func() f
 			t.Fatal(err)
 		}
 		return func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }
-	case CellGrid:
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }
 	}
 	t.Fatalf("no serial kernel for %v", m)
 	return nil
-}
-
-// routingAtoms is the workload size for a method: the cell grid needs
-// a box >= 3 cutoffs.
-func routingAtoms(m ForceMethod) int {
-	if m == CellGrid {
-		return 864
-	}
-	return 108
 }
 
 // serialReference hand-steps the serial kernel m names for steps steps
@@ -66,7 +51,7 @@ func routingAtoms(m ForceMethod) int {
 func serialReference(t *testing.T, m ForceMethod, steps int) *md.System[float64] {
 	t.Helper()
 	st, err := lattice.Generate(lattice.Config{
-		N: routingAtoms(m), Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 42,
+		N: 108, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +74,6 @@ func serialReference(t *testing.T, m ForceMethod, steps int) *md.System[float64]
 func checkRouting(t *testing.T, m ForceMethod, workers, steps int, ref *md.System[float64]) {
 	t.Helper()
 	cfg := parallelBase(m, workers)
-	cfg.Atoms = routingAtoms(m)
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +146,10 @@ func TestWorkersOneRoutesToSerialKernel(t *testing.T) {
 }
 
 // TestWorkersOneRoutesSerialOtherMethods checks the same serial
-// routing for the pairlist and cell-grid methods.
+// routing for the pairlist method.
 func TestWorkersOneRoutesSerialOtherMethods(t *testing.T) {
 	const steps = 10
-	for _, m := range []ForceMethod{Pairlist, CellGrid} {
+	for _, m := range []ForceMethod{Pairlist} {
 		ref := serialReference(t, m, steps)
 		for _, workers := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%v/w%d", m, workers), func(t *testing.T) {
@@ -180,7 +164,7 @@ func TestWorkersOneRoutesSerialOtherMethods(t *testing.T) {
 // rounding.
 func TestParallelMethodsMatchSerialPhysics(t *testing.T) {
 	const steps = 15
-	for _, m := range []ForceMethod{Direct, Pairlist, CellGrid} {
+	for _, m := range []ForceMethod{Direct, Pairlist} {
 		ref := serialReference(t, m, steps)
 		for _, workers := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%v/w%d", m, workers), func(t *testing.T) {
@@ -191,10 +175,11 @@ func TestParallelMethodsMatchSerialPhysics(t *testing.T) {
 }
 
 // TestParallelMethodStrings pins that sharding is not part of the
-// method vocabulary: the retired par* spellings, and the retired
-// mixed-precision ones, are rejected by ParseMethod.
+// method vocabulary: the retired par* spellings, the retired
+// mixed-precision ones and the retired cell-grid method are rejected
+// by ParseMethod.
 func TestParallelMethodStrings(t *testing.T) {
-	for _, bad := range []string{"", "pardirect", "parpairlist", "parcellgrid", "pairlist-f32"} {
+	for _, bad := range []string{"", "cellgrid", "pardirect", "parpairlist", "parcellgrid", "pairlist-f32"} {
 		if _, err := ParseMethod(bad); err == nil {
 			t.Errorf("ParseMethod(%q) accepted", bad)
 		}

@@ -65,10 +65,6 @@ func TestWorkerPanicAllKernels(t *testing.T) {
 	p, pos, acc := faultState(t, 864)
 	e := New[float64](3)
 	defer e.Close()
-	cl, err := md.NewCellList(p.Box, p.Cutoff)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nl, err := md.NewNeighborList[float64](0.4)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +74,6 @@ func TestWorkerPanicAllKernels(t *testing.T) {
 		eval func() (float64, error)
 	}{
 		{"direct", func() (float64, error) { return e.ForcesDirect(p, pos, acc) }},
-		{"cell", func() (float64, error) { return e.ForcesCell(cl, p, pos, acc) }},
 		{"pairlist", func() (float64, error) { return e.ForcesPairlist(nl, p, pos, acc) }},
 	}
 	for _, k := range kernels {

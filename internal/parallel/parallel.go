@@ -7,30 +7,26 @@
 // needs, and reduce privately-accumulated forces afterwards — never
 // scatter Newton's-third-law updates into another shard's atoms.
 //
-// Three kernels are provided, matching the three serial host paths in
-// internal/md. Each has one entry point, which returns an error when a
-// worker fails:
+// Two kernels are provided, matching the two host force paths in
+// internal/md: the paper's O(N²) scan and the O(N) Verlet list. Each
+// has one entry point, which returns an error when a worker fails:
 //
 //   - ForcesDirect: the paper's O(N²) kernel over the full-loop
 //     (gather-only) layout of md.ComputeForcesFull, sharded by atom
 //     range. Each atom's acceleration is written by exactly one worker,
 //     so no synchronization is needed beyond the join.
-//   - ForcesCell: the cell-grid O(N) method over the packed cell runs
-//     md.CellList.BinWrapped builds, sharded by cell range. Workers
-//     gather over the full 27-cell shell (not the serial half-shell),
-//     again writing only their own cells' atoms.
 //   - ForcesPairlist: the Verlet neighbor list, sharded by pair chunk.
 //     The half-triangle pair layout forces scatter to both atoms of a
 //     pair, so each worker scatters into a private acceleration buffer
 //     and the buffers are combined by a parallel tree reduction.
 //
-// All three match their serial counterparts to rounding (the direct
-// kernel with one worker is bitwise identical to ComputeForcesFull);
-// the package tests pin this, and the whole package is race-detector
-// clean.
+// Both match their serial counterparts to rounding (with one worker,
+// each is bitwise identical to its serial loop); the package tests pin
+// this, and the whole package is race-detector clean.
 //
 // The neighbor-list *build* is parallel too: BuildPairlist shards the
-// list rows across the pool after a single cell-binning pass. Rows are
+// list rows across the pool after the list's single cell-binning pass
+// (md.NeighborList.BeginBuild). Rows are
 // disjoint and row content is sharding-independent, so the built list
 // — and every force evaluated over it — is byte-identical for any
 // worker count, and a single engine may serve builds for many runners
@@ -100,9 +96,8 @@ type Engine[T vec.Float] struct {
 
 // shard is one worker's private state.
 type shard[T vec.Float] struct {
-	pe      T            // partial potential energy
-	acc     md.Coords[T] // private accumulator (pairlist kernel)
-	cellbuf []int        // neighbor-cell scratch (cell kernel)
+	pe  T            // partial potential energy
+	acc md.Coords[T] // private accumulator (pairlist kernel)
 }
 
 // New creates an engine with ClampWorkers(workers) workers. With one
@@ -302,68 +297,6 @@ func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, erro
 	return e.reducePE() / 2, nil
 }
 
-// ForcesCell evaluates the cell-grid method with cell-range sharding:
-// the grid is rebinned from the positions, then each worker computes
-// the forces on the atoms of its cell range by gathering over the full
-// 27-cell shell of packed runs. Every atom belongs to exactly one
-// cell, so acc is written race-free; each pair is visited from both
-// sides, so the summed energy is halved. acc is overwritten; the
-// return value is the potential energy, matching cl.Forces to
-// rounding. Runs are walked from their last slot down, the pair order
-// the committed trajectory goldens were recorded under. A worker panic
-// (real or injected) surfaces as an error and the process — and the
-// pool — survive. On error, acc is undefined.
-func (e *Engine[T]) ForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
-	cl.BinWrapped(pos)
-	ncells := cl.NumCells()
-	rc2 := p.Cutoff * p.Cutoff
-	err := e.run(func(w int) {
-		lo, hi := e.shardRange(ncells, w)
-		order, packed := cl.Packed()
-		sh := &e.shards[w]
-		if cap(sh.cellbuf) < 27 {
-			sh.cellbuf = make([]int, 27)
-		}
-		var pe T
-		for c := lo; c < hi; c++ {
-			clo, chi := cl.CellSpan(c)
-			if clo == chi {
-				continue
-			}
-			cells := cl.NeighborCells(c, sh.cellbuf)
-			for k := chi - 1; k >= clo; k-- {
-				pi := packed.At(int(k))
-				var ai vec.V3[T]
-				var pei T
-				for _, nc := range cells {
-					nlo, nhi := cl.CellSpan(nc)
-					for m := nhi - 1; m >= nlo; m-- {
-						if m == k {
-							continue
-						}
-						d := md.MinImage(pi.Sub(packed.At(int(m))), p.Box)
-						r2 := d.Norm2()
-						if r2 >= rc2 || r2 == 0 {
-							continue
-						}
-						v, f := md.LJPair(p, r2)
-						pei += v
-						ai = ai.Add(d.Scale(f))
-					}
-				}
-				acc.Set(int(order[k]), ai)
-				pe += pei
-			}
-		}
-		sh.pe = pe
-	})
-	if err != nil {
-		return 0, err
-	}
-	e.corruptOutput(acc)
-	return e.reducePE() / 2, nil
-}
-
 // buildCtxStride is how many neighbor-list rows a build worker fills
 // between context checks: frequent enough that a cancelled replica
 // stops a large build well inside one MD step, rare enough that the
@@ -401,7 +334,7 @@ func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p
 	}
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
-	grid := nl.BeginBuild(p, pos)
+	nl.BeginBuild(p, pos)
 	n := pos.Len()
 	var err error
 	if e.workers <= 1 || n < serialBuildAtoms {
@@ -413,7 +346,7 @@ func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p
 				if i%buildCtxStride == 0 && ctx.Err() != nil {
 					return // abandon; EndBuild below is skipped
 				}
-				nl.BuildRow(p, pos, grid, i)
+				nl.BuildRow(p, pos, i)
 			}
 		})
 	} else {
@@ -423,7 +356,7 @@ func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p
 				if (i-lo)%buildCtxStride == 0 && ctx.Err() != nil {
 					return // abandon the shard; EndBuild below is skipped
 				}
-				nl.BuildRow(p, pos, grid, i)
+				nl.BuildRow(p, pos, i)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -106,38 +107,6 @@ func TestDirectMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestCellMatchesSerial(t *testing.T) {
-	st, p := makeState(t, 864) // box ~10.1: 4 cells per edge
-	pos := md.CoordsFromV3(st.Pos)
-	clRef, err := md.NewCellList(p.Box, p.Cutoff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accRef := md.MakeCoords[float64](pos.Len())
-	peRef := clRef.Forces(p, pos, accRef)
-	for _, w := range workerCounts {
-		e := New[float64](w)
-		cl, err := md.NewCellList(p.Box, p.Cutoff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := md.MakeCoords[float64](pos.Len())
-		pe, err := e.ForcesCell(cl, p, pos, acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := relDiff(pe, peRef); d > 1e-12 {
-			t.Errorf("w=%d: PE %v vs serial cells %v (rel %v)", w, pe, peRef, d)
-		}
-		for i := 0; i < acc.Len(); i++ {
-			if acc.At(i).Sub(accRef.At(i)).Norm() > 1e-10*(1+accRef.At(i).Norm()) {
-				t.Fatalf("w=%d: acc[%d] = %+v, want %+v", w, i, acc.At(i), accRef.At(i))
-			}
-		}
-		e.Close()
-	}
-}
-
 func TestPairlistMatchesSerial(t *testing.T) {
 	st, p := makeState(t, 500)
 	pos := md.CoordsFromV3(st.Pos)
@@ -202,12 +171,64 @@ func TestPairlistOneWorkerBitwise(t *testing.T) {
 	}
 }
 
+// TestCellKernelsOutOfBoxMatchReference shifts atoms by a whole box
+// along different axes (+x, -y, -z) and checks the pairlist kernels,
+// serial and sharded, against md.ComputeForces. The list build's cell
+// binning must fold each shifted atom to its periodic image; clamping
+// it into an edge cell instead loses pairs.
+func TestCellKernelsOutOfBoxMatchReference(t *testing.T) {
+	st, p := makeState(t, 864)
+	pos := md.CoordsFromV3(st.Pos)
+	for i := 0; i < pos.Len(); i++ {
+		switch {
+		case i%37 == 0:
+			pos.X[i] += p.Box
+		case i%41 == 0:
+			pos.Y[i] -= p.Box
+		case i%53 == 0:
+			pos.Z[i] -= p.Box
+		}
+	}
+	n := pos.Len()
+	accRef := md.MakeCoords[float64](n)
+	peRef := md.ComputeForces(p, pos, accRef)
+	check := func(what string, pe float64, acc md.Coords[float64]) {
+		t.Helper()
+		if math.Abs(pe-peRef) > 1e-9*(1+math.Abs(peRef)) {
+			t.Fatalf("%s: PE %v, reference %v", what, pe, peRef)
+		}
+		for i := 0; i < n; i++ {
+			if acc.At(i).Sub(accRef.At(i)).Norm() > 1e-9*(1+accRef.At(i).Norm()) {
+				t.Fatalf("%s: acc[%d] = %+v, reference %+v", what, i, acc.At(i), accRef.At(i))
+			}
+		}
+	}
+	newList := func() *md.NeighborList[float64] {
+		nl, err := md.NewNeighborList[float64](0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nl
+	}
+	acc := md.MakeCoords[float64](n)
+	check("serial", newList().Forces(p, pos, acc), acc)
+	for _, w := range []int{1, 2, 4} {
+		e := New[float64](w)
+		pe, err := e.ForcesPairlist(newList(), p, pos, acc)
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("w%d", w), pe, acc)
+	}
+}
+
 // TestTrajectoryReuse drives a short NVE trajectory through each
 // parallel kernel, reusing one engine across steps (the persistent-pool
 // path), and checks it stays on the serial trajectory.
 func TestTrajectoryReuse(t *testing.T) {
 	const steps = 20
-	for _, kernel := range []string{"direct", "cell", "pairlist"} {
+	for _, kernel := range []string{"direct", "pairlist"} {
 		st, _ := makeState(t, 500)
 		ref, err := md.NewSystem(st, md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004})
 		if err != nil {
@@ -219,12 +240,6 @@ func TestTrajectoryReuse(t *testing.T) {
 		switch kernel {
 		case "direct":
 			forces = func() (float64, error) { return e.ForcesDirect(par.P, par.Pos, par.Acc) }
-		case "cell":
-			cl, err := md.NewCellList(par.P.Box, par.P.Cutoff)
-			if err != nil {
-				t.Fatal(err)
-			}
-			forces = func() (float64, error) { return e.ForcesCell(cl, par.P, par.Pos, par.Acc) }
 		case "pairlist":
 			nl, err := md.NewNeighborList[float64](0.4)
 			if err != nil {

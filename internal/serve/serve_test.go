@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/guard"
+	"repro/internal/parallel"
 )
 
 // testSpec is the standard small job the suite runs: tiny FCC box,
@@ -517,15 +518,16 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestSparseCellGridJobCompletes pins that a valid spec cannot take
-// the process down: two atoms at density 1e-12 put the cell grid in a
-// box ~5000 cutoffs wide, and the job must still run to done (the grid
-// is sized for the atom count, not the box).
+// the process down: two atoms at density 1e-12 put the pairlist
+// build's cell grid in a box ~4000 list radii wide, and the job must
+// still run to done (the grid is sized for the atom count, not the
+// box).
 func TestSparseCellGridJobCompletes(t *testing.T) {
 	srv, hs := newTestServer(t, t.TempDir(), TenantPolicy{})
 	defer drainNow(t, srv)
 
 	resp, err := hs.Client().Post(hs.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"atoms":2,"steps":1,"density":1e-12,"method":"cellgrid"}`))
+		strings.NewReader(`{"atoms":2,"steps":1,"density":1e-12,"method":"pairlist"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,9 +543,11 @@ func TestSparseCellGridJobCompletes(t *testing.T) {
 }
 
 // TestSpecVocabulary pins the method/workers vocabulary of a job
-// spec: only direct|pairlist|cellgrid name a kernel, the retired
-// precision field is an unknown field, and workers 0 persists as 1 —
-// the exact serial kernel the job runs.
+// spec: only direct|pairlist name a kernel (the retired cellgrid
+// method and par* spellings are refused), the retired precision field
+// is an unknown field, workers above parallel.MaxWorkers are refused
+// rather than clamped, and workers 0 persists as 1 — the exact serial
+// kernel the job runs.
 func TestSpecVocabulary(t *testing.T) {
 	srv, hs := newTestServer(t, t.TempDir(), TenantPolicy{})
 	defer drainNow(t, srv)
@@ -556,9 +560,12 @@ func TestSpecVocabulary(t *testing.T) {
 		{`{"atoms": 108, "steps": 5, "method": "pardirect", "workers": 2}`, http.StatusUnprocessableEntity, 0},
 		{`{"atoms": 108, "steps": 5, "method": "parpairlist"}`, http.StatusUnprocessableEntity, 0},
 		{`{"atoms": 864, "steps": 5, "method": "parcellgrid"}`, http.StatusUnprocessableEntity, 0},
+		{`{"atoms": 864, "steps": 5, "method": "cellgrid"}`, http.StatusUnprocessableEntity, 0},
 		{`{"atoms": 108, "steps": 5, "method": "pairlist", "precision": "f32"}`, http.StatusBadRequest, 0},
 		{`{"atoms": 108, "steps": 5, "precision": "f64"}`, http.StatusBadRequest, 0},
 		{`{"atoms": 108, "steps": 5, "workers": -1}`, http.StatusUnprocessableEntity, 0},
+		{`{"atoms": 108, "steps": 5, "workers": 257}`, http.StatusUnprocessableEntity, 0},
+		{`{"atoms": 108, "steps": 5, "workers": 256}`, http.StatusAccepted, 256},
 		{`{"atoms": 108, "steps": 5, "method": "pairlist"}`, http.StatusAccepted, 1},
 		{`{"atoms": 108, "steps": 5, "method": "direct", "workers": 0}`, http.StatusAccepted, 1},
 		{`{"atoms": 108, "steps": 5, "method": "direct", "workers": 2}`, http.StatusAccepted, 2},
@@ -637,6 +644,60 @@ func TestScanToleratesGarbage(t *testing.T) {
 	fresh, code, _ := submit(t, hs2, "alice", "", testSpec(5))
 	if code != http.StatusAccepted || fresh.ID != JobID(778) {
 		t.Fatalf("fresh ID after orphan dir = %+v (code %d), want %s", fresh, code, JobID(778))
+	}
+}
+
+// TestRestartFailsUnrunnableSpecs restarts over a store holding
+// incomplete jobs whose persisted specs no longer validate: a retired
+// method ("pardirect", "cellgrid") and a worker count above
+// parallel.MaxWorkers. The server must start, report each job failed
+// with its validation error, persist the terminal record, and keep the
+// job failed across a second restart instead of re-admitting it.
+func TestRestartFailsUnrunnableSpecs(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]Spec{}
+	for i, mut := range []func(*Spec){
+		func(sp *Spec) { sp.Method = "pardirect" },
+		func(sp *Spec) { sp.Method = "cellgrid"; sp.Atoms = 864 },
+		func(sp *Spec) { sp.Workers = parallel.MaxWorkers + 1 },
+	} {
+		sp := testSpec(20).Normalized()
+		mut(&sp)
+		id := JobID(i + 1)
+		if err := st.PutSpec(JobRecord{ID: id, Tenant: "alice", Spec: sp}); err != nil {
+			t.Fatal(err)
+		}
+		bad[id] = sp
+	}
+
+	for restart := 1; restart <= 2; restart++ {
+		srv, hs := newTestServer(t, dir, TenantPolicy{})
+		for id := range bad {
+			resp, err := hs.Client().Get(hs.URL + "/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var status statusResponse
+			derr := json.NewDecoder(resp.Body).Decode(&status)
+			resp.Body.Close()
+			if derr != nil {
+				t.Fatalf("restart %d: %s: decoding status: %v", restart, id, derr)
+			}
+			if status.Status != StatusFailed || status.Error == "" {
+				t.Fatalf("restart %d: %s (%+v): status %q error %q, want failed with the validation error",
+					restart, id, bad[id], status.Status, status.Error)
+			}
+			rec, err := st.GetTerminal(id)
+			if err != nil || rec == nil || rec.Status != StatusFailed {
+				t.Fatalf("restart %d: %s: persisted terminal record %+v (%v), want failed", restart, id, rec, err)
+			}
+		}
+		drainNow(t, srv)
+		hs.Close()
 	}
 }
 

@@ -147,6 +147,10 @@ func NewServer(cfg Config) (*Server, error) {
 			js.progress.close()
 			continue
 		}
+		if err := sj.Record.Spec.Validate(); err != nil {
+			s.failUnrunnable(js, err)
+			continue
+		}
 		// Incomplete: the admission was promised to a client, so the job
 		// is re-admitted without spending quota tokens (it was paid for
 		// at first submission) — only the occupancy slot is retaken.
@@ -174,6 +178,22 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	return s, nil
+}
+
+// failUnrunnable ends a recovered incomplete job whose persisted spec
+// no longer validates (it names a method or a worker count this build
+// refuses) with a failed terminal record instead of re-admitting it.
+// The record is persisted when the store allows; when it does not, the
+// next start re-validates and fails the job again, so it never runs.
+func (s *Server) failUnrunnable(js *jobState, err error) {
+	rec := TerminalRecord{ID: js.rec.ID, Status: StatusFailed, Error: err.Error()}
+	s.cfg.Logf("serve: job %s: persisted spec no longer valid, marking it failed: %v", js.rec.ID, err)
+	if perr := s.store.PutTerminal(rec); perr != nil {
+		s.cfg.Logf("serve: job %s: persisting terminal record: %v", js.rec.ID, perr)
+	}
+	js.status = rec.Status
+	js.terminal = &rec
+	js.progress.close()
 }
 
 // idemKey joins a tenant and idempotency key into one index key; the
@@ -325,7 +345,8 @@ func (s *Server) overloadRetry() time.Duration {
 // replica assembles the fleet replica for a job. When sys is non-nil
 // the replica resumes from it (remaining steps only); the returned int
 // is the absolute step the replica starts at. The spec was validated
-// at admission, so the config build cannot fail.
+// at admission (and again at recovery), so the config build cannot
+// fail.
 func (s *Server) replica(js *jobState, sys *md.System[float64]) (fleet.Replica, int) {
 	gcfg, err := js.rec.Spec.GuardConfig(s.store.CheckpointDir(js.rec.ID))
 	if err != nil {

@@ -32,6 +32,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/mdrun"
+	"repro/internal/parallel"
 )
 
 // Resource caps a multi-tenant endpoint enforces per job. They bound
@@ -63,12 +64,12 @@ type Spec struct {
 	// r_c); the default is the paper's plain truncated form.
 	Shifted bool `json:"shifted,omitempty"`
 
-	// Method selects the force kernel: direct|pairlist|cellgrid
-	// (default direct).
+	// Method selects the force kernel: direct|pairlist (default
+	// direct).
 	Method string `json:"method,omitempty"`
-	// Workers is the host worker count for Method; 0 normalizes to 1,
-	// the serial kernel, so the persisted spec names the exact kernel
-	// the job runs.
+	// Workers is the host worker count for Method, at most
+	// parallel.MaxWorkers; 0 normalizes to 1, the serial kernel, so the
+	// persisted spec names the exact kernel the job runs.
 	Workers int     `json:"workers,omitempty"`
 	Skin    float64 `json:"skin,omitempty"`
 
@@ -150,8 +151,10 @@ func (sp Spec) Validate() error {
 	if !(sp.Skin > 0) {
 		return fmt.Errorf("serve: skin %g must be positive", sp.Skin)
 	}
-	if sp.Workers < 0 {
-		return fmt.Errorf("serve: workers %d must be >= 0", sp.Workers)
+	if sp.Workers < 0 || sp.Workers > parallel.MaxWorkers {
+		// Refuse rather than clamp: the persisted spec must name the
+		// worker count the job actually runs on.
+		return fmt.Errorf("serve: workers %d out of range [0, %d]", sp.Workers, parallel.MaxWorkers)
 	}
 	if sp.CheckpointEvery < 1 {
 		return fmt.Errorf("serve: checkpoint_every %d must be >= 1", sp.CheckpointEvery)

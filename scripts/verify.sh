@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gate, in escalating
-# cost order: compile, vet, the whole test suite, the race-detector
-# pass over the sharded/recovery/scheduling paths (tier-1.5), and the
-# project static-analysis suite (mdlint). Any failure fails the gate.
+# cost order: compile, vet, the whole test suite, the benchmark module
+# (perfbench, a module of its own), the race-detector pass over the
+# sharded/recovery/scheduling paths (tier-1.5), and the project
+# static-analysis suite (mdlint). Any failure fails the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,6 +16,9 @@ go vet ./...
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> perfbench module: go vet + go test (the root build never compiles it)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> go test -race (tier-1.5: md, parallel, faults, fsys, guard, fleet, mdrun, serve, chaos)"
 go test -race -short ./internal/md/... ./internal/parallel/... \
