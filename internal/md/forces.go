@@ -2,33 +2,53 @@ package md
 
 import "repro/internal/vec"
 
-// LJPair returns the Lennard-Jones pair quantities for a squared
-// distance r2 under parameters p: the potential energy v and the scalar
-// f such that the force on atom i from atom j is f * (r_i - r_j).
+// LJ is the Lennard-Jones pair potential of one Params, with the
+// per-call constants a kernel would otherwise re-derive on every pair
+// (the ε and σ defaults, σ², 4ε, 24ε and the cutoff shift) evaluated
+// once. Build it with NewLJ outside a pair loop and call Pair inside
+// it: this is the host form of the paper's Fig 5 "hoist constants"
+// step, and the one body every LJ kernel in the repository shares.
+type LJ[T vec.Float] struct {
+	sig2, eps4, eps24 T
+	shift             T // V(r_c) of the unshifted potential, or 0
+}
+
+// NewLJ precomputes p's pair constants. Each constant is the same
+// expression, evaluated in the same order, that the per-pair body
+// used before it was hoisted ((4*eps)*(…), (sig*sig)/r2, ...), so
+// Pair is bit for bit what an unhoisted evaluation gives. The shift
+// is 0 for the plain truncated potential; subtracting a +0 leaves
+// every value, -0 included, unchanged.
+func NewLJ[T vec.Float](p Params[T]) LJ[T] {
+	eps, sig := p.Epsilon1(), p.Sigma1()
+	lj := LJ[T]{sig2: sig * sig, eps4: 4 * eps, eps24: 24 * eps}
+	if p.Shifted {
+		lj.shift, _ = lj.Pair(p.Cutoff * p.Cutoff)
+	}
+	return lj
+}
+
+// Pair returns the pair quantities for a squared distance r2: the
+// potential energy v and the scalar f such that the force on atom i
+// from atom j is f * (r_i - r_j).
 //
 //	V(r)  = 4ε[(σ/r)¹² − (σ/r)⁶]          (− V(r_c) if Shifted)
 //	f(r)  = 24ε[2(σ/r)¹² − (σ/r)⁶] / r²
 //
-// Callers are responsible for the cutoff test; LJPair assumes r2 > 0.
-func LJPair[T vec.Float](p Params[T], r2 T) (v, f T) {
-	eps, sig := p.Epsilon1(), p.Sigma1()
-	sr2 := sig * sig / r2
+// Callers are responsible for the cutoff test; Pair assumes r2 > 0.
+func (lj LJ[T]) Pair(r2 T) (v, f T) {
+	sr2 := lj.sig2 / r2
 	sr6 := sr2 * sr2 * sr2
 	sr12 := sr6 * sr6
-	v = 4 * eps * (sr12 - sr6)
-	f = 24 * eps * (2*sr12 - sr6) / r2
-	if p.Shifted {
-		v -= ljShift(p)
-	}
+	v = lj.eps4*(sr12-sr6) - lj.shift
+	f = lj.eps24 * (2*sr12 - sr6) / r2
 	return v, f
 }
 
-// ljShift returns V(r_c) for the unshifted potential.
-func ljShift[T vec.Float](p Params[T]) T {
-	eps, sig := p.Epsilon1(), p.Sigma1()
-	sr2 := sig * sig / (p.Cutoff * p.Cutoff)
-	sr6 := sr2 * sr2 * sr2
-	return 4 * eps * (sr6*sr6 - sr6)
+// LJPair is NewLJ(p).Pair(r2), for one-off evaluations outside a pair
+// loop.
+func LJPair[T vec.Float](p Params[T], r2 T) (v, f T) {
+	return NewLJ(p).Pair(r2)
 }
 
 // MinImage returns the minimum-image displacement of d in a cubic
@@ -38,20 +58,16 @@ func ljShift[T vec.Float](p Params[T]) T {
 // each component in (-box, box).
 func MinImage[T vec.Float](d vec.V3[T], box T) vec.V3[T] {
 	h := box / 2
-	if d.X > h {
-		d.X -= box
-	} else if d.X < -h {
-		d.X += box
-	}
-	if d.Y > h {
-		d.Y -= box
-	} else if d.Y < -h {
-		d.Y += box
-	}
-	if d.Z > h {
-		d.Z -= box
-	} else if d.Z < -h {
-		d.Z += box
+	return vec.V3[T]{X: minImage1(d.X, box, h), Y: minImage1(d.Y, box, h), Z: minImage1(d.Z, box, h)}
+}
+
+// minImage1 is MinImage along one axis, with h = box/2: the scalar
+// form the SoA pair loops apply to each plane's difference.
+func minImage1[T vec.Float](d, box, h T) T {
+	if d > h {
+		return d - box
+	} else if d < -h {
+		return d + box
 	}
 	return d
 }
@@ -112,6 +128,7 @@ func MinImage27[T vec.Float](d vec.V3[T], box T) vec.V3[T] {
 // energy. This is the double loop every device in the paper offloads.
 func ComputeForces[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) T {
 	acc.Zero()
+	lj := NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
 	var pe T
 	n := pos.Len()
@@ -123,7 +140,7 @@ func ComputeForces[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) T {
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			v, f := LJPair(p, r2)
+			v, f := lj.Pair(r2)
 			pe += v
 			fd := d.Scale(f)
 			acc.Add(i, fd)
@@ -138,6 +155,7 @@ func ComputeForces[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) T {
 // models use the count to scale the data-dependent part of their cycle
 // ledgers without a second pass over the pairs.
 func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) (pe T, interacting int64) {
+	lj := NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
 	n := pos.Len()
 	for i := 0; i < n; i++ {
@@ -154,7 +172,7 @@ func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[
 				continue
 			}
 			interacting++
-			v, f := LJPair(p, r2)
+			v, f := lj.Pair(r2)
 			pei += v
 			ai = ai.Add(d.Scale(f))
 		}

@@ -170,15 +170,30 @@ func TestLJPairCustomEpsilonSigma(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	good := Params[float64]{Box: 10, Cutoff: 2.5, Dt: 0.004}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid params rejected: %v", err)
+	for _, good := range []Params[float64]{
+		{Box: 10, Cutoff: 2.5, Dt: 0.004},
+		{Box: 10, Cutoff: 2.5, Dt: 0.004, Epsilon: 1.3, Sigma: 0.9}, // 0 above means the default
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid params %+v rejected: %v", good, err)
+		}
 	}
 	bad := []Params[float64]{
 		{Box: 0, Cutoff: 2.5, Dt: 0.004},
 		{Box: 10, Cutoff: 0, Dt: 0.004},
 		{Box: 10, Cutoff: 2.5, Dt: 0},
 		{Box: 4, Cutoff: 2.5, Dt: 0.004}, // cutoff > box/2
+		{Box: math.NaN(), Cutoff: 2.5, Dt: 0.004},
+		{Box: math.Inf(1), Cutoff: 2.5, Dt: 0.004},
+		{Box: 10, Cutoff: math.Inf(1), Dt: 0.004},
+		{Box: 10, Cutoff: 2.5, Dt: math.Inf(1)},
+		{Box: 10, Cutoff: 2.5, Dt: math.NaN()},
+		{Box: 10, Cutoff: 2.5, Dt: 0.004, Epsilon: math.NaN()},
+		{Box: 10, Cutoff: 2.5, Dt: 0.004, Epsilon: -1},
+		{Box: 10, Cutoff: 2.5, Dt: 0.004, Epsilon: math.Inf(1)},
+		{Box: 10, Cutoff: 2.5, Dt: 0.004, Sigma: math.Inf(1)},
+		{Box: 10, Cutoff: 2.5, Dt: 0.004, Sigma: math.NaN()},
+		{Box: 10, Cutoff: 2.5, Dt: 0.004, Sigma: -0.5},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -67,22 +67,36 @@ func (p Params[T]) Sigma1() T {
 	return p.Sigma
 }
 
-// Validate reports whether the parameters describe a runnable system.
-// The !(x > 0) form rejects NaN along with non-positive values.
+// Validate reports whether the parameters describe a runnable system:
+// Box, Cutoff and Dt positive and finite, and Epsilon and Sigma either
+// 0 (the default) or positive and finite. The checks are written so
+// that NaN fails them too.
 func (p Params[T]) Validate() error {
-	if !(p.Box > 0) {
-		return fmt.Errorf("md: box must be positive, got %v", p.Box)
+	if !positiveFinite(p.Box) {
+		return fmt.Errorf("md: box must be positive and finite, got %v", p.Box)
 	}
-	if !(p.Cutoff > 0) {
-		return fmt.Errorf("md: cutoff must be positive, got %v", p.Cutoff)
+	if !positiveFinite(p.Cutoff) {
+		return fmt.Errorf("md: cutoff must be positive and finite, got %v", p.Cutoff)
 	}
-	if !(p.Dt > 0) {
-		return fmt.Errorf("md: dt must be positive, got %v", p.Dt)
+	if !positiveFinite(p.Dt) {
+		return fmt.Errorf("md: dt must be positive and finite, got %v", p.Dt)
+	}
+	if p.Epsilon != 0 && !positiveFinite(p.Epsilon) {
+		return fmt.Errorf("md: epsilon must be positive and finite (or 0 for 1), got %v", p.Epsilon)
+	}
+	if p.Sigma != 0 && !positiveFinite(p.Sigma) {
+		return fmt.Errorf("md: sigma must be positive and finite (or 0 for 1), got %v", p.Sigma)
 	}
 	if 2*p.Cutoff > p.Box {
 		return fmt.Errorf("md: cutoff %v exceeds half the box %v; minimum image is ambiguous", p.Cutoff, p.Box)
 	}
 	return nil
+}
+
+// positiveFinite reports whether x is positive and finite: x-x is 0
+// for a finite x and NaN for NaN and ±Inf.
+func positiveFinite[T vec.Float](x T) bool {
+	return x > 0 && x-x == 0
 }
 
 // System is the full dynamic state of a simulation. The hot state

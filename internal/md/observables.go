@@ -207,6 +207,7 @@ func VirialOver(nl *NeighborList[float64], p Params[float64], pos Coords[float64
 	} else {
 		nl.Refresh(p, pos)
 	}
+	lj := NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
 	var w float64
 	for i := 0; i < pos.Len(); i++ {
@@ -217,7 +218,7 @@ func VirialOver(nl *NeighborList[float64], p Params[float64], pos Coords[float64
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			_, f := LJPair(p, r2)
+			_, f := lj.Pair(r2)
 			w += f * r2 // f*(r vector)·(r vector) = f*r²
 		}
 	}

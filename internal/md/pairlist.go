@@ -196,22 +196,36 @@ func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], i int) {
 	}
 	var cellbuf [27]int
 	grid := &nl.grid
-	order, packed := grid.order, grid.packed
+	box := p.Box
+	h := box / 2
 	for _, c := range grid.neighborCells(grid.cellOfWrapped(pi), cellbuf[:]) {
 		lo, hi := grid.cellSpan(c)
-		// order is ascending within the run, so the j <= i prefix ends at
-		// the first index past i; everything after it needs only the
+		// The run is ascending in atom index, so the j <= i prefix ends
+		// at the first index past i; everything after it needs only the
 		// distance test.
-		k := lo
-		for k < hi && int(order[k]) <= i {
-			k++
+		run := grid.order[lo:hi]
+		skip := 0
+		for skip < len(run) && int(run[skip]) <= i {
+			skip++
 		}
-		for ; k < hi; k++ {
-			d := MinImage(pi.Sub(packed.At(int(k))), p.Box)
-			if d.Norm2() < rl2 {
-				row = append(row, order[k])
+		// The candidates past the prefix and their positions, each plane
+		// resliced to them and then to their count: that tells the
+		// compiler all four slices have one length, so the gather
+		// indexes them without bounds checks.
+		order := run[skip:]
+		lo += int32(skip)
+		xs, ys, zs := grid.packed.X[lo:hi], grid.packed.Y[lo:hi], grid.packed.Z[lo:hi]
+		xs, ys, zs = xs[:len(order)], ys[:len(order)], zs[:len(order)]
+		// bce:begin
+		for k, j := range order {
+			dx := minImage1(pi.X-xs[k], box, h)
+			dy := minImage1(pi.Y-ys[k], box, h)
+			dz := minImage1(pi.Z-zs[k], box, h)
+			if dx*dx+dy*dy+dz*dz < rl2 {
+				row = append(row, j)
 			}
 		}
+		// bce:end
 	}
 	slices.Sort(row)
 	nl.pairs[i] = row
@@ -277,26 +291,50 @@ func scanList[T vec.Float](p Params[T], pos Coords[T]) *NeighborList[T] {
 // pair within the cutoff, in the same (i ascending, j ascending) order
 // ComputeForces visits them, and the pairs the list prunes contribute
 // nothing there.
+//
+// The loop works on the planes directly. Every plane is resliced to
+// the row count, so only the j-indexed gather keeps a bounds check;
+// the minimum image is the branch form of MinImage on scalars; and
+// atom i's acceleration stays in registers across its row and is
+// stored once at the end. That last step is bitwise safe because every
+// j in row i is greater than i: no other update reaches acc[i] while
+// its row runs, so acc[i] takes the same additions in the same order.
 func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 	nl.Refresh(p, pos)
 	acc.Zero()
+	lj := NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
+	box := p.Box
+	h := box / 2
+	n := len(nl.pairs)
+	px, py, pz := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
 	var pe T
+	// bce:begin
 	for i, js := range nl.pairs {
-		pi := pos.At(i)
+		xi, yi, zi := px[i], py[i], pz[i]
+		axi, ayi, azi := ax[i], ay[i], az[i]
 		for _, j := range js {
-			d := MinImage(pi.Sub(pos.At(int(j))), p.Box)
-			r2 := d.Norm2()
+			dx := minImage1(xi-px[j], box, h)
+			dy := minImage1(yi-py[j], box, h)
+			dz := minImage1(zi-pz[j], box, h)
+			r2 := dx*dx + dy*dy + dz*dz
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			v, f := LJPair(p, r2)
+			v, f := lj.Pair(r2)
 			pe += v
-			fd := d.Scale(f)
-			acc.Add(i, fd)
-			acc.Sub(int(j), fd)
+			fx, fy, fz := dx*f, dy*f, dz*f
+			axi += fx
+			ayi += fy
+			azi += fz
+			ax[j] -= fx
+			ay[j] -= fy
+			az[j] -= fz
 		}
+		ax[i], ay[i], az[i] = axi, ayi, azi
 	}
+	// bce:end
 	nl.queries++
 	return pe
 }

@@ -145,16 +145,7 @@ func checkNewSystemBitwise[T vec.Float](t *testing.T, c rowsCase) {
 	acc := MakeCoords[T](s.N())
 	pe := ComputeForces(s.P, s.Pos, acc)
 	checkBitsEqual(t, c.name+" PE", s.PE, pe)
-	for _, pl := range []struct {
-		name      string
-		got, want []T
-	}{{"X", s.Acc.X, acc.X}, {"Y", s.Acc.Y, acc.Y}, {"Z", s.Acc.Z, acc.Z}} {
-		for i := range pl.want {
-			if bits(pl.got[i]) != bits(pl.want[i]) {
-				t.Fatalf("%s: Acc.%s[%d] = %v, want %v", c.name, pl.name, i, pl.got[i], pl.want[i])
-			}
-		}
-	}
+	checkCoordsBitsEqual(t, c.name, s.Acc, acc)
 }
 
 func TestNewSystemMatchesComputeForcesBitwise(t *testing.T) {

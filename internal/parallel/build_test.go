@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -50,10 +51,16 @@ func samePairs(t *testing.T, want, got *md.NeighborList[float64], n int, label s
 // over the lists are then bitwise equal by construction.
 func TestBuildPairlistWorkersBitwise(t *testing.T) {
 	rng := xrand.New(21)
-	for trial := 0; trial < 8; trial++ {
+	// The last trial is large enough that BuildPairlist shards the rows
+	// instead of building inline (serialBuildAtoms).
+	for trial := 0; trial < 9; trial++ {
 		box := 6 + 8*rng.Float64()
 		skin := 0.2 + 0.4*rng.Float64()
 		n := 100 + rng.Intn(400)
+		if trial == 8 {
+			n = 2 * serialBuildAtoms
+			box = math.Cbrt(float64(n) / 0.8)
+		}
 		pos := md.MakeCoords[float64](n)
 		for i := 0; i < n; i++ {
 			pos.Set(i, vec.V3[float64]{

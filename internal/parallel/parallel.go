@@ -264,6 +264,7 @@ func (e *Engine[T]) reducePE() T {
 // survive. On error, acc is undefined.
 func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	n := pos.Len()
+	lj := md.NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
 		lo, hi := e.shardRange(n, w)
@@ -281,7 +282,7 @@ func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, erro
 				if r2 >= rc2 || r2 == 0 {
 					continue
 				}
-				v, f := md.LJPair(p, r2)
+				v, f := lj.Pair(r2)
 				pei += v
 				ai = ai.Add(d.Scale(f))
 			}
@@ -304,14 +305,16 @@ func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, erro
 const buildCtxStride = 256
 
 // serialBuildAtoms is the atom count below which BuildPairlist runs
-// the build inline instead of sharding it: BENCH_PR5 measured the
-// sharded build at mid N losing to the serial cell-binned build
-// (parallel_n2048_w{2,4} ≈ 6.7–6.9 ms vs cell_n2048 ≈ 5.96 ms — task
-// hand-off and shard bookkeeping, since this host is effectively
-// single-core), and the crossover sits between 2048 and 8192. Output
-// is unaffected: rows are position-determined, so both paths emit
+// the build inline instead of sharding it, where task hand-off and
+// shard bookkeeping cost more than a second core returns. On a 2-vCPU
+// Xeon (go1.24, BenchmarkNeighborBuild, two runs each) the serial
+// cell-binned build took 1.6–2.0 ms at n512, 11.8–12.3 ms at n2048 and
+// 44.3–44.6 ms at n8192; the sharded build at two workers took
+// 1.58–1.73, 7.4–8.9 and 24.6–27.0 ms. It ties at 512 and wins from
+// 2048 up, so the crossover sits between the two. Output is
+// unaffected: rows are position-determined, so both paths emit
 // byte-identical lists (pinned by TestBuildPairlistWorkersBitwise).
-const serialBuildAtoms = 4096
+const serialBuildAtoms = 1024
 
 // BuildPairlist rebuilds nl from pos with row-range sharding over the
 // pool: BeginBuild bins the atoms once, then each worker fills a
@@ -388,6 +391,7 @@ func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, 
 	}
 	n := pos.Len()
 	total := nl.PairCount()
+	lj := md.NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
 		sh := &e.shards[w]
@@ -419,7 +423,7 @@ func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, 
 				if r2 >= rc2 || r2 == 0 {
 					continue
 				}
-				v, f := md.LJPair(p, r2)
+				v, f := lj.Pair(r2)
 				pe += v
 				fd := d.Scale(f)
 				sh.acc.Add(i, fd)

@@ -51,25 +51,28 @@ func TestClampWorkers(t *testing.T) {
 
 // TestDirectOneWorkerBitwise pins the strongest equivalence: the
 // single-worker direct kernel is the same loop as ComputeForcesFull and
-// must agree bit for bit.
+// must agree bit for bit, for the plain and the shifted potential.
 func TestDirectOneWorkerBitwise(t *testing.T) {
 	st, p := makeState(t, 256)
 	pos := md.CoordsFromV3(st.Pos)
 	e := New[float64](1)
 	defer e.Close()
-	accPar := md.MakeCoords[float64](pos.Len())
-	accRef := md.MakeCoords[float64](pos.Len())
-	pePar, err := e.ForcesDirect(p, pos, accPar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peRef := md.ComputeForcesFull(p, pos, accRef)
-	if pePar != peRef {
-		t.Fatalf("PE differs bitwise: parallel %v, serial %v", pePar, peRef)
-	}
-	for i := 0; i < accRef.Len(); i++ {
-		if accPar.At(i) != accRef.At(i) {
-			t.Fatalf("acc[%d] differs bitwise: %+v vs %+v", i, accPar.At(i), accRef.At(i))
+	for _, shifted := range []bool{false, true} {
+		p.Shifted = shifted
+		accPar := md.MakeCoords[float64](pos.Len())
+		accRef := md.MakeCoords[float64](pos.Len())
+		pePar, err := e.ForcesDirect(p, pos, accPar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peRef := md.ComputeForcesFull(p, pos, accRef)
+		if math.Float64bits(pePar) != math.Float64bits(peRef) {
+			t.Fatalf("shifted=%v: PE differs bitwise: parallel %v, serial %v", shifted, pePar, peRef)
+		}
+		for i := 0; i < accRef.Len(); i++ {
+			if accPar.At(i) != accRef.At(i) {
+				t.Fatalf("shifted=%v: acc[%d] differs bitwise: %+v vs %+v", shifted, i, accPar.At(i), accRef.At(i))
+			}
 		}
 	}
 }

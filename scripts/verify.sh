@@ -14,6 +14,41 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> bounds checks in the pair loops <= 1 (between // bce:begin and // bce:end in internal/md)"
+# The compiler reports every bounds check it could not eliminate;
+# count those on lines inside the markers. The one check left is the
+# j-indexed gather in NeighborList.Forces, which no reslice can prove.
+BCE_BUDGET=1
+BCE_MARKERS="$(cat internal/md/*.go | grep -c '// bce:begin' || true)"
+if [ "$BCE_MARKERS" -lt 2 ]; then
+    echo "verify: expected bce markers around the NeighborList.Forces and BuildRow loops, found $BCE_MARKERS" >&2
+    exit 1
+fi
+BCE_CHECKS="$(go build -gcflags=-d=ssa/check_bce -o /dev/null ./internal/md 2>&1 | awk -F: '
+    /Found Is(Slice)?InBounds/ {
+        file = $1
+        if (!(file in read)) {
+            read[file] = 1
+            inside = 0
+            n = 0
+            while ((getline l < file) > 0) {
+                n++
+                if (l ~ /\/\/ bce:begin/) inside = 1
+                else if (l ~ /\/\/ bce:end/) inside = 0
+                else if (inside) marked[file ":" n] = 1
+            }
+            close(file)
+        }
+        if ((file ":" $2) in marked) count++
+    }
+    END { print count + 0 }')"
+echo "bounds checks between bce markers: $BCE_CHECKS (budget $BCE_BUDGET)"
+if [ "$BCE_CHECKS" -gt "$BCE_BUDGET" ]; then
+    echo "verify: $BCE_CHECKS bounds checks inside the bce markers, budget is $BCE_BUDGET" >&2
+    echo "verify: list them with: go build -gcflags=-d=ssa/check_bce ./internal/md" >&2
+    exit 1
+fi
+
 echo "==> go test ./..."
 go test ./...
 
