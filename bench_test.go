@@ -540,10 +540,9 @@ func BenchmarkNeighborBuild(b *testing.B) {
 				nl := newList(b)
 				e := parallel.New[float64](w)
 				defer e.Close()
-				ctx := context.Background()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := e.BuildPairlist(ctx, nl, p, pos); err != nil {
+					if err := e.BuildPairlist(nl, p, pos); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -64,7 +64,7 @@ var DynamicAllowlist = []AllowRule{
 		Reason: "caller-supplied force kernel; every production kernel is itself a certified root",
 	},
 	{
-		Caller: "repro/internal/parallel:Engine.callWith", Callee: "fn",
+		Caller: "repro/internal/parallel:Engine.call", Callee: "fn",
 		Reason: "worker shard closure from the same kernel evaluation; sharding and reduction order are fixed",
 	},
 	{

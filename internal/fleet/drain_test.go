@@ -12,11 +12,8 @@ import (
 
 // TestDrainQuiesces pins the typed graceful-shutdown seam: Drain stops
 // admission (Submit sheds with ErrClosed), lets every queued and
-// in-flight replica reach a terminal state, and releases the shared
-// build engine — leaving no goroutines behind. Before Drain existed,
-// only Close (and the close-during-batch race test) exercised this
-// path, and a deadline-bounded caller had no way to wait without
-// leaking the engine workers.
+// in-flight replica reach a terminal state, and leaves no goroutines
+// behind.
 func TestDrainQuiesces(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -61,8 +58,8 @@ func TestDrainQuiesces(t *testing.T) {
 // TestDrainDeadlineExpires pins the bounded half of the contract: a
 // Drain whose context expires while replicas are still running returns
 // ctx.Err() without waiting, and the teardown completes in the
-// background once the replicas finish — so the engine workers do not
-// leak even when no one calls Close afterwards.
+// background once the replicas finish — so the scheduler's workers do
+// not leak even when no one calls Close afterwards.
 func TestDrainDeadlineExpires(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -78,8 +75,8 @@ func TestDrainDeadlineExpires(t *testing.T) {
 		t.Fatalf("Drain with expired deadline = %v, want DeadlineExceeded", err)
 	}
 
-	// The replica still runs to completion; the background waiter then
-	// releases the engine without any further call.
+	// The replica still runs to completion; the scheduler's workers
+	// then exit without any further call.
 	res := tk.Wait()
 	if res.State != Succeeded && res.State != Recovered {
 		t.Fatalf("replica after timed-out Drain: %v (%v)", res.State, res.Err)

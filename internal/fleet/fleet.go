@@ -40,7 +40,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/md"
 	"repro/internal/mdrun"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -73,9 +72,11 @@ type Config struct {
 	QueueDepth int
 
 	// WorkerBudget is the total host force-worker budget shared by the
-	// inflight replicas. A replica whose Run.Workers is 0 ("auto") is
-	// assigned max(1, WorkerBudget/MaxInflight) workers; explicit
-	// worker counts are respected. Default runtime.NumCPU().
+	// inflight replicas. It bounds force workers only: a replica whose
+	// Run.Workers is 0 ("auto") is assigned max(1,
+	// WorkerBudget/MaxInflight) workers, and builds its neighbor list on
+	// that same force path; explicit worker counts are respected. The
+	// scheduler keeps no pool of its own. Default runtime.NumCPU().
 	WorkerBudget int
 
 	// ReplicaTimeout, when positive, is the per-replica deadline: a
@@ -266,31 +267,21 @@ type Scheduler struct {
 	rng    *xrand.Source
 
 	// drained is closed by the (single) shutdown waiter once every
-	// worker has exited and the shared build engine is released; Close
-	// and Drain both wait on it, so a timed-out Drain followed by a
-	// late Close never double-tears-down.
+	// worker has exited; Close and Drain both wait on it, so a
+	// timed-out Drain can return while a later Drain or Close still
+	// observes the quiesced state.
 	drained   chan struct{}
 	drainOnce sync.Once
-
-	// buildEngine is the scheduler-wide neighbor-list build pool: every
-	// replica whose Run.BuildEngine is unset borrows it, so concurrent
-	// pairlist replicas share WorkerBudget build workers instead of each
-	// building serially inside its own slot. The parallel build is
-	// byte-identical to the serial one, so sharing never couples replica
-	// physics; builds from different replicas serialize inside the
-	// engine, each under its own replica context.
-	buildEngine *parallel.Engine[float64]
 }
 
 // New starts a scheduler with cfg.MaxInflight replica workers.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
-		cfg:         cfg,
-		queue:       make(chan *job, cfg.QueueDepth),
-		rng:         xrand.New(cfg.JitterSeed),
-		buildEngine: parallel.New[float64](cfg.WorkerBudget),
-		drained:     make(chan struct{}),
+		cfg:     cfg,
+		queue:   make(chan *job, cfg.QueueDepth),
+		rng:     xrand.New(cfg.JitterSeed),
+		drained: make(chan struct{}),
 	}
 	s.wg.Add(cfg.MaxInflight)
 	for i := 0; i < cfg.MaxInflight; i++ {
@@ -308,12 +299,10 @@ func New(cfg Config) *Scheduler {
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // shutdown stops admission (idempotently) and starts the single
-// drain waiter that closes the shared build engine and signals
-// `drained` once every worker goroutine has exited. Both Close and
-// Drain funnel through here, so the engine is torn down exactly once,
-// by the waiter — previously a Drain-style caller that gave up waiting
-// had no way to release the engine without racing a concurrent Close,
-// which leaked the engine's worker goroutines.
+// drain waiter that signals `drained` once every worker goroutine has
+// exited. Both Close and Drain funnel through here; the waiter is what
+// lets Drain give up at its deadline while the teardown completes in
+// the background.
 func (s *Scheduler) shutdown() {
 	s.mu.Lock()
 	if !s.closed {
@@ -324,8 +313,6 @@ func (s *Scheduler) shutdown() {
 	s.drainOnce.Do(func() {
 		go func() {
 			s.wg.Wait()
-			// All replicas have finished; no build can be in flight.
-			s.buildEngine.Close()
 			close(s.drained)
 		}()
 	})
@@ -341,13 +328,13 @@ func (s *Scheduler) Close() {
 // Drain is graceful shutdown with a deadline: it stops admission
 // (concurrent Submits shed with ErrClosed), lets queued and in-flight
 // replicas run to their terminal states, and returns nil once the
-// scheduler has fully quiesced — every worker goroutine exited, the
-// shared build engine released. If ctx expires first, Drain returns
-// ctx.Err() while the teardown continues in the background: the caller
-// typically escalates by cancelling the contexts it submitted replicas
-// under (a cancelled replica stops within one MD step and its latest
-// checkpoint survives), after which the background teardown completes
-// and a later Drain or Close observes the quiesced state immediately.
+// scheduler has fully quiesced — every worker goroutine exited. If ctx
+// expires first, Drain returns ctx.Err() while the teardown continues
+// in the background: the caller typically escalates by cancelling the
+// contexts it submitted replicas under (a cancelled replica stops
+// within one MD step and its latest checkpoint survives), after which
+// the background teardown completes and a later Drain or Close
+// observes the quiesced state immediately.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -474,11 +461,6 @@ func (s *Scheduler) attempt(j *job) (sum *mdrun.Summary, rep *guard.RunReport, f
 	gcfg := j.rep.Guard
 	if gcfg.Run.Workers == 0 {
 		gcfg.Run.Workers = s.workerShare()
-	}
-	if gcfg.Run.BuildEngine == nil {
-		// Pairlist replicas share the scheduler-wide build pool; an
-		// explicitly configured engine is respected.
-		gcfg.Run.BuildEngine = s.buildEngine
 	}
 	var sup *guard.Supervisor
 	if j.rep.InitialSystem != nil {

@@ -364,20 +364,19 @@ func TestBatchReportPercentiles(t *testing.T) {
 	}
 }
 
-// TestSharedBuildEngineBitwise pins the shared build pool the ROADMAP
-// asked for: batched pairlist replicas — which the scheduler silently
-// hands its scheduler-wide parallel.Engine for neighbor-list builds —
+// TestSharedBuildEngineBitwise pins that batching cannot move a
+// replica: batched pairlist replicas, run concurrently over one worker
+// budget with each building its neighbor list on its own force path,
 // must match unbatched supervised runs (serial cell-binned builds)
-// bitwise. The parallel build being byte-identical to the serial one
-// is exactly what makes sharing one pool safe.
+// bitwise.
 func TestSharedBuildEngineBitwise(t *testing.T) {
 	const (
 		n     = 6
 		steps = 25
 	)
 	// 500 atoms: box ≈ 8.4 with cutoff+skin ≈ 2.6 gives a 3³ grid, so
-	// the shared engine runs the real cell-binned sharded build, not
-	// the small-box fallback.
+	// every replica runs the real cell-binned build, not the small-box
+	// fallback.
 	pairCfg := func(seed uint64) guard.Config {
 		g := replicaCfg(seed)
 		g.Run.Atoms = 500
@@ -408,10 +407,17 @@ func TestSharedBuildEngineBitwise(t *testing.T) {
 	}
 }
 
-// TestSchedulerCloseClosesBuildEngine ensures a closed scheduler does
-// not leak the shared build pool's worker goroutines.
-func TestSchedulerCloseClosesBuildEngine(t *testing.T) {
-	before := runtime.NumGoroutine()
+// TestSchedulerLeaksNoIdlePool guards the scheduler's goroutine
+// footprint: New starts exactly one goroutine per inflight slot — no
+// pool sized by WorkerBudget sits idle beside them — and a closed
+// scheduler leaves none of them behind.
+func TestSchedulerLeaksNoIdlePool(t *testing.T) {
+	before := settledGoroutines()
+	idle := New(Config{MaxInflight: 2, WorkerBudget: 4})
+	if added := runtime.NumGoroutine() - before; added != 2 {
+		t.Errorf("New(MaxInflight 2, WorkerBudget 4) added %d goroutines, want 2", added)
+	}
+	idle.Close()
 	for i := 0; i < 3; i++ {
 		s := New(Config{MaxInflight: 2, WorkerBudget: 4})
 		rep := s.RunBatch(context.Background(), []Replica{
@@ -429,4 +435,20 @@ func TestSchedulerCloseClosesBuildEngine(t *testing.T) {
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// changing, so goroutines other tests left winding down do not skew an
+// exact count taken after it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

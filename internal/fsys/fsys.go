@@ -89,8 +89,8 @@ func (osFS) Open(name string) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)          { return os.ReadFile(name) }
-func (osFS) ReadDir(name string) ([]iofs.DirEntry, error)  { return os.ReadDir(name) }
-func (osFS) Rename(oldpath, newpath string) error          { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                      { return os.Remove(name) }
-func (osFS) RemoveAll(path string) error                   { return os.RemoveAll(path) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) ReadDir(name string) ([]iofs.DirEntry, error) { return os.ReadDir(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) RemoveAll(path string) error                  { return os.RemoveAll(path) }

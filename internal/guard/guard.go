@@ -250,6 +250,7 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 
 	attempt := 0
 	var tempSum, tempW float64
+	var last *mdrun.Summary // newest committed segment
 	for s.runner.System().Steps < target {
 		sys := s.runner.System()
 		seg := s.cfg.CheckEvery
@@ -278,6 +279,7 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 		// Segment committed: it contributes to the aggregate summary,
 		// the ladder resets, and a checkpoint is taken when due.
 		attempt = 0
+		last = sum
 		if sum.Steps > 0 {
 			tempSum += sum.MeanTemperature * float64(sum.Steps)
 			tempW += float64(sum.Steps)
@@ -302,7 +304,13 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 		Steps:         steps,
 		InitialEnergy: s.e0,
 		FinalEnergy:   sys.TotalEnergy(),
-		Pressure:      md.Pressure(sys.P, sys.Pos, sys.Temperature()),
+	}
+	if last != nil {
+		// The last committed segment ended on the final state, and the
+		// runner scored its pressure over the live list.
+		final.Pressure = last.Pressure
+	} else {
+		final.Pressure = md.Pressure(sys.P, sys.Pos, sys.Temperature())
 	}
 	if tempW > 0 {
 		final.MeanTemperature = tempSum / tempW

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/lattice"
+	"repro/internal/md"
 	"repro/internal/mdrun"
 	"repro/internal/sim"
 )
@@ -138,6 +140,49 @@ func TestRecoveryEscalatesToSerial(t *testing.T) {
 		t.Errorf("final method/workers/dt = %v/%d/%g completed=%v, want %v/1/%g/true",
 			rep.FinalMethod, rep.FinalWorkers, rep.FinalDt, rep.Completed, cfg.Method, cfg.Dt)
 	}
+}
+
+// TestSummaryPressureIsFinalState pins the guarded Summary.Pressure,
+// which comes from the last committed segment's runner, bitwise to
+// md.Pressure of the final state: for both methods, for a 0-step run,
+// a run shorter than one segment and a multi-segment run, and for a
+// run whose final segments ran on a runner rebuilt after a rollback.
+func TestSummaryPressureIsFinalState(t *testing.T) {
+	check := func(t *testing.T, cfg mdrun.Config, steps int) *RunReport {
+		t.Helper()
+		sup, err := New(Config{Run: cfg, CheckEvery: 10, CheckpointEvery: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sup.Close()
+		sum, rep, err := sup.Run(steps)
+		if err != nil {
+			t.Fatalf("run failed (%v); report: %v", err, rep)
+		}
+		sys := sup.System()
+		want := md.Pressure(sys.P, sys.Pos, sys.Temperature())
+		if math.Float64bits(sum.Pressure) != math.Float64bits(want) {
+			t.Fatalf("Summary.Pressure %v, want md.Pressure of the final state %v", sum.Pressure, want)
+		}
+		return rep
+	}
+	for _, m := range []mdrun.ForceMethod{mdrun.Direct, mdrun.Pairlist} {
+		for _, steps := range []int{0, 7, 40} {
+			t.Run(fmt.Sprintf("%v/%d-steps", m, steps), func(t *testing.T) {
+				check(t, baseRun(m, 256, 1), steps)
+			})
+		}
+	}
+	t.Run("recovered-nan-forces", func(t *testing.T) {
+		cfg := baseRun(mdrun.Pairlist, 256, 2)
+		cfg.Faults = faults.NewRegistry(13).Arm(faults.Fault{
+			Site: faults.SiteParallelForces, Kind: faults.NaN,
+			Trigger: faults.Trigger{FromCall: 12},
+		})
+		if rep := check(t, cfg, 40); rep.Rollbacks == 0 {
+			t.Fatalf("the injected fault caused no rollback: %v", rep)
+		}
+	})
 }
 
 // TestOneShotWorkerPanicRetried: a single injected worker panic must

@@ -1,8 +1,9 @@
 // Build-equivalence pin: a guarded 2048-atom, 100-step pairlist run
-// using the new cell-binned (and optionally parallel, shared-engine)
-// neighbor-list build must match the seed behaviour — a serial run
-// whose list is rebuilt with the reference O(N²) scan — bitwise in
-// positions and energies. The test lives in an external test package
+// using the cell-binned neighbor-list build must match the seed
+// behaviour — a serial run whose list is rebuilt with the reference
+// O(N²) scan — bitwise in positions and energies. The parallel build's
+// byte-identity with the serial one is pinned in internal/parallel
+// (TestBuildPairlistWorkersBitwise, TestBuildPairlistForcesBitwise). The test lives in an external test package
 // because it drives the guard supervisor, which imports mdrun.
 //
 // This file also rides the tier-1.5 race gate (scripts/verify.sh runs
@@ -17,7 +18,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/md"
 	"repro/internal/mdrun"
-	"repro/internal/parallel"
 )
 
 const (
@@ -73,58 +73,41 @@ func referenceRun(t *testing.T) *md.System[float64] {
 }
 
 // TestGuardedBuildEquivalencePin runs the guarded simulation with the
-// new build — serial cell-binned, and parallel through a shared build
-// engine — and pins positions, PE, KE, and the summary energies
-// bitwise against the O(N²)-build reference.
+// serial cell-binned build and pins positions, PE, KE, and the summary
+// energies bitwise against the O(N²)-build reference.
 func TestGuardedBuildEquivalencePin(t *testing.T) {
 	ref := referenceRun(t)
 
-	cases := []struct {
-		name    string
-		workers int // 0 = no shared engine (serial cell-binned build)
-	}{
-		{"serial-cell-binned", 0},
-		{"shared-engine-4", 4},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := equivConfig()
-			var be *parallel.Engine[float64]
-			if tc.workers > 0 {
-				be = parallel.New[float64](tc.workers)
-				defer be.Close()
-				cfg.BuildEngine = be
+	t.Run("serial-cell-binned", func(t *testing.T) {
+		sup, err := guard.New(guard.Config{Run: equivConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sup.Close()
+		sum, rep, err := sup.Run(equivSteps)
+		if err != nil {
+			t.Fatalf("guarded run failed: %v (%v)", err, rep)
+		}
+		if rep.Counts.Total() != 0 {
+			t.Fatalf("guarded run logged incidents: %v", rep)
+		}
+		sys := sup.System()
+		if sys.Steps != ref.Steps {
+			t.Fatalf("steps %d != %d", sys.Steps, ref.Steps)
+		}
+		for i := 0; i < ref.N(); i++ {
+			if sys.Pos.At(i) != ref.Pos.At(i) {
+				t.Fatalf("position %d differs: %+v vs %+v", i, sys.Pos.At(i), ref.Pos.At(i))
 			}
-			sup, err := guard.New(guard.Config{Run: cfg})
-			if err != nil {
-				t.Fatal(err)
+			if sys.Vel.At(i) != ref.Vel.At(i) {
+				t.Fatalf("velocity %d differs: %+v vs %+v", i, sys.Vel.At(i), ref.Vel.At(i))
 			}
-			defer sup.Close()
-			sum, rep, err := sup.Run(equivSteps)
-			if err != nil {
-				t.Fatalf("guarded run failed: %v (%v)", err, rep)
-			}
-			if rep.Counts.Total() != 0 {
-				t.Fatalf("guarded run logged incidents: %v", rep)
-			}
-			sys := sup.System()
-			if sys.Steps != ref.Steps {
-				t.Fatalf("steps %d != %d", sys.Steps, ref.Steps)
-			}
-			for i := 0; i < ref.N(); i++ {
-				if sys.Pos.At(i) != ref.Pos.At(i) {
-					t.Fatalf("position %d differs: %+v vs %+v", i, sys.Pos.At(i), ref.Pos.At(i))
-				}
-				if sys.Vel.At(i) != ref.Vel.At(i) {
-					t.Fatalf("velocity %d differs: %+v vs %+v", i, sys.Vel.At(i), ref.Vel.At(i))
-				}
-			}
-			if sys.PE != ref.PE || sys.KE != ref.KE {
-				t.Fatalf("energy differs: PE %v vs %v, KE %v vs %v", sys.PE, ref.PE, sys.KE, ref.KE)
-			}
-			if want := ref.TotalEnergy(); sum.FinalEnergy != want {
-				t.Fatalf("summary FinalEnergy %v, want %v", sum.FinalEnergy, want)
-			}
-		})
-	}
+		}
+		if sys.PE != ref.PE || sys.KE != ref.KE {
+			t.Fatalf("energy differs: PE %v vs %v, KE %v vs %v", sys.PE, ref.PE, sys.KE, ref.KE)
+		}
+		if want := ref.TotalEnergy(); sum.FinalEnergy != want {
+			t.Fatalf("summary FinalEnergy %v, want %v", sum.FinalEnergy, want)
+		}
+	})
 }

@@ -117,15 +117,6 @@ type Config struct {
 	// spawns no pool; 2 or more shard Method across a parallel.Engine
 	// of that many workers (clamped to parallel.MaxWorkers).
 	Workers int
-	// BuildEngine, when non-nil, is a shared worker pool used for
-	// neighbor-list builds by the Pairlist method
-	// (the fleet scheduler hands every replica the same engine, so
-	// replicas share one build pool instead of spawning their own).
-	// The engine is borrowed: Runner.Close does not close it, and the
-	// parallel build is byte-identical to the serial one for any worker
-	// count, so sharing never perturbs the physics. Nil (the default)
-	// builds on the method's own path.
-	BuildEngine *parallel.Engine[float64]
 
 	// Optional bonded topology (nil for the pure LJ fluid).
 	Topology *md.Topology
@@ -214,11 +205,6 @@ type Runner struct {
 	// building a list of their own.
 	nl     *md.NeighborList[float64]
 	engine *parallel.Engine[float64] // non-nil when Workers > 1
-
-	// runCtx is the context of the Run in progress; the shared-engine
-	// build path reads it so a cancelled replica abandons its build
-	// without cancelling siblings on the same pool.
-	runCtx context.Context
 }
 
 // New builds and validates a runner; forces are evaluated once so the
@@ -273,7 +259,7 @@ func NewFromSystem(sys *md.System[float64], cfg Config) (*Runner, error) {
 // assemble wires forces, thermostat, trajectory, and observables
 // around an existing system.
 func assemble(cfg Config, sys *md.System[float64]) (*Runner, error) {
-	r := &Runner{cfg: cfg, sys: sys, bonded: cfg.Topology, runCtx: context.Background()}
+	r := &Runner{cfg: cfg, sys: sys, bonded: cfg.Topology}
 
 	if r.bonded != nil {
 		if err := r.bonded.Validate(sys.N()); err != nil {
@@ -341,7 +327,9 @@ func assemble(cfg Config, sys *md.System[float64]) (*Runner, error) {
 // error-returning kernel path (serial kernels cannot fail; parallel
 // kernels surface worker faults as errors). Workers > 1 shards the
 // method on a worker pool; otherwise the serial kernel runs and no
-// pool is spawned.
+// pool is spawned. The Pairlist force path keeps its own list fresh:
+// NeighborList.Forces rebuilds it serially, Engine.ForcesPairlist on
+// the runner's own pool.
 func (r *Runner) buildForces() (func() (float64, error), error) {
 	sys := r.sys
 	sharded := r.cfg.Workers > 1
@@ -361,36 +349,13 @@ func (r *Runner) buildForces() (func() (float64, error), error) {
 			return nil, err
 		}
 		r.nl = nl
-		forces := infallible(func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) })
 		if sharded {
 			e := r.newEngine()
-			forces = func() (float64, error) { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }
+			return func() (float64, error) { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }, nil
 		}
-		return r.withSharedBuild(nl, forces), nil
+		return infallible(func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }), nil
 	default:
 		return nil, fmt.Errorf("mdrun: unknown force method %d", int(r.cfg.Method))
-	}
-}
-
-// withSharedBuild returns forces preceded by a hook that keeps nl
-// fresh through the shared Config.BuildEngine, or forces unchanged
-// when no shared engine is configured (the force path then rebuilds on
-// its own). The hook passes the current Run's context, so a cancelled
-// replica abandons its build (list left stale-but-consistent) without
-// disturbing other runners on the same pool.
-func (r *Runner) withSharedBuild(nl *md.NeighborList[float64], forces func() (float64, error)) func() (float64, error) {
-	be := r.cfg.BuildEngine
-	if be == nil {
-		return forces
-	}
-	sys := r.sys
-	return func() (float64, error) {
-		if nl.Stale(sys.P, sys.Pos) {
-			if err := be.BuildPairlist(r.runCtx, nl, sys.P, sys.Pos); err != nil {
-				return 0, err
-			}
-		}
-		return forces()
 	}
 }
 
@@ -451,7 +416,6 @@ func (r *Runner) RunContext(ctx context.Context, steps int) (*Summary, error) {
 	if r.engine != nil {
 		r.engine.SetContext(ctx)
 	}
-	r.runCtx = ctx
 
 	sys := r.sys
 	sum := &Summary{Steps: steps, InitialEnergy: sys.TotalEnergy()}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/md"
-	"repro/internal/parallel"
 )
 
 // obsConfig is a Pairlist run whose RDF samples land on segment ends
@@ -66,23 +65,16 @@ func checkObservablesMatchInternalList(t *testing.T, r *Runner) {
 
 func TestPairlistObservablesMatchInternalList(t *testing.T) {
 	cases := []struct {
-		name        string
-		workers     int
-		buildEngine int // workers of a shared build engine, 0 for none
+		name    string
+		workers int
 	}{
-		{"serial", 1, 0},
-		{"shared-build-engine", 1, 2},
-		{"sharded", 2, 0},
+		{"serial", 1},
+		{"sharded", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := obsConfig()
 			cfg.Workers = tc.workers
-			if tc.buildEngine > 0 {
-				be := parallel.New[float64](tc.buildEngine)
-				defer be.Close()
-				cfg.BuildEngine = be
-			}
 			r, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

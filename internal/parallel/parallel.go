@@ -26,11 +26,10 @@
 //
 // The neighbor-list *build* is parallel too: BuildPairlist shards the
 // list rows across the pool after the list's single cell-binning pass
-// (md.NeighborList.BeginBuild). Rows are
-// disjoint and row content is sharding-independent, so the built list
-// — and every force evaluated over it — is byte-identical for any
-// worker count, and a single engine may serve builds for many runners
-// at once (the fleet scheduler's shared build pool).
+// (md.NeighborList.BeginBuild). Rows are disjoint and row content is
+// sharding-independent, so the built list — and every force evaluated
+// over it — is byte-identical for any worker count. Like every kernel,
+// a build belongs to the one runner that owns the engine.
 package parallel
 
 import (
@@ -67,19 +66,12 @@ func ClampWorkers(w int) int {
 // Engine is a persistent pool of force workers plus the per-worker
 // state the kernels shard over. An Engine is reusable across steps (the
 // pool and buffers persist) but a single Engine must not evaluate
-// forces from multiple goroutines at once. Close releases the workers;
+// forces or build lists from multiple goroutines at once. Close releases the workers;
 // a closed Engine must not be used again.
 type Engine[T vec.Float] struct {
 	workers int
 	tasks   chan func()
 	once    sync.Once
-
-	// buildMu serializes neighbor-list builds: unlike force
-	// evaluations, BuildPairlist may be called concurrently from
-	// several runners sharing one engine (the fleet scheduler's shared
-	// build pool), and consecutive builds must not interleave on the
-	// task queue.
-	buildMu sync.Mutex
 
 	// inj is the fault injector consulted at the worker and
 	// parallel-forces sites; nil (the default) is a no-op.
@@ -153,24 +145,19 @@ func (e *Engine[T]) evalCtx() context.Context {
 }
 
 // call runs one worker's share under recover, applying any armed
-// worker-site fault first. A panic — injected or real — becomes an
-// error on the caller instead of killing the process; this isolation
-// is the contract the guard supervisor's retry ladder builds on.
-func (e *Engine[T]) call(w int, fn func(w int)) error {
-	return e.callWith(e.evalCtx(), w, true, fn)
-}
-
-// callWith is call with an explicit context bound and an arm switch:
-// the neighbor-list build path passes the caller's context (a shared
-// build engine serves many runners, each with its own deadline) and
-// arm=false so builds do not advance the worker-site fault schedule
-// the force-evaluation tests pin call numbers against.
-func (e *Engine[T]) callWith(ctx context.Context, w int, arm bool, fn func(w int)) (err error) {
+// worker-site fault first when arm is set. A panic — injected or real
+// — becomes an error on the caller instead of killing the process;
+// this isolation is the contract the guard supervisor's retry ladder
+// builds on. The neighbor-list build passes arm=false so builds do not
+// advance the worker-site fault schedule the force-evaluation tests
+// pin call numbers against.
+func (e *Engine[T]) call(w int, arm bool, fn func(w int)) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("parallel: worker %d panicked: %v", w, rec)
 		}
 	}()
+	ctx := e.evalCtx()
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("parallel: worker %d: %w", w, cerr)
 	}
@@ -185,20 +172,14 @@ func (e *Engine[T]) callWith(ctx context.Context, w int, arm bool, fn func(w int
 	return nil
 }
 
-// runN executes fn(0..n-1) across the pool, waits for all of them, and
-// returns the first worker failure (the others still run to
-// completion, so the pool stays consistent). n must be at most
-// e.workers.
-func (e *Engine[T]) runN(n int, fn func(w int)) error {
-	return e.runNWith(e.evalCtx(), n, true, fn)
-}
-
-// runNWith is runN under an explicit context and arm switch (see
-// callWith).
-func (e *Engine[T]) runNWith(ctx context.Context, n int, arm bool, fn func(w int)) error {
+// runN executes fn(0..n-1) across the pool under call's arm switch,
+// waits for all of them, and returns the first worker failure (the
+// others still run to completion, so the pool stays consistent). n
+// must be at most e.workers.
+func (e *Engine[T]) runN(n int, arm bool, fn func(w int)) error {
 	if e.workers == 1 || n == 1 {
 		for w := 0; w < n; w++ {
-			if err := e.callWith(ctx, w, arm, fn); err != nil {
+			if err := e.call(w, arm, fn); err != nil {
 				return err
 			}
 		}
@@ -214,7 +195,7 @@ func (e *Engine[T]) runNWith(ctx context.Context, n int, arm bool, fn func(w int
 		w := w
 		e.tasks <- func() {
 			defer wg.Done()
-			if err := e.callWith(ctx, w, arm, fn); err != nil {
+			if err := e.call(w, arm, fn); err != nil {
 				errMu.Lock()
 				if first == nil {
 					first = err
@@ -229,7 +210,7 @@ func (e *Engine[T]) runNWith(ctx context.Context, n int, arm bool, fn func(w int
 
 // run executes fn once per worker, waits, and returns the first worker
 // failure.
-func (e *Engine[T]) run(fn func(w int)) error { return e.runN(e.workers, fn) }
+func (e *Engine[T]) run(fn func(w int)) error { return e.runN(e.workers, true, fn) }
 
 // corruptOutput applies any armed parallel-forces fault to a completed
 // kernel's output.
@@ -322,29 +303,20 @@ const serialBuildAtoms = 1024
 // is independent of the sharding (ascending-j by construction, see
 // md.NeighborList.BuildRow), so the built list is byte-identical for
 // every worker count — including one, where the build runs inline on
-// the caller — and identical to the serial Build. ctx bounds the
-// build at row-stride granularity; on cancellation (or a worker
-// failure) the list is left stale-but-consistent and an error is
-// returned. nil ctx means context.Background().
-//
-// Unlike the force kernels, BuildPairlist is safe to call from several
-// runners sharing one engine: concurrent builds serialize on an
-// internal mutex. This is the fleet scheduler's shared-build-pool
-// contract; each call still observes only its own context.
-func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p md.Params[T], pos md.Coords[T]) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
+// the caller — and identical to the serial Build. The SetContext
+// context bounds the build at row-stride granularity; on cancellation
+// (or a worker failure) the list is left stale-but-consistent and an
+// error is returned.
+func (e *Engine[T]) BuildPairlist(nl *md.NeighborList[T], p md.Params[T], pos md.Coords[T]) error {
+	ctx := e.evalCtx()
 	nl.BeginBuild(p, pos)
 	n := pos.Len()
 	var err error
 	if e.workers <= 1 || n < serialBuildAtoms {
-		// Inline build (see serialBuildAtoms). callWith keeps the
+		// Inline build (see serialBuildAtoms). call keeps the
 		// panic-isolation and disarmed-fault contract of the sharded
 		// path; the row loop polls ctx at the same stride.
-		err = e.callWith(ctx, 0, false, func(int) {
+		err = e.call(0, false, func(int) {
 			for i := 0; i < n; i++ {
 				if i%buildCtxStride == 0 && ctx.Err() != nil {
 					return // abandon; EndBuild below is skipped
@@ -353,7 +325,7 @@ func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p
 			}
 		})
 	} else {
-		err = e.runNWith(ctx, e.workers, false, func(w int) {
+		err = e.runN(e.workers, false, func(w int) {
 			lo, hi := e.shardRange(n, w)
 			for i := lo; i < hi; i++ {
 				if (i-lo)%buildCtxStride == 0 && ctx.Err() != nil {
@@ -385,7 +357,7 @@ func (e *Engine[T]) BuildPairlist(ctx context.Context, nl *md.NeighborList[T], p
 // pool — survive. On error, acc is undefined.
 func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	if nl.Stale(p, pos) {
-		if err := e.BuildPairlist(e.evalCtx(), nl, p, pos); err != nil {
+		if err := e.BuildPairlist(nl, p, pos); err != nil {
 			return 0, err
 		}
 	}
@@ -446,7 +418,7 @@ func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, 
 			nadds++
 		}
 		stride := stride
-		if err := e.runN(nadds, func(k int) {
+		if err := e.runN(nadds, true, func(k int) {
 			w := k * 2 * stride
 			dst, src := e.shards[w].acc, e.shards[w+stride].acc
 			for i := range dst.X {

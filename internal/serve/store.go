@@ -296,7 +296,7 @@ func (st *Store) writeJSON(dir, name string, v any) error {
 		return fmt.Errorf("serve: publishing %s: %w", name, err)
 	}
 	if d, err := st.fs.Open(dir); err == nil {
-		_ = d.Sync() // best-effort: some filesystems refuse directory fsync
+		_ = d.Sync()  // best-effort: some filesystems refuse directory fsync
 		_ = d.Close() // read-only directory handle; nothing buffered to lose
 	}
 	return nil

@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gate, in escalating
-# cost order: compile, vet, the whole test suite, the benchmark module
-# (perfbench, a module of its own), the race-detector pass over the
-# sharded/recovery/scheduling paths (tier-1.5), and the project
-# static-analysis suite (mdlint). Any failure fails the gate.
+# cost order: compile, vet, formatting, the whole test suite, the
+# benchmark module (perfbench, a module of its own), the race-detector
+# pass over the sharded/recovery/scheduling paths (tier-1.5), and the
+# project static-analysis suite (mdlint). Any failure fails the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -13,6 +13,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l . (no unformatted file, perfbench included)"
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+    printf '%s\n' "$UNFORMATTED" >&2
+    echo "verify: the files above are not gofmt-formatted; fix with: gofmt -w <file>" >&2
+    exit 1
+fi
 
 echo "==> bounds checks in the pair loops <= 1 (between // bce:begin and // bce:end in internal/md)"
 # The compiler reports every bounds check it could not eliminate;
