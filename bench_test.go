@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/mta"
 	"repro/internal/opteron"
 	"repro/internal/parallel"
-	"repro/internal/report"
 	"repro/internal/seqalign"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -332,27 +330,9 @@ func parallelBenchWorkers() []int {
 
 // BenchmarkParallelForces sweeps the sharded host force engine across
 // worker counts and atom counts, reporting the wall-clock speedup over
-// the serial full-loop kernel as a metric. Set BENCH_JSON=<path> to
-// also append machine-readable JSON-Lines records for the cross-PR
-// bench trajectory.
+// the serial full-loop kernel as a metric, next to that serial
+// baseline itself (serial_ns/op).
 func BenchmarkParallelForces(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
 	// serialNs lazily measures the serial full-loop kernel once per
 	// atom count — the denominator of every speedup metric.
 	serialNs := map[int]float64{}
@@ -369,7 +349,6 @@ func BenchmarkParallelForces(b *testing.B) {
 		}
 		ns := float64(time.Since(start).Nanoseconds()) / float64(reps)
 		serialNs[n] = ns
-		sink.Record(fmt.Sprintf("ParallelForces/n%d_serial", n), map[string]float64{"ns_per_op": ns})
 		return ns
 	}
 
@@ -398,9 +377,7 @@ func BenchmarkParallelForces(b *testing.B) {
 				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				speedup := sNs / perOp
 				b.ReportMetric(speedup, "speedup_vs_serial")
-				sink.Record(fmt.Sprintf("ParallelForces/n%d_w%d", n, w), map[string]float64{
-					"ns_per_op": perOp, "speedup_vs_serial": speedup, "workers": float64(w),
-				})
+				b.ReportMetric(sNs, "serial_ns/op")
 			})
 		}
 	}
@@ -432,18 +409,14 @@ func BenchmarkParallelForces(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		sink.Record(fmt.Sprintf("ParallelForces/pairlist_n%d_w%d", n, ncpu),
-			map[string]float64{"ns_per_op": perOp, "workers": float64(ncpu)})
 	})
 }
 
 // buildBenchWorkers enumerates the worker sweep for the neighbor-list
 // build bench. Unlike parallelBenchWorkers it always includes 4: the
-// cross-PR trajectory tracks the 4-worker point at every atom count,
-// and on hosts with fewer cores the entry records how the sharded
-// build degrades (or holds, thanks to the cell-binned algorithm) when
-// oversubscribed.
+// 4-worker point is measured at every atom count, and on hosts with
+// fewer cores it shows how the sharded build degrades (or holds,
+// thanks to the cell-binned algorithm) when oversubscribed.
 func buildBenchWorkers() []int {
 	ws := []int{1, 2, 4}
 	if ncpu := runtime.NumCPU(); ncpu > 4 {
@@ -458,27 +431,9 @@ func buildBenchWorkers() []int {
 // sweep. Every strategy produces byte-identical pair lists (pinned by
 // the md and parallel package tests), so the only thing that varies
 // here is wall-clock. The reported metric is the speedup over the
-// serial N² scan; set BENCH_JSON=<path> to append machine-readable
-// JSON-Lines records (build_speedup_vs_serial) for the cross-PR bench
-// trajectory.
+// serial N² scan, reported next to that scan's own time
+// (serial_ns/op).
 func BenchmarkNeighborBuild(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
 	const skin = 0.4
 	newList := func(b *testing.B) *md.NeighborList[float64] {
 		nl, err := md.NewNeighborList[float64](skin)
@@ -505,7 +460,6 @@ func BenchmarkNeighborBuild(b *testing.B) {
 		}
 		ns := float64(time.Since(start).Nanoseconds()) / float64(reps)
 		serialNs[n] = ns
-		sink.Record(fmt.Sprintf("NeighborBuild/n%d_serial_n2", n), map[string]float64{"ns_per_op": ns})
 		return ns
 	}
 
@@ -530,9 +484,7 @@ func BenchmarkNeighborBuild(b *testing.B) {
 			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			speedup := sNs / perOp
 			b.ReportMetric(speedup, "build_speedup_vs_serial")
-			sink.Record(fmt.Sprintf("NeighborBuild/cell_n%d", n), map[string]float64{
-				"ns_per_op": perOp, "build_speedup_vs_serial": speedup,
-			})
+			b.ReportMetric(sNs, "serial_ns/op")
 		})
 		for _, w := range buildBenchWorkers() {
 			b.Run(fmt.Sprintf("parallel/n%d_w%d", n, w), func(b *testing.B) {
@@ -550,9 +502,7 @@ func BenchmarkNeighborBuild(b *testing.B) {
 				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				speedup := sNs / perOp
 				b.ReportMetric(speedup, "build_speedup_vs_serial")
-				sink.Record(fmt.Sprintf("NeighborBuild/parallel_n%d_w%d", n, w), map[string]float64{
-					"ns_per_op": perOp, "build_speedup_vs_serial": speedup, "workers": float64(w),
-				})
+				b.ReportMetric(sNs, "serial_ns/op")
 			})
 		}
 	}
@@ -562,27 +512,8 @@ func BenchmarkNeighborBuild(b *testing.B) {
 // (internal/guard): a clean guarded run as the baseline, then a run
 // that takes an injected worker panic and recovers via checkpoint
 // rollback. Reported metrics are the incident/rollback counts and the
-// wall-clock overhead of recovery relative to the clean run; with
-// BENCH_JSON=<path> the same numbers land in the JSON-Lines bench
-// trajectory.
+// wall-clock overhead of recovery relative to the clean run.
 func BenchmarkGuardRecovery(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
 	base := mdrun.Config{
 		Atoms: 108, Density: 0.8442, Temperature: 0.728,
 		Lattice: lattice.FCC, Seed: 7,
@@ -615,7 +546,6 @@ func BenchmarkGuardRecovery(b *testing.B) {
 			}
 		}
 		cleanNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		sink.Record("GuardRecovery/clean", map[string]float64{"ns_per_op": cleanNs})
 	})
 
 	// Faulted run: one worker panic per iteration (fresh registry each
@@ -635,43 +565,16 @@ func BenchmarkGuardRecovery(b *testing.B) {
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		b.ReportMetric(float64(rep.Counts.Total()), "incidents")
 		b.ReportMetric(float64(rep.Rollbacks), "rollbacks")
-		m := map[string]float64{
-			"ns_per_op": perOp,
-			"incidents": float64(rep.Counts.Total()),
-			"rollbacks": float64(rep.Rollbacks),
-		}
 		if cleanNs > 0 {
-			overhead := perOp / cleanNs
-			b.ReportMetric(overhead, "recovery_overhead_x")
-			m["recovery_overhead_x"] = overhead
+			b.ReportMetric(perOp/cleanNs, "recovery_overhead_x")
 		}
-		sink.Record("GuardRecovery/worker_panic", m)
 	})
 }
 
 // BenchmarkBatchThroughput measures the fleet scheduler end to end:
 // how many supervised replicas per second a full batch sustains, and
 // the shed rate once the offered load exceeds the admission queue.
-// With BENCH_JSON=<path> both points land in the JSON-Lines bench
-// trajectory.
 func BenchmarkBatchThroughput(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
 	replicas := func(n int) []fleet.Replica {
 		reps := make([]fleet.Replica, n)
 		for i := range reps {
@@ -705,9 +608,6 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		rps := float64(n) / (perOp / 1e9)
 		b.ReportMetric(rps, "replicas_per_sec")
-		sink.Record("BatchThroughput/admitted", map[string]float64{
-			"ns_per_op": perOp, "replicas_per_sec": rps, "replicas": n,
-		})
 	})
 
 	// Overload: offered load far beyond the queue, so the scheduler must
@@ -729,10 +629,6 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		shedRate := float64(rep.Shed) / float64(rep.Total)
 		b.ReportMetric(rps, "replicas_per_sec")
 		b.ReportMetric(shedRate, "shed_rate")
-		sink.Record("BatchThroughput/overloaded", map[string]float64{
-			"ns_per_op": perOp, "replicas_per_sec": rps,
-			"shed_rate": shedRate, "replicas": n,
-		})
 	})
 }
 
@@ -741,26 +637,8 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // batch, and the flood-isolation arms the tenancy pin rests on — a
 // quiet tenant's admission latency (p50/p99 of POST /v1/jobs) measured
 // alone and again with a neighbor tenant flooding at 10x its quota,
-// plus the flooder's 429 rate. With BENCH_JSON=<path> every point
-// lands in the JSON-Lines bench trajectory (BENCH_PR7.json).
+// plus the flooder's 429 rate.
 func BenchmarkServeThroughput(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
 	newServer := func(b *testing.B, tp serve.TenantPolicy) (*serve.Server, http.Handler) {
 		srv, err := serve.NewServer(serve.Config{
 			DataDir: b.TempDir(),
@@ -840,9 +718,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		jps := float64(n) / (perOp / 1e9)
 		b.ReportMetric(jps, "jobs_per_sec")
-		sink.Record("ServeThroughput/admitted", map[string]float64{
-			"ns_per_op": perOp, "jobs_per_sec": jps, "jobs": n,
-		})
 	})
 
 	// quantileMs picks the q-th latency from a sample, in milliseconds.
@@ -910,16 +785,11 @@ func BenchmarkServeThroughput(b *testing.B) {
 			floodP50, floodP99 = quantileMs(flooded, 0.5), quantileMs(flooded, 0.99)
 			rejectRate = rr
 		}
+		b.ReportMetric(aloneP50, "quiet_alone_p50_ms")
 		b.ReportMetric(aloneP99, "quiet_alone_p99_ms")
+		b.ReportMetric(floodP50, "quiet_flooded_p50_ms")
 		b.ReportMetric(floodP99, "quiet_flooded_p99_ms")
 		b.ReportMetric(rejectRate, "flood_reject_rate")
-		sink.Record("ServeThroughput/flood_isolation", map[string]float64{
-			"quiet_alone_p50_ms":   aloneP50,
-			"quiet_alone_p99_ms":   aloneP99,
-			"quiet_flooded_p50_ms": floodP50,
-			"quiet_flooded_p99_ms": floodP99,
-			"flood_reject_rate":    rejectRate,
-		})
 	})
 }
 
@@ -1247,26 +1117,8 @@ func BenchmarkAblationBranchHints(b *testing.B) {
 // operation pays the indirection plus a per-site counter, no fault
 // ever fires). The acceptance bound is <5% wall overhead — production
 // binaries keep the seam disarmed, so this measures what shipping the
-// testability hook costs when it is merely present. Set
-// BENCH_JSON=<path> to append the machine-readable record.
+// testability hook costs when it is merely present.
 func BenchmarkChaosOverhead(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
 	// Dense checkpoints so the measured pipeline is store-heavy: per
 	// job one spec write, six checkpoint commits, one terminal record.
 	spec := []byte(`{"atoms": 108, "steps": 12, "thermostat": "rescale", "checkpoint_every": 2, "keep_checkpoints": 3}`)
@@ -1339,36 +1191,15 @@ func BenchmarkChaosOverhead(b *testing.B) {
 	b.ReportMetric(dSec, "direct_sec")
 	b.ReportMetric(sSec, "seam_sec")
 	b.ReportMetric(overheadPct, "overhead_pct")
-	sink.Record("ChaosOverhead/seam-vs-direct", map[string]float64{
-		"direct_sec": dSec, "seam_sec": sSec, "overhead_pct": overheadPct,
-	})
 }
 
 // BenchmarkStepAllocs pins the PR-10 arena contract: once a method's
 // lazily sized scratch (neighbor rows, CSR bins) has been
 // populated by warmup steps, steady-state stepping performs zero
 // per-step heap allocation. Run with -benchmem; scripts/verify.sh
-// fails the gate on any arm reporting allocs/op > 0. Each arm also
-// reports step_ns_per_atom, and with BENCH_JSON=<path> records it to
-// the cross-PR bench trajectory (BENCH_PR10.json).
+// fails the gate unless all three arms report 0 allocs/op. Each arm
+// also reports its step time per atom (ns/atom).
 func BenchmarkStepAllocs(b *testing.B) {
-	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
-
 	const n = 2048
 	newSys := func(b *testing.B) *md.System[float64] {
 		st, err := lattice.Generate(lattice.Config{
@@ -1432,8 +1263,6 @@ func BenchmarkStepAllocs(b *testing.B) {
 			}
 			perAtom := float64(time.Since(start).Nanoseconds()) / float64(b.N) / float64(n)
 			b.ReportMetric(perAtom, "ns/atom")
-			sink.Record(fmt.Sprintf("StepAllocs/%s_n%d", arm.name, n),
-				map[string]float64{"step_ns_per_atom": perAtom})
 		})
 	}
 }

@@ -11,7 +11,6 @@
 //	mdlint -summary ./...             # machine-readable run summary
 //	mdlint -certify ./... > CERT.json # determinism certificate on stdout
 //	mdlint -certify -roots repro/internal/md:System.Step ./...
-//	mdlint -bench-json BENCH_PR9.json ./...   # record lint wall time
 //
 // -certify forces the full rule set (a certificate produced by a rule
 // subset would be vacuously green), writes the machine-readable
@@ -41,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/report"
 )
 
 func main() {
@@ -52,14 +50,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mdlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		asJSON    = fs.Bool("json", false, "emit diagnostics as a JSON array")
-		summary   = fs.Bool("summary", false, "emit a JSON run summary (per-rule counts) instead of diagnostics")
-		rules     = fs.String("rules", "", "comma-separated rule subset (default: all)")
-		certify   = fs.Bool("certify", false, "emit the determinism certificate to stdout (forces all rules; diagnostics go to stderr)")
-		roots     = fs.String("roots", "", "comma-separated kernel-root override (importpath:Func[,importpath:Recv.Func...])")
-		benchJSON = fs.String("bench-json", "", "write a BENCH_JSON wall-time record to this file")
-		dir       = fs.String("C", ".", "run as if launched from this directory")
-		list      = fs.Bool("list", false, "list the registered rules and exit")
+		asJSON  = fs.Bool("json", false, "emit diagnostics as a JSON array")
+		summary = fs.Bool("summary", false, "emit a JSON run summary (per-rule counts) instead of diagnostics")
+		rules   = fs.String("rules", "", "comma-separated rule subset (default: all)")
+		certify = fs.Bool("certify", false, "emit the determinism certificate to stdout (forces all rules; diagnostics go to stderr)")
+		roots   = fs.String("roots", "", "comma-separated kernel-root override (importpath:Func[,importpath:Recv.Func...])")
+		dir     = fs.String("C", ".", "run as if launched from this directory")
+		list    = fs.Bool("list", false, "list the registered rules and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -104,13 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "mdlint:", err)
 		return 2
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchRecord(*benchJSON, wall, stats, cert); err != nil {
-			fmt.Fprintln(stderr, "mdlint:", err)
-			return 2
-		}
 	}
 
 	switch {
@@ -203,41 +193,4 @@ func writeSummary(w io.Writer, stats analysis.Stats, wall time.Duration) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// writeBenchRecord appends the lint cost to the BENCH_JSON trajectory
-// via the same sink the kernel benchmarks use, so lint wall time is
-// tracked across PRs alongside speedups — now with the certificate's
-// coverage stats riding along.
-func writeBenchRecord(path string, wall time.Duration, stats analysis.Stats, cert *analysis.Certificate) error {
-	sink := report.NewBenchSink()
-	values := map[string]float64{
-		"wall_seconds": wall.Seconds(),
-		"packages":     float64(stats.Packages),
-		"files":        float64(stats.Files),
-		"findings":     float64(stats.Diagnostics),
-	}
-	if cert != nil {
-		certified := 0
-		for _, r := range cert.Roots {
-			if r.Verdict == "certified" {
-				certified++
-			}
-		}
-		values["cert_roots"] = float64(len(cert.Roots))
-		values["cert_roots_certified"] = float64(certified)
-		values["cert_reachable"] = float64(len(cert.Reachable))
-		values["cert_allowlisted_edges"] = float64(len(cert.Allowed))
-		values["cert_hotalloc_sites"] = float64(cert.Hotalloc.Count)
-	}
-	sink.Record("MDLint/module", values)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sink.WriteJSON(f); err != nil {
-		f.Close() //mdlint:ignore closeerr write already failed; the write error is the one to report
-		return err
-	}
-	return f.Close()
 }
