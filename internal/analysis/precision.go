@@ -37,12 +37,6 @@ var precisionAllowed = map[[2]string]bool{
 	{"vec", "Round"}:     true,
 	{"vec", "ToV3f64"}:   true,
 	{"vec", "FromV3f64"}: true,
-	// Mixed-precision fast-path helpers (PR 6): the audited crossing
-	// points between float32 pair geometry and float64 accumulation.
-	{"vec", "Widen"}:     true,
-	{"vec", "Narrow"}:    true,
-	{"vec", "AccumAdd"}:  true,
-	{"vec", "AccumSub"}:  true,
 	{"spu", "sqrt32"}:    true,
 	{"spu", "Copysign"}:  true,
 	{"spu", "VCopysign"}: true,

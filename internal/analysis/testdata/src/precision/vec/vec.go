@@ -23,33 +23,11 @@ func Sqrt(x float32) float32 {
 
 func halve(x float64) float64 { return x / 2 }
 
-// Widen matches the mixed-precision fast path's audited widening
-// helper name: its conversion is the audit point itself, not flagged.
-func Widen(x float32) float64 {
-	return float64(x)
-}
-
-// Narrow matches the audited narrowing helper name: not flagged.
-func Narrow(x float64) float32 {
-	return float32(x)
-}
-
-// AccumAdd matches the audited accumulate-widened helper name: the
-// widening conversions inside it are its whole point, not flagged.
-func AccumAdd(acc float64, b float32) float64 {
-	return acc + float64(b)
-}
-
-// AccumSub matches the audited helper name: not flagged.
-func AccumSub(acc float64, b float32) float64 {
-	return acc - float64(b)
-}
-
-// accumAddAlike does the same accumulation but is NOT an allowlisted
-// name, so its widening must surface: the allowlist is by identity,
-// not by shape.
-func accumAddAlike(acc float64, b float32) float64 {
-	return acc + float64(b) // want precision
+// sqrtAlike widens the way Sqrt does but is NOT an allowlisted name,
+// so its widening must surface: the allowlist is by identity, not by
+// shape.
+func sqrtAlike(x float32) float64 {
+	return halve(float64(x)) // want precision
 }
 
 // fromConst converts an untyped constant: no width change, not flagged.

@@ -45,12 +45,6 @@ func (lj LJ[T]) Pair(r2 T) (v, f T) {
 	return v, f
 }
 
-// LJPair is NewLJ(p).Pair(r2), for one-off evaluations outside a pair
-// loop.
-func LJPair[T vec.Float](p Params[T], r2 T) (v, f T) {
-	return NewLJ(p).Pair(r2)
-}
-
 // MinImage returns the minimum-image displacement of d in a cubic
 // periodic box, using the branch form ("if" test per axis): the
 // formulation the paper's original SPE kernel uses before the copysign
@@ -155,10 +149,22 @@ func ComputeForces[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) T {
 // models use the count to scale the data-dependent part of their cycle
 // ledgers without a second pass over the pairs.
 func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) (pe T, interacting int64) {
+	pe, interacting = ComputeForcesFullRows(p, pos, acc, 0, pos.Len())
+	return pe / 2, interacting
+}
+
+// ComputeForcesFullRows is the full-loop kernel over the atom rows
+// [lo, hi): each atom i in the range gathers over all N-1 others and
+// its acceleration is written to acc[i]; no other row of acc is
+// touched. It returns the rows' potential energy summed in row order
+// and not yet halved (each pair is seen from both sides), and the
+// count of ordered interacting pairs. Rows are independent, so the
+// parallel engine shards this one loop by atom range.
+func ComputeForcesFullRows[T vec.Float](p Params[T], pos Coords[T], acc Coords[T], lo, hi int) (pe T, interacting int64) {
 	lj := NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
 	n := pos.Len()
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		pi := pos.At(i)
 		var ai vec.V3[T]
 		var pei T
@@ -179,7 +185,7 @@ func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[
 		acc.Set(i, ai)
 		pe += pei
 	}
-	return pe / 2, interacting
+	return pe, interacting
 }
 
 // ComputeForcesFull evaluates the same kernel with the full N² loop

@@ -97,7 +97,7 @@ func TestLJPairMinimumAtR0(t *testing.T) {
 	// is -epsilon.
 	p := testParams(20)
 	r0 := math.Pow(2, 1.0/6)
-	v, f := LJPair(p, r0*r0)
+	v, f := NewLJ(p).Pair(r0 * r0)
 	if math.Abs(v-(-1)) > 1e-12 {
 		t.Fatalf("V(r0) = %v, want -1", v)
 	}
@@ -111,15 +111,15 @@ func TestLJPairSigns(t *testing.T) {
 	r0 := math.Pow(2, 1.0/6)
 	// Repulsive inside the minimum: f > 0 (force pushes atoms apart,
 	// since F_i = f*(r_i - r_j)).
-	if _, f := LJPair(p, 0.9*0.9); f <= 0 {
+	if _, f := NewLJ(p).Pair(0.9 * 0.9); f <= 0 {
 		t.Fatalf("f(0.9) = %v, want > 0 (repulsive)", f)
 	}
 	// Attractive outside the minimum.
-	if _, f := LJPair(p, (r0+0.5)*(r0+0.5)); f >= 0 {
+	if _, f := NewLJ(p).Pair((r0 + 0.5) * (r0 + 0.5)); f >= 0 {
 		t.Fatalf("f(r0+0.5) = %v, want < 0 (attractive)", f)
 	}
 	// Potential positive at short range, negative at the well.
-	if v, _ := LJPair(p, 0.8*0.8); v <= 0 {
+	if v, _ := NewLJ(p).Pair(0.8 * 0.8); v <= 0 {
 		t.Fatalf("V(0.8) = %v, want > 0", v)
 	}
 }
@@ -129,13 +129,13 @@ func TestLJPairShifted(t *testing.T) {
 	ps := p
 	ps.Shifted = true
 	// At the cutoff the shifted potential is zero.
-	v, _ := LJPair(ps, p.Cutoff*p.Cutoff)
+	v, _ := NewLJ(ps).Pair(p.Cutoff * p.Cutoff)
 	if math.Abs(v) > 1e-15 {
 		t.Fatalf("shifted V(rc) = %v, want 0", v)
 	}
 	// The shift does not change forces.
-	_, f1 := LJPair(p, 1.21)
-	_, f2 := LJPair(ps, 1.21)
+	_, f1 := NewLJ(p).Pair(1.21)
+	_, f2 := NewLJ(ps).Pair(1.21)
 	if f1 != f2 {
 		t.Fatalf("shift changed force: %v != %v", f1, f2)
 	}
@@ -146,10 +146,10 @@ func TestLJPairForceIsNegativeGradient(t *testing.T) {
 	p := testParams(20)
 	for _, r := range []float64{0.95, 1.1, 1.5, 2.0, 2.4} {
 		const h = 1e-6
-		vPlus, _ := LJPair(p, (r+h)*(r+h))
-		vMinus, _ := LJPair(p, (r-h)*(r-h))
+		vPlus, _ := NewLJ(p).Pair((r + h) * (r + h))
+		vMinus, _ := NewLJ(p).Pair((r - h) * (r - h))
 		dVdr := (vPlus - vMinus) / (2 * h)
-		_, f := LJPair(p, r*r)
+		_, f := NewLJ(p).Pair(r * r)
 		// Force magnitude along r_hat is f*r; it must equal -dV/dr.
 		if math.Abs(f*r+dVdr) > 1e-4*(1+math.Abs(dVdr)) {
 			t.Fatalf("r=%v: f*r = %v, -dV/dr = %v", r, f*r, -dVdr)
@@ -160,7 +160,7 @@ func TestLJPairForceIsNegativeGradient(t *testing.T) {
 func TestLJPairCustomEpsilonSigma(t *testing.T) {
 	p := Params[float64]{Box: 50, Cutoff: 10, Dt: 0.001, Epsilon: 2, Sigma: 1.5}
 	r0 := 1.5 * math.Pow(2, 1.0/6)
-	v, f := LJPair(p, r0*r0)
+	v, f := NewLJ(p).Pair(r0 * r0)
 	if math.Abs(v-(-2)) > 1e-12 {
 		t.Fatalf("V(r0) = %v, want -2 (epsilon=2)", v)
 	}
@@ -262,7 +262,7 @@ func TestComputeForcesAcrossBoundary(t *testing.T) {
 	pos := CoordsFromV3([]vec.V3[float64]{{X: 0.5, Y: 5, Z: 5}, {X: 9.5, Y: 5, Z: 5}})
 	acc := MakeCoords[float64](2)
 	pe := ComputeForces(p, pos, acc)
-	wantV, wantF := LJPair(p, 1.0)
+	wantV, wantF := NewLJ(p).Pair(1.0)
 	if math.Abs(pe-wantV) > 1e-12 {
 		t.Fatalf("PE across boundary = %v, want %v", pe, wantV)
 	}

@@ -291,6 +291,21 @@ func scanList[T vec.Float](p Params[T], pos Coords[T]) *NeighborList[T] {
 // pair within the cutoff, in the same (i ascending, j ascending) order
 // ComputeForces visits them, and the pairs the list prunes contribute
 // nothing there.
+func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
+	nl.Refresh(p, pos)
+	acc.Zero()
+	pe := nl.ForcesSpan(p, pos, acc, 0, nl.PairCount())
+	nl.queries++
+	return pe
+}
+
+// ForcesSpan is the list kernel over the flattened pair span [lo, hi)
+// (pairs counted row by row, i ascending, j ascending within a row): it
+// adds each pair's force into acc, atom i's side and atom j's, and
+// returns the span's potential energy. It neither zeroes acc nor
+// refreshes the list, so a span may start or end inside a row. Forces
+// runs it over the whole list; the parallel engine runs one span per
+// worker into a private buffer.
 //
 // The loop works on the planes directly. Every plane is resliced to
 // the row count, so only the j-indexed gather keeps a bounds check;
@@ -299,9 +314,7 @@ func scanList[T vec.Float](p Params[T], pos Coords[T]) *NeighborList[T] {
 // stored once at the end. That last step is bitwise safe because every
 // j in row i is greater than i: no other update reaches acc[i] while
 // its row runs, so acc[i] takes the same additions in the same order.
-func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
-	nl.Refresh(p, pos)
-	acc.Zero()
+func (nl *NeighborList[T]) ForcesSpan(p Params[T], pos Coords[T], acc Coords[T], lo, hi int) T {
 	lj := NewLJ(p)
 	rc2 := p.Cutoff * p.Cutoff
 	box := p.Box
@@ -310,8 +323,18 @@ func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 	px, py, pz := pos.X[:n], pos.Y[:n], pos.Z[:n]
 	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
 	var pe T
-	// bce:begin
+	seen := 0 // pairs in the rows before row i
 	for i, js := range nl.pairs {
+		if seen >= hi {
+			break
+		}
+		from, to := max(lo-seen, 0), min(hi-seen, len(js))
+		seen += len(js)
+		if from >= to {
+			continue
+		}
+		js = js[from:to]
+		// bce:begin
 		xi, yi, zi := px[i], py[i], pz[i]
 		axi, ayi, azi := ax[i], ay[i], az[i]
 		for _, j := range js {
@@ -333,16 +356,14 @@ func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 			az[j] -= fz
 		}
 		ax[i], ay[i], az[i] = axi, ayi, azi
+		// bce:end
 	}
-	// bce:end
-	nl.queries++
 	return pe
 }
 
 // Neighbors returns the stored neighbor indices j > i for atom i, valid
 // until the next Build. Callers must treat the slice as read-only; it
-// aliases the list's internal storage. This is the access path the
-// parallel pair-chunk kernel shards over.
+// aliases the list's internal storage.
 func (nl *NeighborList[T]) Neighbors(i int) []int32 { return nl.pairs[i] }
 
 // PairCount returns the number of stored pairs, a direct measure of how

@@ -23,7 +23,7 @@ func virialN2(p Params[float64], pos Coords[float64]) float64 {
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			_, f := LJPair(p, r2)
+			_, f := NewLJ(p).Pair(r2)
 			w += f * r2
 		}
 	}

@@ -116,7 +116,7 @@ func (c *CPU) Run(w device.Workload) (*device.Result, error) {
 		}
 		forces = func() float64 {
 			pe := nl.Forces(sys.P, sys.Pos, sys.Acc)
-			countPairlistForcePass(&ledger, sys.N(), nl.PairCount(), interactingPairs(sys.P, sys.Pos))
+			countPairlistForcePass(&ledger, sys.N(), nl.PairCount(), listInteractingPairs(nl, sys.P, sys.Pos))
 			return pe
 		}
 	} else {
@@ -153,16 +153,19 @@ func (c *CPU) Run(w device.Workload) (*device.Result, error) {
 	}, nil
 }
 
-// interactingPairs counts ordered (i,j), i != j, pairs inside the
+// listInteractingPairs counts ordered (i,j), i != j, pairs inside the
 // cutoff — the quantity the data-dependent parts of the ledger scale
-// with. It mirrors the kernel's own cutoff test.
-func interactingPairs(p md.Params[float64], pos md.Coords[float64]) int64 {
+// with — over nl's rows. nl must be valid for pos (Forces has just
+// refreshed it), so its rows hold every pair inside the cutoff and the
+// count equals the O(N²) scan's at the list's cost. It mirrors the
+// kernel's own cutoff test.
+func listInteractingPairs(nl *md.NeighborList[float64], p md.Params[float64], pos md.Coords[float64]) int64 {
 	rc2 := p.Cutoff * p.Cutoff
 	var k int64
-	n := pos.Len()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := md.MinImage(pos.At(i).Sub(pos.At(j)), p.Box)
+	for i := 0; i < pos.Len(); i++ {
+		pi := pos.At(i)
+		for _, j := range nl.Neighbors(i) {
+			d := md.MinImage(pi.Sub(pos.At(int(j))), p.Box)
 			if r2 := d.Norm2(); r2 < rc2 && r2 > 0 {
 				k++
 			}

@@ -209,9 +209,11 @@ func TestExactCacheMatchesAnalyticModel(t *testing.T) {
 // runtime against the neighbor-list build rework: a pairlist run (whose
 // list is now built cell-binned) must reproduce — bitwise, including
 // Breakdown.Total — a replica of the same run whose list is rebuilt
-// with the reference O(N²) scan. Identical pair sets mean identical
-// forces, identical PairCount-driven ledgers, and identical cycle
-// accounting; any drift here means the build rework changed the list.
+// with the reference O(N²) scan and whose interacting pairs are
+// counted by the O(N²) scan instead of over the list rows. Identical
+// pair sets and counts mean identical forces, identical ledgers, and
+// identical cycle accounting; any drift here means the build rework
+// changed the list or the row count missed a pair.
 func TestPairlistBreakdownPinnedToN2Build(t *testing.T) {
 	const steps = 20
 	w := workload(t, 500, steps)
@@ -265,4 +267,23 @@ func TestPairlistBreakdownPinnedToN2Build(t *testing.T) {
 			t.Fatalf("Breakdown %s differs: %v vs %v", label, got, want)
 		}
 	}
+}
+
+// interactingPairs counts ordered (i,j), i != j, pairs inside the
+// cutoff with the O(N²) scan: the oracle Run's list-row count
+// (listInteractingPairs) is pinned against in
+// TestPairlistBreakdownPinnedToN2Build.
+func interactingPairs(p md.Params[float64], pos md.Coords[float64]) int64 {
+	rc2 := p.Cutoff * p.Cutoff
+	var k int64
+	n := pos.Len()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := md.MinImage(pos.At(i).Sub(pos.At(j)), p.Box)
+			if r2 := d.Norm2(); r2 < rc2 && r2 > 0 {
+				k++
+			}
+		}
+	}
+	return 2 * k // full loop visits each pair twice
 }

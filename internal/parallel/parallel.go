@@ -7,29 +7,35 @@
 // needs, and reduce privately-accumulated forces afterwards — never
 // scatter Newton's-third-law updates into another shard's atoms.
 //
-// Two kernels are provided, matching the two host force paths in
-// internal/md: the paper's O(N²) scan and the O(N) Verlet list. Each
-// has one entry point, which returns an error when a worker fails:
+// The engine owns no pair loop. The kernels live in internal/md, each
+// written once over a range (md.ComputeForcesFullRows over atom rows,
+// md.NeighborList.ForcesSpan over a flattened pair span,
+// md.NeighborList.BuildRow over list rows), and the engine only shards
+// them: it picks the ranges, hands each worker a private buffer,
+// reduces the buffers in a fixed tree, and arms fault injection and
+// context cancellation around every shard. Each method has one entry
+// point, which returns an error when a worker fails:
 //
-//   - ForcesDirect: the paper's O(N²) kernel over the full-loop
-//     (gather-only) layout of md.ComputeForcesFull, sharded by atom
-//     range. Each atom's acceleration is written by exactly one worker,
-//     so no synchronization is needed beyond the join.
-//   - ForcesPairlist: the Verlet neighbor list, sharded by pair chunk.
-//     The half-triangle pair layout forces scatter to both atoms of a
-//     pair, so each worker scatters into a private acceleration buffer
-//     and the buffers are combined by a parallel tree reduction.
+//   - ForcesDirect: the paper's O(N²) full-loop (gather-only) kernel,
+//     sharded by atom range. Each atom's acceleration is written by
+//     exactly one worker, so no synchronization is needed beyond the
+//     join.
+//   - ForcesPairlist: the Verlet-list kernel, sharded by pair chunk.
+//     The half-triangle pair layout scatters to both atoms of a pair,
+//     so each worker scatters into a private acceleration buffer and
+//     the buffers are combined by a parallel tree reduction.
+//   - BuildPairlist: the neighbor-list build, sharded by row range
+//     after the list's single cell-binning pass
+//     (md.NeighborList.BeginBuild), in one shard on the caller below
+//     serialBuildAtoms. Rows are disjoint and row content is
+//     sharding-independent, so the built list — and every force
+//     evaluated over it — is byte-identical for any worker count.
 //
-// Both match their serial counterparts to rounding (with one worker,
-// each is bitwise identical to its serial loop); the package tests pin
-// this, and the whole package is race-detector clean.
-//
-// The neighbor-list *build* is parallel too: BuildPairlist shards the
-// list rows across the pool after the list's single cell-binning pass
-// (md.NeighborList.BeginBuild). Rows are disjoint and row content is
-// sharding-independent, so the built list — and every force evaluated
-// over it — is byte-identical for any worker count. Like every kernel,
-// a build belongs to the one runner that owns the engine.
+// The force kernels match their serial counterparts to rounding (with
+// one worker, each is bitwise identical to its serial loop); the
+// package tests pin this, and the whole package is race-detector
+// clean. Like every kernel, a build belongs to the one runner that
+// owns the engine.
 package parallel
 
 import (
@@ -220,10 +226,12 @@ func (e *Engine[T]) corruptOutput(acc md.Coords[T]) {
 	}
 }
 
-// shardRange splits n items into e.workers contiguous ranges and
-// returns worker w's [lo, hi).
-func (e *Engine[T]) shardRange(n, w int) (lo, hi int) {
-	return w * n / e.workers, (w + 1) * n / e.workers
+// shardRange splits n items into parts contiguous near-equal ranges
+// and returns range w's [lo, hi): atoms for the direct kernel and the
+// publish step, flattened pairs for the list kernel, rows for the
+// build.
+func shardRange(n, w, parts int) (lo, hi int) {
+	return w * n / parts, (w + 1) * n / parts
 }
 
 // reducePE sums the per-worker partial energies in worker order — a
@@ -238,39 +246,17 @@ func (e *Engine[T]) reducePE() T {
 }
 
 // ForcesDirect evaluates the paper's O(N²) kernel with atom-range
-// sharding over the full-loop layout. acc is overwritten; the return
-// value is the total potential energy. With one worker the result is
-// bitwise identical to md.ComputeForcesFull. A worker panic (real or
-// injected) surfaces as an error and the process — and the pool —
-// survive. On error, acc is undefined.
+// sharding: each worker runs md.ComputeForcesFullRows over its own
+// atom range. acc is overwritten; the return value is the total
+// potential energy. With one worker the result is bitwise identical to
+// md.ComputeForcesFull. A worker panic (real or injected) surfaces as
+// an error and the process — and the pool — survive. On error, acc is
+// undefined.
 func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	n := pos.Len()
-	lj := md.NewLJ(p)
-	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
-		lo, hi := e.shardRange(n, w)
-		var pe T
-		for i := lo; i < hi; i++ {
-			pi := pos.At(i)
-			var ai vec.V3[T]
-			var pei T
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				d := md.MinImage(pi.Sub(pos.At(j)), p.Box)
-				r2 := d.Norm2()
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				v, f := lj.Pair(r2)
-				pei += v
-				ai = ai.Add(d.Scale(f))
-			}
-			acc.Set(i, ai)
-			pe += pei
-		}
-		e.shards[w].pe = pe
+		lo, hi := shardRange(n, w, e.workers)
+		e.shards[w].pe, _ = md.ComputeForcesFullRows(p, pos, acc, lo, hi)
 	})
 	if err != nil {
 		return 0, err
@@ -293,48 +279,36 @@ const buildCtxStride = 256
 // 44.3–44.6 ms at n8192; the sharded build at two workers took
 // 1.58–1.73, 7.4–8.9 and 24.6–27.0 ms. It ties at 512 and wins from
 // 2048 up, so the crossover sits between the two. Output is
-// unaffected: rows are position-determined, so both paths emit
+// unaffected: rows are position-determined, so every shard count emits
 // byte-identical lists (pinned by TestBuildPairlistWorkersBitwise).
 const serialBuildAtoms = 1024
 
 // BuildPairlist rebuilds nl from pos with row-range sharding over the
-// pool: BeginBuild bins the atoms once, then each worker fills a
-// contiguous range of rows. Rows are disjoint and each row's content
-// is independent of the sharding (ascending-j by construction, see
-// md.NeighborList.BuildRow), so the built list is byte-identical for
-// every worker count — including one, where the build runs inline on
-// the caller — and identical to the serial Build. The SetContext
-// context bounds the build at row-stride granularity; on cancellation
-// (or a worker failure) the list is left stale-but-consistent and an
-// error is returned.
+// pool: BeginBuild bins the atoms once, then each shard fills a
+// contiguous range of rows (one shard below serialBuildAtoms). Rows
+// are disjoint and each row's content is independent of the sharding
+// (ascending-j by construction, see md.NeighborList.BuildRow), so the
+// built list is byte-identical for every worker count and identical
+// to the serial Build. The SetContext context bounds the build at
+// row-stride granularity; on cancellation (or a worker failure) the
+// list is left stale-but-consistent and an error is returned.
 func (e *Engine[T]) BuildPairlist(nl *md.NeighborList[T], p md.Params[T], pos md.Coords[T]) error {
 	ctx := e.evalCtx()
 	nl.BeginBuild(p, pos)
 	n := pos.Len()
-	var err error
-	if e.workers <= 1 || n < serialBuildAtoms {
-		// Inline build (see serialBuildAtoms). call keeps the
-		// panic-isolation and disarmed-fault contract of the sharded
-		// path; the row loop polls ctx at the same stride.
-		err = e.call(0, false, func(int) {
-			for i := 0; i < n; i++ {
-				if i%buildCtxStride == 0 && ctx.Err() != nil {
-					return // abandon; EndBuild below is skipped
-				}
-				nl.BuildRow(p, pos, i)
-			}
-		})
-	} else {
-		err = e.runN(e.workers, false, func(w int) {
-			lo, hi := e.shardRange(n, w)
-			for i := lo; i < hi; i++ {
-				if (i-lo)%buildCtxStride == 0 && ctx.Err() != nil {
-					return // abandon the shard; EndBuild below is skipped
-				}
-				nl.BuildRow(p, pos, i)
-			}
-		})
+	shards := e.workers
+	if n < serialBuildAtoms {
+		shards = 1
 	}
+	err := e.runN(shards, false, func(w int) {
+		lo, hi := shardRange(n, w, shards)
+		for i := lo; i < hi; i++ {
+			if (i-lo)%buildCtxStride == 0 && ctx.Err() != nil {
+				return // abandon the shard; EndBuild below is skipped
+			}
+			nl.BuildRow(p, pos, i)
+		}
+	})
 	if err == nil {
 		err = ctx.Err() // a late cancellation may have abandoned rows
 	}
@@ -348,13 +322,14 @@ func (e *Engine[T]) BuildPairlist(nl *md.NeighborList[T], p md.Params[T], pos md
 // ForcesPairlist evaluates the Verlet-list kernel with pair-chunk
 // sharding: the flattened (i, j) pair sequence is split into one
 // near-equal chunk per worker (splitting inside an atom's neighbor list
-// when needed), each worker scatters both sides of its pairs into a
-// private acceleration buffer, and the buffers are combined by a
-// parallel tree reduction before being written to acc. The list is
-// rebuilt first if stale. acc is overwritten; the return value is the
-// potential energy, matching nl.Forces to rounding. A worker panic
-// (real or injected) surfaces as an error and the process — and the
-// pool — survive. On error, acc is undefined.
+// when needed), each worker runs md.NeighborList.ForcesSpan over its
+// chunk into a private acceleration buffer, and the buffers are
+// combined by a parallel tree reduction before being written to acc.
+// The list is rebuilt first if stale. acc is overwritten; the return
+// value is the potential energy, matching nl.Forces to rounding (and
+// bitwise with one worker). A worker panic (real or injected) surfaces
+// as an error and the process — and the pool — survive. On error, acc
+// is undefined.
 func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	if nl.Stale(p, pos) {
 		if err := e.BuildPairlist(nl, p, pos); err != nil {
@@ -363,46 +338,12 @@ func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, 
 	}
 	n := pos.Len()
 	total := nl.PairCount()
-	lj := md.NewLJ(p)
-	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
 		sh := &e.shards[w]
 		sh.acc.Resize(n)
 		sh.acc.Zero()
-		// Worker w owns the flattened pair range [lo, hi).
-		lo := w * total / e.workers
-		hi := (w + 1) * total / e.workers
-		var pe T
-		seen := 0
-		for i := 0; i < n && seen < hi; i++ {
-			js := nl.Neighbors(i)
-			if seen+len(js) <= lo {
-				seen += len(js)
-				continue
-			}
-			from, to := 0, len(js)
-			if lo > seen {
-				from = lo - seen
-			}
-			if hi < seen+len(js) {
-				to = hi - seen
-			}
-			seen += len(js)
-			pi := pos.At(i)
-			for _, j := range js[from:to] {
-				d := md.MinImage(pi.Sub(pos.At(int(j))), p.Box)
-				r2 := d.Norm2()
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				v, f := lj.Pair(r2)
-				pe += v
-				fd := d.Scale(f)
-				sh.acc.Add(i, fd)
-				sh.acc.Sub(int(j), fd)
-			}
-		}
-		sh.pe = pe
+		lo, hi := shardRange(total, w, e.workers)
+		sh.pe = nl.ForcesSpan(p, pos, sh.acc, lo, hi)
 	})
 	if err != nil {
 		return 0, err
@@ -436,7 +377,7 @@ func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, 
 	}
 	// Publish shard 0's totals into acc, sharded by atom range.
 	if err := e.run(func(w int) {
-		lo, hi := e.shardRange(n, w)
+		lo, hi := shardRange(n, w, e.workers)
 		copy(acc.X[lo:hi], e.shards[0].acc.X[lo:hi])
 		copy(acc.Y[lo:hi], e.shards[0].acc.Y[lo:hi])
 		copy(acc.Z[lo:hi], e.shards[0].acc.Z[lo:hi])

@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gate, in escalating
 # cost order: compile, vet, formatting, the pair-loop bounds-check
-# budget, the whole test suite, the benchmark module (perfbench, a
-# module of its own), the race-detector pass over the
+# budget, the no-pair-loop check on the parallel engine, the whole
+# test suite, the benchmark module (perfbench, a module of its own),
+# the race-detector pass over the
 # sharded/recovery/scheduling paths (tier-1.5), the crash and chaos
 # smokes, the project static-analysis suite (mdlint), then the
 # zero-alloc stepping gate, the determinism certificate diff and the
@@ -28,11 +29,13 @@ fi
 echo "==> bounds checks in the pair loops <= 1 (between // bce:begin and // bce:end in internal/md)"
 # The compiler reports every bounds check it could not eliminate;
 # count those on lines inside the markers. The one check left is the
-# j-indexed gather in NeighborList.Forces, which no reslice can prove.
+# j-indexed gather in NeighborList.ForcesSpan, the list kernel the
+# serial Forces and every parallel pair chunk share, which no reslice
+# can prove.
 BCE_BUDGET=1
 BCE_MARKERS="$(cat internal/md/*.go | grep -c '// bce:begin' || true)"
 if [ "$BCE_MARKERS" -lt 2 ]; then
-    echo "verify: expected bce markers around the NeighborList.Forces and BuildRow loops, found $BCE_MARKERS" >&2
+    echo "verify: expected bce markers around the NeighborList.ForcesSpan and BuildRow loops, found $BCE_MARKERS" >&2
     exit 1
 fi
 BCE_CHECKS="$(go build -gcflags=-d=ssa/check_bce -o /dev/null ./internal/md 2>&1 | awk -F: '
@@ -57,6 +60,17 @@ echo "bounds checks between bce markers: $BCE_CHECKS (budget $BCE_BUDGET)"
 if [ "$BCE_CHECKS" -gt "$BCE_BUDGET" ]; then
     echo "verify: $BCE_CHECKS bounds checks inside the bce markers, budget is $BCE_BUDGET" >&2
     echo "verify: list them with: go build -gcflags=-d=ssa/check_bce ./internal/md" >&2
+    exit 1
+fi
+
+echo "==> no pair loop in internal/parallel (the engine shards md's kernels)"
+# The engine owns sharding, buffers and the reduction; every pair loop
+# lives in internal/md. A non-test parallel file that evaluates a pair
+# (LJ.Pair) or a minimum image is a kernel body copied back.
+PAIR_COPIES="$(grep -nE '\.Pair\(|MinImage' $(ls internal/parallel/*.go | grep -v '_test\.go$') || true)"
+if [ -n "$PAIR_COPIES" ]; then
+    printf '%s\n' "$PAIR_COPIES" >&2
+    echo "verify: internal/parallel carries a pair loop; shard an internal/md kernel instead" >&2
     exit 1
 fi
 
