@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/fsys"
 	"repro/internal/guard"
 )
 
@@ -34,13 +35,14 @@ func runBatch(o runOpts) error {
 			return err
 		}
 		cfg.Seed = core.StdSeed + uint64(i)
-		if i == 0 {
-			cfg.Faults = inj
-		}
 		g := guard.Config{
 			Run:             cfg,
 			CheckpointEvery: o.ckptEvery,
 			MaxRetries:      o.maxRetries,
+		}
+		if i == 0 {
+			g.Run.Faults = inj
+			g.FS = fsys.Faulty(nil, inj)
 		}
 		if o.ckptDir != "" {
 			g.CheckpointDir = filepath.Join(o.ckptDir, fmt.Sprintf("r%03d", i))

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/fsys"
 	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/mdrun"
@@ -55,6 +56,7 @@ func runGuarded(o runOpts) (err error) {
 		CheckpointDir:   o.ckptDir,
 		CheckpointEvery: o.ckptEvery,
 		MaxRetries:      o.maxRetries,
+		FS:              fsys.Faulty(nil, inj),
 	})
 	if err != nil {
 		return err
@@ -116,7 +118,8 @@ func buildRunConfig(o runOpts, inj faults.Injector) (mdrun.Config, error) {
 //	nan-forces@N    poison the parallel force output from kernel call N on
 //	worker-panic@N  panic inside the worker pool at task N
 //	traj-error@N    fail the trajectory writer at write N
-//	ckpt-error@N    fail the checkpoint writer at write N
+//	ckpt-error@N    fail checkpoint-file write N at the disk seam
+//	                (fsys.SiteWrite, armed on the guard's FS)
 func parseInject(spec string) (faults.Injector, error) {
 	if spec == "" {
 		return nil, nil
@@ -142,7 +145,7 @@ func parseInject(spec string) (faults.Injector, error) {
 			reg.Arm(faults.Fault{Site: faults.SiteTrajectory, Kind: faults.Error,
 				Trigger: faults.Trigger{AtCall: n}})
 		case "ckpt-error":
-			reg.Arm(faults.Fault{Site: faults.SiteCheckpoint, Kind: faults.Error,
+			reg.Arm(faults.Fault{Site: fsys.SiteWrite, Kind: faults.Error,
 				Trigger: faults.Trigger{AtCall: n}})
 		default:
 			return nil, fmt.Errorf("unknown -inject kind %q (want nan-forces|worker-panic|traj-error|ckpt-error)", kind)

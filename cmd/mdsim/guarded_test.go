@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +58,43 @@ func TestGuardedRecoversFromInjectedFaults(t *testing.T) {
 	o.inject = "nan-forces@12"
 	if err := run(o); err != nil {
 		t.Fatalf("nan-forces recovery failed: %v", err)
+	}
+}
+
+// stdoutOf runs f and returns what it printed to standard output.
+func stdoutOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = saved
+	_ = w.Close() // the reader sees EOF; nothing else was written through w
+	return <-out, ferr
+}
+
+// TestGuardedCheckpointWriteFault: ckpt-error@1 fails the first
+// checkpoint-file write at the disk seam. The run must complete on
+// its in-memory snapshot and report exactly one write failure.
+func TestGuardedCheckpointWriteFault(t *testing.T) {
+	o := guardOpts()
+	o.ckptDir = t.TempDir()
+	o.ckptEvery = 5
+	o.inject = "ckpt-error@1"
+	out, err := stdoutOf(t, func() error { return run(o) })
+	if err != nil {
+		t.Fatalf("run failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "guard: completed") || !strings.Contains(out, "[ckpt-write-fail=1]") {
+		t.Fatalf("want a completed run reporting [ckpt-write-fail=1], got:\n%s", out)
 	}
 }
 

@@ -55,7 +55,7 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "guard: directory for periodic atomic checkpoints")
 		ckptEvery = flag.Int("checkpoint-every", 100, "guard: steps between checkpoints")
 		retries   = flag.Int("max-retries", 3, "guard: recovery attempts before giving up")
-		inject    = flag.String("inject", "", "guard: fault spec, e.g. nan-forces@25 | worker-panic@3 | traj-error@2 | ckpt-error@1 (comma-separated)")
+		inject    = flag.String("inject", "", "guard: fault spec, comma-separated, e.g. nan-forces@25 | worker-panic@3 | traj-error@2 | ckpt-error@1 (checkpoint-file write N fails at the disk seam; needs -checkpoint-dir)")
 		batch     = flag.Int("batch", 0, "run N supervised replicas over the fleet scheduler (0 = single run)")
 		inflight  = flag.Int("max-inflight", 0, "batch: replicas running concurrently (0 = one per CPU)")
 		queue     = flag.Int("queue-depth", 0, "batch: admission queue bound; excess replicas are shed (0 = admit the whole batch)")

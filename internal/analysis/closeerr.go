@@ -6,7 +6,8 @@ import (
 )
 
 // CloseErr flags dropped error results from Close/Sync/Flush/Write-
-// family calls on the checkpoint and report I/O paths (guard, report,
+// family calls on the checkpoint and report I/O paths (fsys, whose
+// WriteAtomic is the atomic-publish protocol, guard, report,
 // cmd/mdsim, the serving layer's durable job store, and the chaos
 // harness that audits them). The checkpoint protocol's whole guarantee — a reader only
 // ever sees complete, CRC-valid files — is built from exactly these
@@ -20,7 +21,7 @@ import (
 var CloseErr = &Analyzer{
 	Name:  "closeerr",
 	Doc:   "dropped Close/Sync/Flush/Write error on checkpoint or report I/O paths",
-	Scope: []string{"guard", "report", "cmd/mdsim", "cmd/mdlint", "serve", "cmd/mdserve", "chaos", "cmd/mdchaos"},
+	Scope: []string{"fsys", "guard", "report", "cmd/mdsim", "cmd/mdlint", "serve", "cmd/mdserve", "chaos", "cmd/mdchaos"},
 	Run:   runCloseErr,
 }
 

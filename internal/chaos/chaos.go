@@ -396,7 +396,7 @@ func Replay(ctx context.Context, dir string, sched Schedule) (*Result, error) {
 
 	// I5: the store survives everything the schedule did — a clean
 	// disk scan parses, and reports no job nobody was promised.
-	cleanStore, err := serve.NewStore(dir)
+	cleanStore, err := serve.NewStore(dir, nil)
 	if err != nil {
 		res.violate("I5: reopening store: %v", err)
 	} else if scanned, _, serr := cleanStore.Scan(); serr != nil {

@@ -51,9 +51,9 @@ const (
 	// SiteTrajectory fails trajectory writes (wrap the writer with
 	// NewWriter).
 	SiteTrajectory Site = "trajectory"
-	// SiteCheckpoint fails checkpoint writes (wrap the writer with
-	// NewWriter).
-	SiteCheckpoint Site = "checkpoint"
+	// Checkpoint and job-record writes have no site here: they fault
+	// at the disk seam, internal/fsys's Faulty wrapper and its fs-*
+	// sites.
 )
 
 // Kind enumerates what an injected fault does when it fires.

@@ -178,8 +178,8 @@ func TestFaultWriterError(t *testing.T) {
 
 func TestFaultWriterShortWrite(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRegistry(1).Arm(Fault{Site: SiteCheckpoint, Kind: ShortWrite, Trigger: Trigger{AtCall: 1}})
-	w := NewWriter(&buf, r, SiteCheckpoint)
+	r := NewRegistry(1).Arm(Fault{Site: SiteTrajectory, Kind: ShortWrite, Trigger: Trigger{AtCall: 1}})
+	w := NewWriter(&buf, r, SiteTrajectory)
 	n, err := w.Write([]byte("12345678"))
 	if err != nil || n != 4 {
 		t.Fatalf("short write: n=%d err=%v", n, err)

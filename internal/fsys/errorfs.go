@@ -67,11 +67,19 @@ type faultFS struct {
 	in    faults.Injector
 }
 
-// op consults the injector at site and executes the generic kinds;
-// a non-nil error means the operation must fail without touching the
-// inner filesystem.
+// op consults the injector at site and executes the generic kinds
+// (see inject).
 func (e *faultFS) op(site faults.Site, name string) error {
-	f := faults.Fire(e.in, site)
+	return inject(faults.Fire(e.in, site), site, name)
+}
+
+// inject executes the kinds every operation shares for a fault that
+// fired at site on name (nil: none fired): Error and ENOSPC fail it,
+// Delay sleeps, Panic panics, anything else passes through. A non-nil
+// error means the operation must fail without touching the inner
+// filesystem. Operations with kinds of their own (Write's half-write
+// ENOSPC and ShortWrite, Rename's TornRename) handle those first.
+func inject(f *faults.Fault, site faults.Site, name string) error {
 	if f == nil {
 		return nil
 	}
@@ -133,20 +141,12 @@ func (e *faultFS) ReadDir(name string) ([]iofs.DirEntry, error) {
 
 func (e *faultFS) Rename(oldpath, newpath string) error {
 	f := faults.Fire(e.in, SiteRename)
-	if f != nil {
-		switch f.Kind {
-		case faults.Error:
-			return fmt.Errorf("fsys: %s %s: %w", SiteRename, newpath, faults.ErrInjected)
-		case faults.ENOSPC:
-			return fmt.Errorf("fsys: %s %s: %w", SiteRename, newpath, syscall.ENOSPC)
-		case faults.TornRename:
-			e.tearRename(oldpath, newpath)
-			return fmt.Errorf("fsys: %s %s: torn by injected crash: %w", SiteRename, newpath, faults.ErrInjected)
-		case faults.Delay:
-			time.Sleep(f.Delay)
-		case faults.Panic:
-			panic(fmt.Sprintf("fsys: injected panic (site %s, %s)", SiteRename, newpath))
-		}
+	if f != nil && f.Kind == faults.TornRename {
+		e.tearRename(oldpath, newpath)
+		return fmt.Errorf("fsys: %s %s: torn by injected crash: %w", SiteRename, newpath, faults.ErrInjected)
+	}
+	if err := inject(f, SiteRename, newpath); err != nil {
+		return err
 	}
 	return e.inner.Rename(oldpath, newpath)
 }
@@ -190,55 +190,31 @@ type faultFile struct {
 
 func (f *faultFile) Write(p []byte) (int, error) {
 	ff := faults.Fire(f.in, SiteWrite)
-	if ff == nil {
-		return f.File.Write(p)
+	if ff != nil {
+		switch ff.Kind {
+		case faults.ENOSPC:
+			n, _ := f.File.Write(p[:len(p)/2])
+			return n, fmt.Errorf("fsys: %s %s: %w", SiteWrite, f.Name(), syscall.ENOSPC)
+		case faults.ShortWrite:
+			return f.File.Write(p[:len(p)/2])
+		}
 	}
-	switch ff.Kind {
-	case faults.Error:
-		return 0, fmt.Errorf("fsys: %s %s: %w", SiteWrite, f.Name(), faults.ErrInjected)
-	case faults.ENOSPC:
-		n, _ := f.File.Write(p[:len(p)/2])
-		return n, fmt.Errorf("fsys: %s %s: %w", SiteWrite, f.Name(), syscall.ENOSPC)
-	case faults.ShortWrite:
-		return f.File.Write(p[:len(p)/2])
-	case faults.Delay:
-		time.Sleep(ff.Delay)
-	case faults.Panic:
-		panic(fmt.Sprintf("fsys: injected panic (site %s, %s)", SiteWrite, f.Name()))
+	if err := inject(ff, SiteWrite, f.Name()); err != nil {
+		return 0, err
 	}
 	return f.File.Write(p)
 }
 
 func (f *faultFile) Sync() error {
-	ff := faults.Fire(f.in, SiteSync)
-	if ff == nil {
-		return f.File.Sync()
-	}
-	switch ff.Kind {
-	case faults.Error:
-		return fmt.Errorf("fsys: %s %s: %w", SiteSync, f.Name(), faults.ErrInjected)
-	case faults.ENOSPC:
-		return fmt.Errorf("fsys: %s %s: %w", SiteSync, f.Name(), syscall.ENOSPC)
-	case faults.Delay:
-		time.Sleep(ff.Delay)
-	case faults.Panic:
-		panic(fmt.Sprintf("fsys: injected panic (site %s, %s)", SiteSync, f.Name()))
+	if err := inject(faults.Fire(f.in, SiteSync), SiteSync, f.Name()); err != nil {
+		return err
 	}
 	return f.File.Sync()
 }
 
 func (f *faultFile) Read(p []byte) (int, error) {
-	ff := faults.Fire(f.in, SiteRead)
-	if ff == nil {
-		return f.File.Read(p)
-	}
-	switch ff.Kind {
-	case faults.Error:
-		return 0, fmt.Errorf("fsys: %s %s: %w", SiteRead, f.Name(), faults.ErrInjected)
-	case faults.Delay:
-		time.Sleep(ff.Delay)
-	case faults.Panic:
-		panic(fmt.Sprintf("fsys: injected panic (site %s, %s)", SiteRead, f.Name()))
+	if err := inject(faults.Fire(f.in, SiteRead), SiteRead, f.Name()); err != nil {
+		return 0, err
 	}
 	return f.File.Read(p)
 }

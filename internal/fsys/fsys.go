@@ -1,23 +1,26 @@
 // Package fsys is the filesystem seam under the repository's durable
-// stores. The guard checkpoint store and the serving layer's job store
-// both promise the same thing — a reader only ever sees complete,
-// validated files, whatever the disk did — but until this package that
-// promise was tested only against the filesystems the test host
-// happens to have. fsys narrows the store's view of the OS to exactly
-// the operations the atomic write protocol uses (create a temp file,
-// write, fsync, rename into place, remove, list, read back), so a
-// deterministic fault-injecting implementation (Faulty, in errorfs.go)
-// can stand in for a failing disk: ENOSPC mid-write, a lying short
-// write, a rename torn by power loss, a directory that refuses to
-// list. The production implementation (OS) is a thin veneer over the
-// os package — one interface dispatch per syscall-bound operation,
-// which BenchmarkChaosOverhead pins at <5% on the checkpoint hot path.
+// stores, and the home of their one atomic-publish protocol. The guard
+// checkpoint store and the serving layer's job store both promise the
+// same thing — a reader only ever sees complete, validated files,
+// whatever the disk did — and both keep it by publishing through
+// WriteAtomic. FS narrows the stores' view of the OS to exactly the
+// operations that protocol and the recovery scans use (create a temp
+// file, write, fsync, rename into place, remove, list, read back), so
+// a deterministic fault-injecting implementation (Faulty, in
+// errorfs.go) can stand in for a failing disk — the one seam disk
+// faults are injected through: ENOSPC mid-write, a lying short write,
+// a rename torn by power loss, a directory that refuses to list. The
+// production implementation (OS) is a thin veneer over the os package
+// — one interface dispatch per syscall-bound operation, which
+// BenchmarkChaosOverhead pins at <5% on the checkpoint hot path.
 package fsys
 
 import (
+	"fmt"
 	"io"
 	iofs "io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is the narrowed handle the stores' write and read paths use:
@@ -94,3 +97,53 @@ func (osFS) ReadDir(name string) ([]iofs.DirEntry, error) { return os.ReadDir(na
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) RemoveAll(path string) error                  { return os.RemoveAll(path) }
+
+// WriteAtomic publishes path through fs so that a reader only ever
+// sees its old contents or the complete new ones: write streams the
+// contents into a temp file in path's directory, which is fsynced,
+// closed and renamed over path; the directory is then fsynced
+// (best-effort: some filesystems refuse it) so the rename is durable.
+// A Write that reports a short count with a nil error — the lying
+// writer of a quota'd or network disk — fails with io.ErrShortWrite
+// before the rename can publish a torn file. On any failure the temp
+// file is removed and path is untouched.
+func WriteAtomic(fs FS, path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := fs.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
+	if err != nil {
+		return fmt.Errorf("fsys: temp file for %s: %w", path, err)
+	}
+	tmp := f.Name()
+	err = write(fullWriter{f})
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = fs.Remove(tmp)
+		return fmt.Errorf("fsys: writing %s: %w", path, err)
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		_ = fs.Remove(tmp)
+		return fmt.Errorf("fsys: publishing %s: %w", path, err)
+	}
+	if d, err := fs.Open(dir); err == nil {
+		_ = d.Sync()  // best-effort, see above
+		_ = d.Close() // read-only directory handle; nothing buffered to lose
+	}
+	return nil
+}
+
+// fullWriter turns a short count with a nil error into
+// io.ErrShortWrite.
+type fullWriter struct{ w io.Writer }
+
+func (fw fullWriter) Write(p []byte) (int, error) {
+	n, err := fw.w.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	return n, err
+}

@@ -2,43 +2,31 @@ package fsys
 
 import (
 	"errors"
+	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
 	"repro/internal/faults"
 )
 
-// writeFile is the tmp+rename protocol in miniature, run through an FS.
+// writeFile publishes data at path with WriteAtomic.
 func writeFile(fs FS, path string, data []byte) error {
-	f, err := fs.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
+	return WriteAtomic(fs, path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	n, err := f.Write(data)
-	if err == nil && n != len(data) {
-		err = errors.New("short write")
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	return fs.Rename(tmp, path)
+	})
 }
 
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.json")
 	if err := writeFile(OS, path, []byte("hello")); err != nil {
-		t.Fatalf("writeFile: %v", err)
+		t.Fatalf("WriteAtomic: %v", err)
 	}
 	b, err := OS.ReadFile(path)
 	if err != nil || string(b) != "hello" {
@@ -77,20 +65,129 @@ func TestFaultyNilInjectorIsInner(t *testing.T) {
 func TestFaultyErrorAtCall(t *testing.T) {
 	dir := t.TempDir()
 	reg := faults.NewRegistry(7)
-	reg.Arm(faults.Fault{Site: SiteSync, Kind: faults.Error, Trigger: faults.Trigger{AtCall: 2}})
+	// Each publish issues two fsyncs, the file's and then the
+	// directory's: sync 3 is the second file's.
+	reg.Arm(faults.Fault{Site: SiteSync, Kind: faults.Error, Trigger: faults.Trigger{AtCall: 3}})
 	fs := Faulty(OS, reg)
 
 	if err := writeFile(fs, filepath.Join(dir, "one"), []byte("first")); err != nil {
-		t.Fatalf("call 1 should pass: %v", err)
+		t.Fatalf("syncs 1-2 should pass: %v", err)
 	}
 	err := writeFile(fs, filepath.Join(dir, "two"), []byte("second"))
 	if !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("call 2 sync: err = %v, want ErrInjected", err)
+		t.Fatalf("sync 3: err = %v, want ErrInjected", err)
 	}
 	// The protocol cleaned up: no temp file and no published "two".
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 || ents[0].Name() != "one" {
 		t.Fatalf("dir after failed write = %v, want just one", ents)
+	}
+}
+
+// TestWriteAtomicShortWrite: a write the disk silently truncates
+// (ShortWrite at fs-write: half the bytes, nil error) must fail the
+// publish with io.ErrShortWrite, remove the temp file and leave the
+// old contents in place.
+func TestWriteAtomicShortWrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rec.json")
+	if err := writeFile(OS, path, []byte("old contents")); err != nil {
+		t.Fatal(err)
+	}
+	reg := faults.NewRegistry(7)
+	reg.Arm(faults.Fault{Site: SiteWrite, Kind: faults.ShortWrite, Trigger: faults.Trigger{AtCall: 1}})
+
+	err := writeFile(Faulty(OS, reg), path, []byte("new contents"))
+	if !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("err = %v, want io.ErrShortWrite", err)
+	}
+	ents, _ := os.ReadDir(dir)
+	if len(ents) != 1 || ents[0].Name() != "rec.json" {
+		t.Fatalf("dir after short write = %v, want just rec.json", ents)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "old contents" {
+		t.Fatalf("rec.json = %q, want the old contents", b)
+	}
+}
+
+// recordFS logs the operations WriteAtomic issues, in order.
+type recordFS struct {
+	FS
+	ops *[]string
+}
+
+func (r recordFS) CreateTemp(dir, pattern string) (File, error) {
+	*r.ops = append(*r.ops, "CreateTemp")
+	f, err := r.FS.CreateTemp(dir, pattern)
+	return recordFile{File: f, ops: r.ops}, err
+}
+
+func (r recordFS) Open(name string) (File, error) {
+	*r.ops = append(*r.ops, "Open("+filepath.Base(name)+")")
+	f, err := r.FS.Open(name)
+	return recordFile{File: f, ops: r.ops}, err
+}
+
+func (r recordFS) Rename(oldpath, newpath string) error {
+	*r.ops = append(*r.ops, "Rename")
+	return r.FS.Rename(oldpath, newpath)
+}
+
+func (r recordFS) Remove(name string) error {
+	*r.ops = append(*r.ops, "Remove")
+	return r.FS.Remove(name)
+}
+
+func (r recordFS) ReadDir(name string) ([]iofs.DirEntry, error) {
+	*r.ops = append(*r.ops, "ReadDir")
+	return r.FS.ReadDir(name)
+}
+
+type recordFile struct {
+	File
+	ops *[]string
+}
+
+func (f recordFile) Write(p []byte) (int, error) {
+	*f.ops = append(*f.ops, "Write")
+	return f.File.Write(p)
+}
+
+func (f recordFile) Sync() error {
+	*f.ops = append(*f.ops, "Sync")
+	return f.File.Sync()
+}
+
+func (f recordFile) Close() error {
+	*f.ops = append(*f.ops, "Close")
+	return f.File.Close()
+}
+
+// TestWriteAtomicOpOrder pins the protocol's operation sequence — the
+// one both durable stores issue, and the call numbering every chaos
+// schedule's fs-* triggers count against.
+func TestWriteAtomicOpOrder(t *testing.T) {
+	dir := t.TempDir()
+	var ops []string
+	fs := recordFS{FS: OS, ops: &ops}
+	err := WriteAtomic(fs, filepath.Join(dir, "rec"), func(w io.Writer) error {
+		for _, part := range []string{"a", "b"} {
+			if _, err := io.WriteString(w, part); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"CreateTemp", "Write", "Write", "Sync", "Close", "Rename",
+		"Open(" + filepath.Base(dir) + ")", "Sync", "Close"}
+	if !reflect.DeepEqual(ops, want) {
+		t.Fatalf("ops = %s\nwant  %s", strings.Join(ops, " "), strings.Join(want, " "))
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "rec")); err != nil || string(b) != "ab" {
+		t.Fatalf("published %q, %v", b, err)
 	}
 }
 

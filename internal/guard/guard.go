@@ -9,10 +9,12 @@
 //   - a numerical-health watchdog that scans the dynamic state for
 //     NaN/Inf every few steps and enforces energy-drift and
 //     temperature-explosion thresholds,
-//   - periodic atomic checkpoints (temp file + fsync + rename, CRC32
-//     trailer via the md format v2, retention of the last M),
+//   - periodic atomic checkpoints (fsys.WriteAtomic: temp file +
+//     fsync + rename, CRC32 trailer via the md format, retention of
+//     the run's last M),
 //   - automatic recovery: roll back to the newest CRC-valid
-//     checkpoint (corrupt ones are skipped, never trusted), then walk
+//     checkpoint the run itself wrote (corrupt ones are skipped, never
+//     trusted; another run's files are never considered), then walk
 //     an escalation ladder — retry as-is, halve the time step, fall
 //     back to the serial force kernel — with exponential backoff,
 //     giving up with a structured error after a configurable budget,
@@ -84,8 +86,8 @@ type Config struct {
 	Sleep func(time.Duration)
 
 	// FS, when non-nil, replaces the real filesystem under the
-	// checkpoint store — the fault-injection seam chaos campaigns use.
-	// Nil means fsys.OS.
+	// checkpoint store — the one seam checkpoint faults are injected
+	// through (fsys.Faulty). Nil means fsys.OS.
 	FS fsys.FS
 
 	// OnSegment, when non-nil, is called after every committed
@@ -188,7 +190,7 @@ func supervise(cfg Config, r *mdrun.Runner) (*Supervisor, error) {
 		report: &RunReport{FinalMethod: cfg.Run.Method, FinalWorkers: r.Workers(), FinalDt: cfg.Run.Dt},
 	}
 	if cfg.CheckpointDir != "" {
-		st, err := newStore(cfg.CheckpointDir, cfg.KeepCheckpoints, cfg.Run.Faults, cfg.FS)
+		st, err := newStore(cfg.CheckpointDir, cfg.KeepCheckpoints, cfg.FS)
 		if err != nil {
 			// Storage trouble degrades durability, it must not stop the
 			// physics: run on the in-memory snapshot alone, like any
@@ -411,11 +413,13 @@ func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) err
 }
 
 // restore returns the newest trustworthy state: the newest CRC-valid
-// on-disk checkpoint if a store is configured (corrupt files are
-// skipped and logged), else a copy of the in-memory snapshot.
+// checkpoint this run published if a store is configured (corrupt
+// files are skipped and logged; another run's files in the same
+// directory are never considered), else a copy of the in-memory
+// snapshot.
 func (s *Supervisor) restore() *md.System[float64] {
 	if s.store != nil {
-		sys := s.store.recoverLatest(func(name string, err error) {
+		sys := s.store.recoverLatest(s.store.own(), func(name string, err error) {
 			s.report.log(s.snap.Steps, 0, sim.IncidentCheckpointCorrupt,
 				fmt.Sprintf("%s: %v", name, err))
 		})

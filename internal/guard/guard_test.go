@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/fsys"
 	"repro/internal/lattice"
 	"repro/internal/md"
 	"repro/internal/mdrun"
@@ -258,23 +259,35 @@ func TestPersistentFaultGivesUp(t *testing.T) {
 }
 
 // TestCorruptCheckpointSkipped: recovery must never trust a corrupt
-// checkpoint — a planted garbage file with the highest step number is
-// skipped (logged as ckpt-corrupt) in favor of an older valid one.
+// checkpoint — the run's own newest file, truncated behind its back
+// after it was published, is skipped (logged as ckpt-corrupt) in favor
+// of an older valid one.
 func TestCorruptCheckpointSkipped(t *testing.T) {
 	dir := t.TempDir()
-	// Plant garbage that sorts as the newest checkpoint.
-	bogus := filepath.Join(dir, "ckpt-000099999.mdcp")
-	if err := os.WriteFile(bogus, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	cfg := baseRun(mdrun.Direct, 108, 2)
 	cfg.Faults = faults.NewRegistry(14).Arm(faults.Fault{
 		Site: faults.SiteWorker, Kind: faults.Panic,
-		Trigger: faults.Trigger{AtCall: 3},
+		Trigger: faults.Trigger{AtCall: 15},
 	})
 	sup, err := New(Config{
 		Run: cfg, CheckEvery: 5, CheckpointEvery: 5,
-		CheckpointDir: dir, KeepCheckpoints: 100, // keep the bait in place
+		CheckpointDir: dir, KeepCheckpoints: 100,
+		// The step-5 commit has just published ckpt-5, the newest file
+		// the rollback in the next segment will reach for: corrupt it.
+		OnSegment: func(p Progress) {
+			if p.Step != 5 {
+				return
+			}
+			newest := filepath.Join(dir, "ckpt-000000005.mdcp")
+			data, err := os.ReadFile(newest)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := os.WriteFile(newest, data[:len(data)/2], 0o644); err != nil {
+				t.Error(err)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,11 +308,76 @@ func TestCorruptCheckpointSkipped(t *testing.T) {
 	}
 }
 
+// TestReusedDirIgnoresForeignCheckpoints: a checkpoint directory that
+// still holds another run's newer files (a reused -checkpoint-dir)
+// must not leak that run into this one — rollback restores this run's
+// own state, and retention prunes only this run's files, never in
+// favor of the other run's.
+func TestReusedDirIgnoresForeignCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	earlier := baseRun(mdrun.Direct, 108, 1)
+	earlier.Seed = 99
+	prev, err := New(Config{Run: earlier, CheckpointEvery: 20, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prev.Close()
+	if _, _, err := prev.Run(60); err != nil {
+		t.Fatal(err)
+	}
+
+	clean, err := New(Config{Run: baseRun(mdrun.Direct, 108, 1), CheckpointEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	want, _, err := clean.Run(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := baseRun(mdrun.Direct, 108, 1)
+	cfg.Faults = faults.NewRegistry(17).Arm(faults.Fault{
+		Site: faults.SiteForces, Kind: faults.NaN,
+		Trigger: faults.Trigger{AtCall: 15},
+	})
+	sup, err := New(Config{Run: cfg, CheckpointEvery: 20, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	sum, rep, err := sup.Run(30)
+	if err != nil {
+		t.Fatalf("run failed (%v); report: %v", err, rep)
+	}
+	if rep.Rollbacks != 1 {
+		t.Fatalf("report = %v, want 1 rollback", rep)
+	}
+	for _, ev := range rep.Events {
+		if ev.Kind == sim.IncidentRollback && ev.Detail != "rolled back to step 0" {
+			t.Errorf("rollback event %q, want the run's own step-0 checkpoint", ev.Detail)
+		}
+	}
+	if got := sup.System().Steps; got != 30 {
+		t.Errorf("final steps %d, want 30", got)
+	}
+	if sum.FinalEnergy != want.FinalEnergy {
+		t.Errorf("final energy %.12g, want the clean run's %.12g", sum.FinalEnergy, want.FinalEnergy)
+	}
+	// Retention kept this run's three files; the earlier run's newer
+	// ones are left alone, not counted against them.
+	for _, step := range []int{0, 20, 30, 40, 60} {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("ckpt-%09d.mdcp", step))); err != nil {
+			t.Errorf("checkpoint of step %d: %v", step, err)
+		}
+	}
+}
+
 // TestStoreRecoveryOrder white-boxes the store: newest valid wins;
 // truncating the newest demotes recovery to the next older file.
 func TestStoreRecoveryOrder(t *testing.T) {
 	dir := t.TempDir()
-	st, err := newStore(dir, 10, nil, nil)
+	st, err := newStore(dir, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +400,7 @@ func TestStoreRecoveryOrder(t *testing.T) {
 	}
 
 	noCorrupt := func(name string, err error) { t.Errorf("unexpected corrupt %s: %v", name, err) }
-	if sys := st.recoverLatest(noCorrupt); sys == nil || sys.Steps != 20 {
+	if sys := st.recoverLatest(st.own(), noCorrupt); sys == nil || sys.Steps != 20 {
 		t.Fatalf("want newest (step 20), got %v", sys)
 	}
 
@@ -336,7 +414,7 @@ func TestStoreRecoveryOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupted := 0
-	sys := st.recoverLatest(func(name string, err error) { corrupted++ })
+	sys := st.recoverLatest(st.own(), func(name string, err error) { corrupted++ })
 	if sys == nil || sys.Steps != 10 {
 		t.Fatalf("want fallback to step 10, got %v", sys)
 	}
@@ -349,7 +427,7 @@ func TestStoreRecoveryOrder(t *testing.T) {
 // remain on disk.
 func TestStorePrunesRetention(t *testing.T) {
 	dir := t.TempDir()
-	st, err := newStore(dir, 2, nil, nil)
+	st, err := newStore(dir, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,17 +461,17 @@ func TestStorePrunesRetention(t *testing.T) {
 }
 
 // TestCheckpointWriteFaultNonFatal: an injected checkpoint-write
-// failure must not kill the run — the in-memory snapshot still guards
-// it, and the incident is logged.
+// failure at the disk seam must not kill the run — the in-memory
+// snapshot still guards it, and the incident is logged.
 func TestCheckpointWriteFaultNonFatal(t *testing.T) {
 	cfg := baseRun(mdrun.Direct, 108, 1)
-	cfg.Faults = faults.NewRegistry(15).Arm(faults.Fault{
-		Site: faults.SiteCheckpoint, Kind: faults.Error,
+	reg := faults.NewRegistry(15).Arm(faults.Fault{
+		Site: fsys.SiteWrite, Kind: faults.Error,
 		Trigger: faults.Trigger{FromCall: 1},
 	})
 	sup, err := New(Config{
 		Run: cfg, CheckEvery: 5, CheckpointEvery: 5,
-		CheckpointDir: t.TempDir(),
+		CheckpointDir: t.TempDir(), FS: fsys.Faulty(nil, reg),
 	})
 	if err != nil {
 		t.Fatal(err)

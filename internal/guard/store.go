@@ -2,28 +2,32 @@ package guard
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/faults"
 	"repro/internal/fsys"
 	"repro/internal/md"
 )
 
-// store is the atomic on-disk checkpoint protocol: write to a temp
-// file in the target directory, fsync, rename into place, fsync the
-// directory. A reader therefore only ever sees complete files — and
+// store keeps a run's checkpoints: each is published with
+// fsys.WriteAtomic, so a reader only ever sees complete files — and
 // the md format's CRC trailer rejects anything a lying disk mangles
 // after that. All filesystem access goes through the fsys seam, so a
-// chaos campaign can stand a failing disk under the protocol and check
+// chaos campaign can stand a failing disk under the store and check
 // the promise instead of assuming it.
 type store struct {
 	dir  string
 	keep int
-	inj  faults.Injector // checkpoint writes pass through SiteCheckpoint
 	fs   fsys.FS
+	// saved holds the steps this store published. A checkpoint
+	// directory may hold another run's files (a reused
+	// -checkpoint-dir), so rollback and retention look only at these:
+	// another run's state is never restored as this run's, and its
+	// files never count against this run's retention.
+	saved map[int]bool
 }
 
 const (
@@ -31,7 +35,7 @@ const (
 	ckptSuffix = ".mdcp"
 )
 
-func newStore(dir string, keep int, inj faults.Injector, fs fsys.FS) (*store, error) {
+func newStore(dir string, keep int, fs fsys.FS) (*store, error) {
 	fs = fsys.OrOS(fs)
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("guard: checkpoint dir: %w", err)
@@ -39,7 +43,7 @@ func newStore(dir string, keep int, inj faults.Injector, fs fsys.FS) (*store, er
 	if keep < 1 {
 		keep = 1
 	}
-	return &store{dir: dir, keep: keep, inj: inj, fs: fs}, nil
+	return &store{dir: dir, keep: keep, fs: fs, saved: make(map[int]bool)}, nil
 }
 
 // path returns the final name for a checkpoint at the given step.
@@ -48,46 +52,18 @@ func (st *store) path(step int) string {
 }
 
 // save atomically persists the system state as ckpt-<steps>.mdcp and
-// prunes old files beyond the retention bound. On any failure the temp
-// file is removed and the previously persisted checkpoints are
-// untouched.
+// prunes this run's files beyond the retention bound. On any failure
+// the previously persisted checkpoints are untouched.
 func (st *store) save(sys *md.System[float64]) error {
-	f, err := st.fs.CreateTemp(st.dir, ".tmp-"+ckptPrefix+"*")
+	err := fsys.WriteAtomic(st.fs, st.path(sys.Steps), func(w io.Writer) error {
+		return md.WriteCheckpoint(w, sys)
+	})
 	if err != nil {
-		return fmt.Errorf("guard: checkpoint temp file: %w", err)
+		return err
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close() //mdlint:ignore closeerr the write already failed; its error is the one worth reporting
-		_ = st.fs.Remove(tmp)
-		return fmt.Errorf("guard: writing checkpoint: %w", err)
-	}
-	if err := md.WriteCheckpoint(faults.NewWriter(f, st.inj, faults.SiteCheckpoint), sys); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		_ = st.fs.Remove(tmp)
-		return fmt.Errorf("guard: writing checkpoint: %w", err)
-	}
-	if err := st.fs.Rename(tmp, st.path(sys.Steps)); err != nil {
-		_ = st.fs.Remove(tmp)
-		return fmt.Errorf("guard: publishing checkpoint: %w", err)
-	}
-	st.syncDir()
+	st.saved[sys.Steps] = true
 	st.prune()
 	return nil
-}
-
-// syncDir fsyncs the checkpoint directory so the rename itself is
-// durable. Best-effort: some filesystems refuse directory fsync.
-func (st *store) syncDir() {
-	if d, err := st.fs.Open(st.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close() // read-only directory handle; nothing buffered to lose
-	}
 }
 
 // list returns the steps of all well-named checkpoint files, newest
@@ -113,44 +89,49 @@ func (st *store) list() []int {
 	return steps
 }
 
-// prune removes checkpoints beyond the newest keep.
+// own returns the steps of this run's checkpoints still on disk,
+// newest first.
+func (st *store) own() []int {
+	var steps []int
+	for _, s := range st.list() {
+		if st.saved[s] {
+			steps = append(steps, s)
+		}
+	}
+	return steps
+}
+
+// prune removes this run's checkpoints beyond the newest keep.
 func (st *store) prune() {
-	steps := st.list()
+	steps := st.own()
 	for _, s := range steps[min(st.keep, len(steps)):] {
-		_ = st.fs.Remove(st.path(s))
+		if st.fs.Remove(st.path(s)) == nil {
+			delete(st.saved, s)
+		}
 	}
 }
 
-// LatestCheckpoint returns the newest CRC-valid checkpoint in dir, or
-// nil when the directory holds none (including when it does not
-// exist). Corrupt or truncated files are reported through onCorrupt
-// (which may be nil) and skipped — the same never-trust-a-bad-file
-// discipline the in-run recovery path uses. This is the discovery seam
-// the serving layer resumes interrupted jobs through: it composes a
-// per-job checkpoint directory and asks for the latest trustworthy
-// state without constructing a Supervisor first.
-func LatestCheckpoint(dir string, onCorrupt func(name string, err error)) *md.System[float64] {
-	return LatestCheckpointFS(nil, dir, onCorrupt)
+// LatestCheckpoint returns the newest CRC-valid checkpoint in dir, read
+// through fs (nil means the real filesystem), or nil when the
+// directory holds none (including when it does not exist). Corrupt or
+// truncated files are reported through onCorrupt and skipped — the same never-trust-a-bad-file discipline the in-run
+// recovery path uses. This is the discovery seam the serving layer
+// resumes interrupted jobs through: it composes a per-job checkpoint
+// directory and asks for the latest trustworthy state without
+// constructing a Supervisor first, so every file in dir is trusted to
+// belong to the job.
+func LatestCheckpoint(fs fsys.FS, dir string, onCorrupt func(name string, err error)) *md.System[float64] {
+	st := &store{dir: dir, fs: fsys.OrOS(fs)}
+	return st.recoverLatest(st.list(), onCorrupt)
 }
 
-// LatestCheckpointFS is LatestCheckpoint through an explicit
-// filesystem seam (nil means the real one) — the variant a chaos
-// campaign uses so that recovery, too, runs over the failing disk.
-func LatestCheckpointFS(fs fsys.FS, dir string, onCorrupt func(name string, err error)) *md.System[float64] {
-	if onCorrupt == nil {
-		onCorrupt = func(string, error) {}
-	}
-	st := &store{dir: dir, keep: 1, fs: fsys.OrOS(fs)}
-	return st.recoverLatest(onCorrupt)
-}
-
-// recoverLatest loads the newest checkpoint that passes the md
-// reader's CRC and structural validation, newest first; files that
-// fail are reported through onCorrupt and skipped — a corrupt
-// checkpoint is never trusted, an older good one wins. Returns nil if
-// no trustworthy checkpoint exists.
-func (st *store) recoverLatest(onCorrupt func(name string, err error)) *md.System[float64] {
-	for _, step := range st.list() {
+// recoverLatest loads the newest of the checkpoints at steps (newest
+// first) that passes the md reader's CRC and structural validation;
+// files that fail are reported through onCorrupt and skipped — a
+// corrupt checkpoint is never trusted, an older good one wins. Returns
+// nil if no trustworthy checkpoint exists.
+func (st *store) recoverLatest(steps []int, onCorrupt func(name string, err error)) *md.System[float64] {
+	for _, step := range steps {
 		p := st.path(step)
 		f, err := st.fs.Open(p)
 		if err != nil {

@@ -41,7 +41,7 @@ const (
 
 // WriteCheckpoint serializes the complete system state in format v3
 // (SoA planes, CRC32-trailed). The caller owns durability
-// (fsync/rename); see internal/guard for the atomic on-disk protocol.
+// (fsync/rename); see fsys.WriteAtomic for the atomic on-disk protocol.
 func WriteCheckpoint(w io.Writer, s *System[float64]) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()

@@ -229,7 +229,7 @@ func TestStoreRejectsSilentShortWrite(t *testing.T) {
 	reg := faults.NewRegistry(3)
 	reg.Arm(faults.Fault{Site: fsys.SiteWrite, Kind: faults.ShortWrite, Trigger: faults.Trigger{AtCall: 1}})
 	dir := t.TempDir()
-	st, err := NewStoreFS(dir, fsys.Faulty(fsys.OS, reg))
+	st, err := NewStore(dir, fsys.Faulty(fsys.OS, reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestStoreRejectsSilentShortWrite(t *testing.T) {
 // silently forget an acknowledged job.
 func TestScanPropagatesReadErrors(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir)
+	st, err := NewStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestScanPropagatesReadErrors(t *testing.T) {
 	// I/O error on the read: loud failure.
 	reg := faults.NewRegistry(5)
 	reg.Arm(faults.Fault{Site: fsys.SiteRead, Kind: faults.Error, Trigger: faults.Trigger{FromCall: 1}})
-	bad, err := NewStoreFS(dir, fsys.Faulty(fsys.OS, reg))
+	bad, err := NewStore(dir, fsys.Faulty(fsys.OS, reg))
 	if err != nil {
 		t.Fatal(err)
 	}

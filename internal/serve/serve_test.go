@@ -655,7 +655,7 @@ func TestScanToleratesGarbage(t *testing.T) {
 // job failed across a second restart instead of re-admitting it.
 func TestRestartFailsUnrunnableSpecs(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir)
+	st, err := NewStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	st, err := NewStoreFS(cfg.DataDir, cfg.FS)
+	st, err := NewStore(cfg.DataDir, cfg.FS)
 	if err != nil {
 		return nil, err
 	}

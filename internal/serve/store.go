@@ -27,14 +27,15 @@ import (
 //	             written exactly once, at completion
 //	ckpt/        the job's guard checkpoint directory
 //
-// Both JSON files use the same atomic protocol as the guard checkpoint
-// store — temp file in the target directory, fsync, rename, directory
-// fsync — so a reader (including a restarted server) only ever sees
-// complete files. A job directory with a valid spec and no terminal
-// record is, by definition, incomplete: that is the whole recovery
-// contract, and it makes "crashed before the report rename" and
-// "crashed mid-run" the same case. All filesystem access goes through
-// the fsys seam so chaos campaigns can fail any operation on schedule.
+// Both JSON files are published with fsys.WriteAtomic, the protocol
+// the guard checkpoint store uses too — temp file in the target
+// directory, fsync, rename, directory fsync — so a reader (including a
+// restarted server) only ever sees complete files. A job directory
+// with a valid spec and no terminal record is, by definition,
+// incomplete: that is the whole recovery contract, and it makes
+// "crashed before the report rename" and "crashed mid-run" the same
+// case. All filesystem access goes through the fsys seam so chaos
+// campaigns can fail any operation on schedule.
 type Store struct {
 	root string
 	fs   fsys.FS
@@ -67,13 +68,10 @@ type TerminalRecord struct {
 	Resumed bool `json:"resumed,omitempty"`
 }
 
-// NewStore opens (creating if needed) the store rooted at dir.
-func NewStore(dir string) (*Store, error) { return NewStoreFS(dir, nil) }
-
-// NewStoreFS is NewStore over an explicit filesystem seam (nil means
-// the real one) — the constructor chaos campaigns use to stand a
-// failing disk under the whole serving stack.
-func NewStoreFS(dir string, fs fsys.FS) (*Store, error) {
+// NewStore opens (creating if needed) the store rooted at dir, over
+// the filesystem seam fs (nil means the real one; chaos campaigns pass
+// a failing disk to stand it under the whole serving stack).
+func NewStore(dir string, fs fsys.FS) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("serve: store needs a data directory")
 	}
@@ -229,7 +227,7 @@ func (st *Store) Scan() (jobs []ScannedJob, maxSeq int, err error) {
 		if terr == nil && tok {
 			sj.Terminal = &term
 		} else {
-			sj.System = guard.LatestCheckpointFS(st.fs, st.CheckpointDir(name), func(string, error) {
+			sj.System = guard.LatestCheckpoint(st.fs, st.CheckpointDir(name), func(string, error) {
 				sj.CorruptCheckpoints++
 			})
 		}
@@ -254,52 +252,19 @@ func jobSeq(name string) (int, bool) {
 // JobID formats a sequence number as a job ID.
 func JobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }
 
-// writeJSON atomically publishes v as <dir>/<name>: temp file, fsync,
-// rename, directory fsync — the guard store's discipline, so a crash
-// at any byte leaves either the old file or the new one, never a
-// torn read for the recovery scan. The byte count of the write is
-// checked explicitly: a writer that lies with a short count and a nil
-// error (the classic NFS/quota shape) is caught here, before the
-// rename can publish a torn record.
+// writeJSON atomically publishes v as <dir>/<name> with
+// fsys.WriteAtomic, so a crash at any byte leaves either the old file
+// or the new one, never a torn read for the recovery scan.
 func (st *Store) writeJSON(dir, name string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("serve: encoding %s: %w", name, err)
 	}
 	b = append(b, '\n')
-	f, err := st.fs.CreateTemp(dir, ".tmp-"+name+"-*")
-	if err != nil {
-		return fmt.Errorf("serve: temp file: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close() //mdlint:ignore closeerr the write already failed; its error is the one worth reporting
-		_ = st.fs.Remove(tmp)
-		return fmt.Errorf("serve: writing %s: %w", name, err)
-	}
-	n, err := f.Write(b)
-	if err == nil && n != len(b) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		_ = st.fs.Remove(tmp)
-		return fmt.Errorf("serve: writing %s: %w", name, err)
-	}
-	if err := st.fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		_ = st.fs.Remove(tmp)
-		return fmt.Errorf("serve: publishing %s: %w", name, err)
-	}
-	if d, err := st.fs.Open(dir); err == nil {
-		_ = d.Sync()  // best-effort: some filesystems refuse directory fsync
-		_ = d.Close() // read-only directory handle; nothing buffered to lose
-	}
-	return nil
+	return fsys.WriteAtomic(st.fs, filepath.Join(dir, name), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
 // readJSON loads <dir>/<name> into v; (false, nil) when the file does
