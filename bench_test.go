@@ -1127,7 +1127,7 @@ func BenchmarkChaosOverhead(b *testing.B) {
 		srv, err := serve.NewServer(serve.Config{
 			DataDir: b.TempDir(),
 			Fleet: fleet.Config{
-				MaxInflight: 1, QueueDepth: jobsPerRound, WorkerBudget: 1, JitterSeed: 1,
+				MaxInflight: 1, QueueDepth: jobsPerRound, WorkerBudget: 1,
 			},
 			Tenancy: serve.TenantPolicy{Rate: 1e6, Burst: 1e6, MaxActive: jobsPerRound},
 			FS:      fs,

@@ -231,12 +231,6 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, St
 	return diags, stats, err
 }
 
-// RunOpts is Run with explicit Options.
-func RunOpts(dir string, patterns []string, analyzers []*Analyzer, opts *Options) ([]Diagnostic, Stats, error) {
-	diags, stats, _, err := runAll(dir, patterns, analyzers, opts)
-	return diags, stats, err
-}
-
 // Certify runs the analyzers and additionally returns the determinism
 // certificate the whole-program passes assembled. The certificate is
 // complete only when the analyzer list includes puredet (verdicts) and

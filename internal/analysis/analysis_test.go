@@ -58,7 +58,7 @@ func TestFixtures(t *testing.T) {
 			if tc.roots != nil {
 				opts = &Options{Roots: tc.roots}
 			}
-			diags, stats, err := RunOpts(".", []string{tc.pattern}, azs, opts)
+			diags, stats, _, err := Certify(".", []string{tc.pattern}, azs, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,7 +35,6 @@ var precisionAllowed = map[[2]string]bool{
 	{"vec", "Copysign"}:  true,
 	{"vec", "Floor"}:     true,
 	{"vec", "Round"}:     true,
-	{"vec", "ToV3f64"}:   true,
 	{"vec", "FromV3f64"}: true,
 	{"spu", "sqrt32"}:    true,
 	{"spu", "Copysign"}:  true,

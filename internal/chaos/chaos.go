@@ -152,18 +152,16 @@ func (env *replayEnv) serverConfig() serve.Config {
 			MaxInflight:  1,
 			QueueDepth:   64,
 			WorkerBudget: 1,
-			JitterSeed:   1,
 			Sleep:        func(time.Duration) {},
 		},
 		Tenancy: serve.TenantPolicy{
 			Rate: 1, Burst: 1024, MaxActive: 512,
 			Now: func() time.Time { return frozen },
 		},
-		FS:           env.fs,
-		Faults:       env.compute,
-		DegradeAfter: 3,
-		ProbeEvery:   -1,
-		Logf:         func(string, ...any) {},
+		FS:         env.fs,
+		Faults:     env.compute,
+		ProbeEvery: -1,
+		Logf:       func(string, ...any) {},
 	}
 }
 

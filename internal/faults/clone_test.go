@@ -158,7 +158,7 @@ func TestWorkerFaultCtxDelayInterruptible(t *testing.T) {
 	}
 	// Background context: short delays still complete as plain sleeps.
 	quick := &Fault{Site: SiteWorker, Kind: Delay, Delay: time.Millisecond}
-	if err := quick.WorkerFault(); err != nil {
+	if err := quick.WorkerFaultCtx(context.Background()); err != nil {
 		t.Fatalf("uninterrupted delay errored: %v", err)
 	}
 }

@@ -334,20 +334,9 @@ func Poison[T vec.Float](k Kind) T {
 	return T(math.Inf(1))
 }
 
-// CorruptV3 poisons the X component of the first element of a vector
-// array in place — a single flipped lane, the minimal corruption an
-// on-line validity scan must still catch. No-op on empty arrays.
-func CorruptV3[T vec.Float](k Kind, arr []vec.V3[T]) {
-	if len(arr) == 0 {
-		return
-	}
-	arr[0].X = Poison[T](k)
-}
-
 // CorruptPlane poisons the first element of one SoA component plane in
-// place — the same single-lane corruption CorruptV3 applies to an AoS
-// array, for kernels whose output lives in separate component planes.
-// No-op on empty planes.
+// place — a single flipped lane, the minimal corruption an on-line
+// validity scan must still catch. No-op on empty planes.
 func CorruptPlane[T vec.Float](k Kind, plane []T) {
 	if len(plane) == 0 {
 		return
@@ -355,16 +344,13 @@ func CorruptPlane[T vec.Float](k Kind, plane []T) {
 	plane[0] = Poison[T](k)
 }
 
-// WorkerFault executes a worker-site fault on the calling goroutine:
-// Delay sleeps, Panic panics (the pool recovers it into an error),
-// Error returns ErrInjected, and value-corruption kinds are no-ops
-// (workers own no output of their own to poison).
-func (f *Fault) WorkerFault() error { return f.WorkerFaultCtx(context.Background()) }
-
-// WorkerFaultCtx is WorkerFault with an interruptible Delay: a
-// cancelled context cuts the injected straggler sleep short and
-// surfaces the context error, so a replica deadline bounds even a
-// fault-delayed worker.
+// WorkerFaultCtx executes a worker-site fault on the calling
+// goroutine: Delay sleeps, Panic panics (the pool recovers it into an
+// error), Error returns ErrInjected, and value-corruption kinds are
+// no-ops (workers own no output of their own to poison). The Delay is
+// interruptible: a cancelled context cuts the injected straggler sleep
+// short and surfaces the context error, so a replica deadline bounds
+// even a fault-delayed worker.
 func (f *Fault) WorkerFaultCtx(ctx context.Context) error {
 	switch f.Kind {
 	case Delay:

@@ -2,14 +2,13 @@ package faults
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/vec"
 )
 
 func TestNilInjectorNeverFires(t *testing.T) {
@@ -126,20 +125,20 @@ func TestPoisonAndCorrupt(t *testing.T) {
 	if !math.IsInf(Poison[float64](Inf), 1) {
 		t.Fatal("Inf poison")
 	}
-	acc := make([]vec.V3[float64], 4)
-	CorruptV3(NaN, acc)
-	if !math.IsNaN(acc[0].X) {
-		t.Fatal("CorruptV3 did not poison")
+	plane := make([]float64, 4)
+	CorruptPlane(NaN, plane)
+	if !math.IsNaN(plane[0]) {
+		t.Fatal("CorruptPlane did not poison")
 	}
-	CorruptV3(Inf, []vec.V3[float64](nil)) // must not panic on empty
+	CorruptPlane(Inf, []float64(nil)) // must not panic on empty
 }
 
 func TestWorkerFaultKinds(t *testing.T) {
-	if err := (&Fault{Kind: Error}).WorkerFault(); !errors.Is(err, ErrInjected) {
+	if err := (&Fault{Kind: Error}).WorkerFaultCtx(context.Background()); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Error kind: %v", err)
 	}
 	start := time.Now()
-	if err := (&Fault{Kind: Delay, Delay: 5 * time.Millisecond}).WorkerFault(); err != nil {
+	if err := (&Fault{Kind: Delay, Delay: 5 * time.Millisecond}).WorkerFaultCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < 5*time.Millisecond {
@@ -151,9 +150,9 @@ func TestWorkerFaultKinds(t *testing.T) {
 				t.Fatal("Panic kind did not panic")
 			}
 		}()
-		(&Fault{Kind: Panic}).WorkerFault()
+		(&Fault{Kind: Panic}).WorkerFaultCtx(context.Background())
 	}()
-	if err := (&Fault{Kind: NaN}).WorkerFault(); err != nil {
+	if err := (&Fault{Kind: NaN}).WorkerFaultCtx(context.Background()); err != nil {
 		t.Fatalf("value kind at worker site: %v", err)
 	}
 }

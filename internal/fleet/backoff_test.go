@@ -22,7 +22,7 @@ func backoffSequence(t *testing.T, reg *faults.Registry) []time.Duration {
 	t.Helper()
 	var sleeps []time.Duration
 	rep := RunBatch(context.Background(), Config{
-		MaxInflight: 1, MaxResubmits: 4, JitterSeed: 7,
+		MaxInflight: 1, MaxResubmits: 4,
 		BaseBackoff: 50 * time.Millisecond,
 		MaxBackoff:  800 * time.Millisecond,
 		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
@@ -38,9 +38,9 @@ func backoffSequence(t *testing.T, reg *faults.Registry) []time.Duration {
 
 // TestBackoffDeterministicAcrossClonedRegistries pins the replay
 // property the chaos campaigns depend on: a scheduler with the same
-// JitterSeed, driving a replica over a Clone of the same fault
-// registry, produces the identical resubmission backoff sequence —
-// fault counters and jitter draws are state, not wall-clock noise.
+// config, driving a replica over a Clone of the same fault registry,
+// produces the identical resubmission backoff sequence — fault
+// counters and jitter draws are state, not wall-clock noise.
 func TestBackoffDeterministicAcrossClonedRegistries(t *testing.T) {
 	reg := faults.NewRegistry(1).Arm(faults.Fault{
 		Site: faults.SiteForces, Kind: faults.NaN,
@@ -52,27 +52,6 @@ func TestBackoffDeterministicAcrossClonedRegistries(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("backoff diverged at resubmit %d: %v vs %v", i, a, b)
 		}
-	}
-	// The jitter is seeded, not constant: a different JitterSeed moves
-	// the draws, which is what makes the seed part of a repro line.
-	var sleeps []time.Duration
-	rep := RunBatch(context.Background(), Config{
-		MaxInflight: 1, MaxResubmits: 4, JitterSeed: 8,
-		BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff:  800 * time.Millisecond,
-		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
-	}, []Replica{failingReplica(reg.Clone())})
-	if r := rep.Replica(0); r.State != Failed {
-		t.Fatalf("state %v, want failed", r.State)
-	}
-	same := true
-	for i := range a {
-		if sleeps[i] != a[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatalf("JitterSeed 7 and 8 produced identical backoff %v — jitter is not seeded", a)
 	}
 	// And the cloned registries really did replay the same fault
 	// stream: identical armed schedules, identical fired counters.

@@ -59,6 +59,9 @@ var ErrReplicaPanic = errors.New("fleet: replica panicked")
 // resubmitting an invalid config cannot succeed.
 var errConfig = errors.New("fleet: replica config rejected")
 
+// jitterSeed seeds the scheduler's deterministic backoff-jitter stream.
+const jitterSeed = 1
+
 // Config describes the scheduler.
 type Config struct {
 	// MaxInflight is how many replicas run concurrently. Default:
@@ -99,9 +102,6 @@ type Config struct {
 	// BaseBackoff is set.
 	MaxBackoff time.Duration
 
-	// JitterSeed seeds the deterministic jitter stream. Default 1.
-	JitterSeed uint64
-
 	// Sleep is the backoff clock, replaceable for tests. Default
 	// time.Sleep.
 	Sleep func(time.Duration)
@@ -131,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBackoff == 0 {
 		c.MaxBackoff = 2 * time.Second
-	}
-	if c.JitterSeed == 0 {
-		c.JitterSeed = 1
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
@@ -280,7 +277,7 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:     cfg,
 		queue:   make(chan *job, cfg.QueueDepth),
-		rng:     xrand.New(cfg.JitterSeed),
+		rng:     xrand.New(jitterSeed),
 		drained: make(chan struct{}),
 	}
 	s.wg.Add(cfg.MaxInflight)

@@ -38,6 +38,17 @@ import (
 	"repro/internal/vec"
 )
 
+// The watchdog's physics thresholds.
+const (
+	// maxEnergyDrift is the relative total-energy drift tolerated for
+	// NVE runs (thermostatted runs exchange energy by design and are
+	// not drift-checked).
+	maxEnergyDrift = 0.05
+	// maxTempFactor flags a temperature explosion when the
+	// instantaneous temperature exceeds this multiple of the target.
+	maxTempFactor = 100.0
+)
+
 // Config describes a supervised run.
 type Config struct {
 	// Run is the simulation to supervise, exactly as mdrun.New takes
@@ -48,16 +59,6 @@ type Config struct {
 	// segments of this length, each followed by a health check.
 	// Default 10.
 	CheckEvery int
-
-	// MaxEnergyDrift is the relative total-energy drift tolerated for
-	// NVE runs (thermostatted runs exchange energy by design and are
-	// not drift-checked). Default 0.05; negative disables.
-	MaxEnergyDrift float64
-
-	// MaxTempFactor flags a temperature explosion when the
-	// instantaneous temperature exceeds this multiple of the target.
-	// Default 100; negative disables.
-	MaxTempFactor float64
 
 	// CheckpointEvery is the checkpoint cadence in steps. Default 100.
 	CheckpointEvery int
@@ -114,12 +115,6 @@ type Progress struct {
 func (c Config) withDefaults() Config {
 	if c.CheckEvery == 0 {
 		c.CheckEvery = 10
-	}
-	if c.MaxEnergyDrift == 0 {
-		c.MaxEnergyDrift = 0.05
-	}
-	if c.MaxTempFactor == 0 {
-		c.MaxTempFactor = 100
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 100
@@ -353,20 +348,20 @@ func (s *Supervisor) healthCheck() (sim.Incident, string) {
 	if math.IsNaN(e) || math.IsInf(e, 0) {
 		return sim.IncidentNaN, fmt.Sprintf("non-finite energy at step %d", sys.Steps)
 	}
-	if s.cfg.MaxTempFactor > 0 && s.base.Temperature > 0 {
-		if t := sys.Temperature(); t > s.cfg.MaxTempFactor*s.base.Temperature {
+	if s.base.Temperature > 0 {
+		if t := sys.Temperature(); t > maxTempFactor*s.base.Temperature {
 			return sim.IncidentTempExplosion,
-				fmt.Sprintf("temperature %.3g exceeds %.3g×target at step %d", t, s.cfg.MaxTempFactor, sys.Steps)
+				fmt.Sprintf("temperature %.3g exceeds %.3g×target at step %d", t, maxTempFactor, sys.Steps)
 		}
 	}
-	if s.base.Thermostat == mdrun.NVE && s.cfg.MaxEnergyDrift > 0 {
+	if s.base.Thermostat == mdrun.NVE {
 		ref := math.Abs(s.e0)
 		if ref < 1 {
 			ref = 1
 		}
-		if drift := math.Abs(e-s.e0) / ref; drift > s.cfg.MaxEnergyDrift {
+		if drift := math.Abs(e-s.e0) / ref; drift > maxEnergyDrift {
 			return sim.IncidentEnergyDrift,
-				fmt.Sprintf("energy drift %.3g exceeds %.3g at step %d", drift, s.cfg.MaxEnergyDrift, sys.Steps)
+				fmt.Sprintf("energy drift %.3g exceeds %.3g at step %d", drift, maxEnergyDrift, sys.Steps)
 		}
 	}
 	return -1, ""

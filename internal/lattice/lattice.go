@@ -75,11 +75,13 @@ func Generate(cfg Config) (*State, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("lattice: N must be positive, got %d", cfg.N)
 	}
-	if cfg.Density <= 0 {
-		return nil, fmt.Errorf("lattice: density must be positive, got %v", cfg.Density)
+	// x-x is 0 for a finite x and NaN for NaN and ±Inf, so NaN fails
+	// both checks.
+	if !(cfg.Density > 0 && cfg.Density-cfg.Density == 0) {
+		return nil, fmt.Errorf("lattice: density must be positive and finite, got %v", cfg.Density)
 	}
-	if cfg.Temperature < 0 {
-		return nil, fmt.Errorf("lattice: temperature must be non-negative, got %v", cfg.Temperature)
+	if !(cfg.Temperature >= 0 && cfg.Temperature-cfg.Temperature == 0) {
+		return nil, fmt.Errorf("lattice: temperature must be non-negative and finite, got %v", cfg.Temperature)
 	}
 	box := BoxLength(cfg.N, cfg.Density)
 	var pos []vec.V3[float64]

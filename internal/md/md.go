@@ -99,6 +99,11 @@ func positiveFinite[T vec.Float](x T) bool {
 	return x > 0 && x-x == 0
 }
 
+// nonNegativeFinite reports whether x is zero or positive, and finite.
+func nonNegativeFinite[T vec.Float](x T) bool {
+	return x >= 0 && x-x == 0
+}
+
 // System is the full dynamic state of a simulation. The hot state
 // (positions, velocities, accelerations) lives in SoA component planes
 // carved from one arena allocated at construction, so steady-state

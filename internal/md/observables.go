@@ -25,8 +25,9 @@ type RDF struct {
 // NewRDF builds an accumulator with the given bin count up to rMax
 // (which must respect the minimum-image limit box/2).
 func NewRDF(box, rMax float64, bins int) (*RDF, error) {
-	if box <= 0 || rMax <= 0 || bins <= 0 {
-		return nil, fmt.Errorf("md: RDF needs positive box, rMax, bins")
+	if !positiveFinite(box) || !positiveFinite(rMax) || bins <= 0 {
+		return nil, fmt.Errorf("md: RDF needs finite positive box and rMax and positive bins, got box=%v rMax=%v bins=%d",
+			box, rMax, bins)
 	}
 	if rMax > box/2 {
 		return nil, fmt.Errorf("md: RDF rMax %v exceeds half the box %v", rMax, box/2)
@@ -184,14 +185,9 @@ func (m *MSD) Value() float64 {
 	return sum / float64(len(m.prev))
 }
 
-// Virial computes the instantaneous virial sum W = Σ_pairs f·r for the
-// LJ system, over the rows of a throwaway neighbor list.
-func Virial(p Params[float64], pos Coords[float64]) float64 {
-	return VirialOver(nil, p, pos)
-}
-
-// VirialOver is Virial over the rows of nl, the live neighbor list of
-// a run with parameters p, refreshed first as a force evaluation would
+// VirialOver computes the instantaneous virial sum W = Σ_pairs f·r for
+// the LJ system over the rows of nl, the live neighbor list of a run
+// with parameters p, refreshed first as a force evaluation would
 // refresh it; a nil nl builds a throwaway list on pos instead. The sum
 // visits the pairs within the cutoff in (i ascending, j ascending)
 // order, as an all-pairs scan does, so it is bitwise independent of
@@ -236,81 +232,4 @@ func PressureOver(nl *NeighborList[float64], p Params[float64], pos Coords[float
 	vol := p.Box * p.Box * p.Box
 	n := float64(pos.Len())
 	return (n*temperature + VirialOver(nl, p, pos)/3) / vol
-}
-
-// VACF accumulates the velocity autocorrelation function
-// C(τ) = ⟨v(t)·v(t+τ)⟩ / ⟨v·v⟩ over a window of lags — the observable
-// behind vibrational spectra and the Green-Kubo diffusion coefficient.
-// Feed it every step with Track; Result returns the normalized
-// correlation per lag.
-type VACF struct {
-	lags int
-	ring [][]vec.V3[float64] // last `lags` velocity snapshots
-	head int                 // next slot to overwrite
-	seen int                 // snapshots tracked so far
-
-	corr    []float64 // corr[l] = sum over samples of v(t)·v(t-l)
-	samples []int64
-}
-
-// NewVACF builds an accumulator covering lags 0..maxLag-1.
-func NewVACF(maxLag int) (*VACF, error) {
-	if maxLag < 1 {
-		return nil, fmt.Errorf("md: VACF needs at least one lag, got %d", maxLag)
-	}
-	return &VACF{
-		lags:    maxLag,
-		ring:    make([][]vec.V3[float64], maxLag),
-		corr:    make([]float64, maxLag),
-		samples: make([]int64, maxLag),
-	}, nil
-}
-
-// Track records one velocity snapshot and accumulates all currently
-// available lags.
-func (v *VACF) Track(vel Coords[float64]) error {
-	if v.seen > 0 && v.ring[(v.head+v.lags-1)%v.lags] != nil &&
-		len(v.ring[(v.head+v.lags-1)%v.lags]) != vel.Len() {
-		return fmt.Errorf("md: VACF fed %d atoms, tracking %d",
-			vel.Len(), len(v.ring[(v.head+v.lags-1)%v.lags]))
-	}
-	snap := vel.V3s()
-	v.ring[v.head] = snap
-	v.head = (v.head + 1) % v.lags
-	v.seen++
-
-	avail := v.seen
-	if avail > v.lags {
-		avail = v.lags
-	}
-	for lag := 0; lag < avail; lag++ {
-		idx := (v.head - 1 - lag + 2*v.lags) % v.lags
-		old := v.ring[idx]
-		var dot float64
-		for i := range snap {
-			dot += snap[i].Dot(old[i])
-		}
-		v.corr[lag] += dot / float64(len(snap))
-		v.samples[lag]++
-	}
-	return nil
-}
-
-// Result returns C(τ) for τ = 0..maxLag-1, normalized so C(0) = 1.
-// Lags never sampled are zero.
-func (v *VACF) Result() []float64 {
-	out := make([]float64, v.lags)
-	if v.samples[0] == 0 {
-		return out
-	}
-	c0 := v.corr[0] / float64(v.samples[0])
-	if c0 == 0 {
-		return out
-	}
-	for lag := range out {
-		if v.samples[lag] > 0 {
-			out[lag] = (v.corr[lag] / float64(v.samples[lag])) / c0
-		}
-	}
-	return out
 }

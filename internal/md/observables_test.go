@@ -194,7 +194,7 @@ func TestVirialSignAtHighDensity(t *testing.T) {
 	// A strongly compressed lattice is dominated by repulsion: positive
 	// virial, positive pressure.
 	s := makeSystemDensity(t, 256, 1.2)
-	w := Virial(s.P, s.Pos)
+	w := VirialOver(nil, s.P, s.Pos)
 	if w <= 0 {
 		t.Fatalf("virial at density 1.2 = %v, want > 0", w)
 	}
@@ -230,76 +230,4 @@ func makeSystemDensity(t *testing.T, n int, density float64) *System[float64] {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func TestVACFValidation(t *testing.T) {
-	if _, err := NewVACF(0); err == nil {
-		t.Fatal("zero lags accepted")
-	}
-}
-
-func TestVACFBallisticParticlesStayCorrelated(t *testing.T) {
-	// Constant velocities: C(τ) = 1 for every lag.
-	v, err := NewVACF(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vel := CoordsFromV3([]vec.V3[float64]{{X: 1}, {Y: -2}, {Z: 0.5}})
-	for i := 0; i < 10; i++ {
-		if err := v.Track(vel); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for lag, c := range v.Result() {
-		if math.Abs(c-1) > 1e-12 {
-			t.Fatalf("C(%d) = %v, want 1 for ballistic motion", lag, c)
-		}
-	}
-}
-
-func TestVACFDecaysInLiquid(t *testing.T) {
-	s := makeSystem(t, 256, false)
-	s.Run(50) // partially equilibrate
-	v, err := NewVACF(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 150; i++ {
-		s.Step()
-		if err := v.Track(s.Vel); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := v.Result()
-	if math.Abs(c[0]-1) > 1e-12 {
-		t.Fatalf("C(0) = %v", c[0])
-	}
-	if c[20] >= 0.9 {
-		t.Fatalf("C(20) = %v; collisions should decorrelate velocities", c[20])
-	}
-}
-
-func TestVACFEmptyResult(t *testing.T) {
-	v, err := NewVACF(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range v.Result() {
-		if c != 0 {
-			t.Fatal("unsampled VACF not zero")
-		}
-	}
-}
-
-func TestVACFSizeMismatch(t *testing.T) {
-	v, err := NewVACF(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Track(MakeCoords[float64](4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Track(MakeCoords[float64](5)); err == nil {
-		t.Fatal("size change accepted")
-	}
 }

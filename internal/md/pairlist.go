@@ -50,8 +50,8 @@ type NeighborList[T vec.Float] struct {
 
 // NewNeighborList creates an empty list with the given skin width.
 func NewNeighborList[T vec.Float](skin T) (*NeighborList[T], error) {
-	if skin <= 0 {
-		return nil, fmt.Errorf("md: neighbor list skin must be positive, got %v", skin)
+	if !positiveFinite(skin) {
+		return nil, fmt.Errorf("md: neighbor list skin must be positive and finite, got %v", skin)
 	}
 	return &NeighborList[T]{Skin: skin}, nil
 }

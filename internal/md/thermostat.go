@@ -31,8 +31,8 @@ type RescaleThermostat[T vec.Float] struct {
 
 // NewRescaleThermostat validates the parameters.
 func NewRescaleThermostat[T vec.Float](target T, interval int) (*RescaleThermostat[T], error) {
-	if target < 0 {
-		return nil, fmt.Errorf("md: thermostat target temperature %v is negative", target)
+	if !nonNegativeFinite(target) {
+		return nil, fmt.Errorf("md: thermostat target temperature must be non-negative and finite, got %v", target)
 	}
 	if interval < 1 {
 		return nil, fmt.Errorf("md: thermostat interval %d must be >= 1", interval)
@@ -61,11 +61,11 @@ type BerendsenThermostat[T vec.Float] struct {
 
 // NewBerendsenThermostat validates the parameters.
 func NewBerendsenThermostat[T vec.Float](target, dt, tau T) (*BerendsenThermostat[T], error) {
-	if target < 0 {
-		return nil, fmt.Errorf("md: thermostat target temperature %v is negative", target)
+	if !nonNegativeFinite(target) {
+		return nil, fmt.Errorf("md: thermostat target temperature must be non-negative and finite, got %v", target)
 	}
-	if dt <= 0 || tau < dt {
-		return nil, fmt.Errorf("md: Berendsen needs 0 < dt <= tau, got dt=%v tau=%v", dt, tau)
+	if !positiveFinite(dt) || !positiveFinite(tau) || tau < dt {
+		return nil, fmt.Errorf("md: Berendsen needs finite 0 < dt <= tau, got dt=%v tau=%v", dt, tau)
 	}
 	return &BerendsenThermostat[T]{Target: target, Dt: dt, Tau: tau}, nil
 }
@@ -98,14 +98,6 @@ func scalePlanes[T vec.Float](vel Coords[T], f T) {
 	}
 }
 
-// StepThermostatted advances one velocity-Verlet step and then applies
-// the thermostat.
-func (s *System[T]) StepThermostatted(th Thermostat[T]) {
-	s.Step()
-	th.Apply(s.Vel, s.Temperature())
-	s.KE = KineticEnergy(s.Vel)
-}
-
 // LangevinThermostat couples every degree of freedom to a stochastic
 // bath: each step, velocities are damped by the friction and kicked
 // with noise whose magnitude satisfies the fluctuation-dissipation
@@ -122,11 +114,11 @@ type LangevinThermostat[T vec.Float] struct {
 // NewLangevinThermostat validates the parameters and fixes the noise
 // stream.
 func NewLangevinThermostat[T vec.Float](target, dt, gamma T, seed uint64) (*LangevinThermostat[T], error) {
-	if target < 0 {
-		return nil, fmt.Errorf("md: thermostat target temperature %v is negative", target)
+	if !nonNegativeFinite(target) {
+		return nil, fmt.Errorf("md: thermostat target temperature must be non-negative and finite, got %v", target)
 	}
-	if dt <= 0 || gamma <= 0 || gamma*dt >= 1 {
-		return nil, fmt.Errorf("md: Langevin needs 0 < gamma*dt < 1, got dt=%v gamma=%v", dt, gamma)
+	if !positiveFinite(dt) || !positiveFinite(gamma) || gamma*dt >= 1 {
+		return nil, fmt.Errorf("md: Langevin needs finite dt, gamma > 0 and gamma*dt < 1, got dt=%v gamma=%v", dt, gamma)
 	}
 	return &LangevinThermostat[T]{Target: target, Dt: dt, Gamma: gamma, rng: xrand.New(seed)}, nil
 }

@@ -70,12 +70,12 @@ type ThermostatKind int
 const (
 	// NVE runs without a thermostat (constant energy).
 	NVE ThermostatKind = iota
-	// Rescale hard-rescales to the target every RescaleInterval steps.
+	// Rescale hard-rescales to the target every rescaleInterval steps.
 	Rescale
 	// Berendsen couples weakly with time constant Tau.
 	Berendsen
-	// Langevin couples stochastically with friction Gamma (canonical
-	// sampling; noise stream seeded from Config.Seed+1).
+	// Langevin couples stochastically with friction langevinGamma
+	// (canonical sampling; noise stream seeded from Config.Seed+1).
 	Langevin
 )
 
@@ -122,10 +122,8 @@ type Config struct {
 	Topology *md.Topology
 
 	// Temperature control.
-	Thermostat      ThermostatKind
-	RescaleInterval int     // Rescale: steps between kicks (default 10)
-	Tau             float64 // Berendsen: coupling constant (default 25*Dt)
-	Gamma           float64 // Langevin: friction (default 5.0)
+	Thermostat ThermostatKind
+	Tau        float64 // Berendsen: coupling constant (default 25*Dt)
 
 	// Trajectory output (nil to disable).
 	Trajectory      io.Writer
@@ -133,7 +131,6 @@ type Config struct {
 
 	// Observables.
 	SampleRDF   bool
-	RDFBins     int // default 50
 	SampleEvery int // observable sampling stride (default 10)
 
 	// Faults optionally injects failures for resilience testing: the
@@ -145,25 +142,23 @@ type Config struct {
 	Faults faults.Injector
 }
 
+// Fixed run settings that no caller varies.
+const (
+	rescaleInterval = 10  // Rescale: steps between kicks
+	langevinGamma   = 5.0 // Langevin: friction, 1/time
+	rdfBins         = 50  // RDF histogram bins
+)
+
 // withDefaults fills zero values.
 func (c Config) withDefaults() Config {
 	if c.PairlistSkin == 0 {
 		c.PairlistSkin = 0.4
 	}
-	if c.RescaleInterval == 0 {
-		c.RescaleInterval = 10
-	}
 	if c.Tau == 0 {
 		c.Tau = 25 * c.Dt
 	}
-	if c.Gamma == 0 {
-		c.Gamma = 5.0
-	}
 	if c.TrajectoryEvery == 0 {
 		c.TrajectoryEvery = 10
-	}
-	if c.RDFBins == 0 {
-		c.RDFBins = 50
 	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 10
@@ -294,11 +289,11 @@ func assemble(cfg Config, sys *md.System[float64]) (*Runner, error) {
 	switch cfg.Thermostat {
 	case NVE:
 	case Rescale:
-		r.therm, err = md.NewRescaleThermostat(cfg.Temperature, cfg.RescaleInterval)
+		r.therm, err = md.NewRescaleThermostat(cfg.Temperature, rescaleInterval)
 	case Berendsen:
 		r.therm, err = md.NewBerendsenThermostat(cfg.Temperature, cfg.Dt, cfg.Tau)
 	case Langevin:
-		r.therm, err = md.NewLangevinThermostat(cfg.Temperature, cfg.Dt, cfg.Gamma, cfg.Seed+1)
+		r.therm, err = md.NewLangevinThermostat(cfg.Temperature, cfg.Dt, langevinGamma, cfg.Seed+1)
 	default:
 		err = fmt.Errorf("mdrun: unknown thermostat %d", int(cfg.Thermostat))
 	}
@@ -314,7 +309,7 @@ func assemble(cfg Config, sys *md.System[float64]) (*Runner, error) {
 		if rMax > sys.P.Box/2 {
 			rMax = sys.P.Box / 2 * 0.99
 		}
-		r.rdf, err = md.NewRDF(sys.P.Box, rMax, cfg.RDFBins)
+		r.rdf, err = md.NewRDF(sys.P.Box, rMax, rdfBins)
 		if err != nil {
 			return nil, err
 		}

@@ -154,7 +154,7 @@ func TestRDFSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.RDF) != cfg.withDefaults().RDFBins {
+	if len(sum.RDF) != rdfBins {
 		t.Fatalf("RDF bins = %d", len(sum.RDF))
 	}
 	// Liquid structure: a first peak above 1.
@@ -211,6 +211,60 @@ func TestInvalidConfigs(t *testing.T) {
 		mod(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// TestNonFiniteParametersRejected pins that a NaN or infinite
+// thermostat, lattice, neighbor-list or RDF parameter is refused where
+// it enters, by the constructor and by mdrun.New, instead of running
+// to a NaN or wrong energy.
+func TestNonFiniteParametersRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	generate := func(mod func(*lattice.Config)) func() error {
+		return func() error {
+			c := lattice.Config{N: 32, Density: 0.8442, Temperature: 0.7, Kind: lattice.FCC, Seed: 1}
+			mod(&c)
+			_, err := lattice.Generate(c)
+			return err
+		}
+	}
+	newRunner := func(mod func(*Config)) func() error {
+		return func() error {
+			c := baseConfig()
+			mod(&c)
+			_, err := New(c)
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		make func() error
+	}{
+		{"rescale target NaN", func() error { _, err := md.NewRescaleThermostat(nan, 10); return err }},
+		{"rescale target +Inf", func() error { _, err := md.NewRescaleThermostat(inf, 10); return err }},
+		{"berendsen target +Inf", func() error { _, err := md.NewBerendsenThermostat(inf, 0.004, 0.1); return err }},
+		{"berendsen tau NaN", func() error { _, err := md.NewBerendsenThermostat(1, 0.004, nan); return err }},
+		{"berendsen tau +Inf", func() error { _, err := md.NewBerendsenThermostat(1, 0.004, inf); return err }},
+		{"berendsen dt NaN", func() error { _, err := md.NewBerendsenThermostat(1, nan, 0.1); return err }},
+		{"langevin target NaN", func() error { _, err := md.NewLangevinThermostat(nan, 0.004, 1, 1); return err }},
+		{"langevin gamma NaN", func() error { _, err := md.NewLangevinThermostat(1, 0.004, nan, 1); return err }},
+		{"langevin dt NaN", func() error { _, err := md.NewLangevinThermostat(1, nan, 1, 1); return err }},
+		{"neighbor list skin NaN", func() error { _, err := md.NewNeighborList(nan); return err }},
+		{"neighbor list skin +Inf", func() error { _, err := md.NewNeighborList(inf); return err }},
+		{"rdf rMax NaN", func() error { _, err := md.NewRDF(10, nan, 5); return err }},
+		{"lattice temperature NaN", generate(func(c *lattice.Config) { c.Temperature = nan })},
+		{"lattice temperature +Inf", generate(func(c *lattice.Config) { c.Temperature = inf })},
+		{"lattice density NaN", generate(func(c *lattice.Config) { c.Density = nan })},
+		{"lattice density +Inf", generate(func(c *lattice.Config) { c.Density = inf })},
+		{"mdrun berendsen tau NaN", newRunner(func(c *Config) { c.Thermostat, c.Tau = Berendsen, nan })},
+		{"mdrun rescale temperature NaN", newRunner(func(c *Config) { c.Thermostat, c.Temperature = Rescale, nan })},
+		{"mdrun temperature NaN", newRunner(func(c *Config) { c.Temperature = nan })},
+		{"mdrun pairlist skin NaN", newRunner(func(c *Config) { c.Method, c.PairlistSkin = Pairlist, nan })},
+	}
+	for _, tc := range cases {
+		if err := tc.make(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

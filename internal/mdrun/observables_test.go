@@ -40,7 +40,7 @@ func checkSameBits(t *testing.T, what string, got, want float64) {
 func checkObservablesMatchInternalList(t *testing.T, r *Runner) {
 	t.Helper()
 	sys := r.System()
-	ref, err := md.NewRDF(sys.P.Box, sys.P.Cutoff, r.cfg.RDFBins)
+	ref, err := md.NewRDF(sys.P.Box, sys.P.Cutoff, rdfBins)
 	if err != nil {
 		t.Fatal(err)
 	}

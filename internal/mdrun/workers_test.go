@@ -12,9 +12,8 @@ import (
 
 func TestWithDefaultsOtherFieldsUnchanged(t *testing.T) {
 	cfg := Config{Dt: 0.004}.withDefaults()
-	if cfg.PairlistSkin != 0.4 || cfg.RescaleInterval != 10 ||
-		cfg.Tau != 25*cfg.Dt || cfg.Gamma != 5.0 ||
-		cfg.TrajectoryEvery != 10 || cfg.RDFBins != 50 || cfg.SampleEvery != 10 {
+	if cfg.PairlistSkin != 0.4 || cfg.Tau != 25*cfg.Dt ||
+		cfg.TrajectoryEvery != 10 || cfg.SampleEvery != 10 {
 		t.Fatalf("defaults regressed: %+v", cfg)
 	}
 }

@@ -28,9 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the table as aligned ASCII.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

@@ -42,8 +42,8 @@ func TestTableShortRowPadded(t *testing.T) {
 	if err := tb.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 1 {
-		t.Fatal("Rows")
+	if got, want := sb.String(), "a  b\n-  -\nx\n"; got != want {
+		t.Fatalf("rendered %q, want %q", got, want)
 	}
 }
 

@@ -65,12 +65,11 @@ func enospcEverywhere() *faults.Registry {
 func TestDegradedModeUnderPersistentENOSPC(t *testing.T) {
 	disk := &swapInjector{}
 	srv, err := NewServer(Config{
-		DataDir:      t.TempDir(),
-		Fleet:        fleet.Config{MaxInflight: 1, QueueDepth: 16, WorkerBudget: 1},
-		Logf:         t.Logf,
-		FS:           fsys.Faulty(fsys.OS, disk),
-		DegradeAfter: 2,
-		ProbeEvery:   -1, // probe on every submission: deterministic recovery
+		DataDir:    t.TempDir(),
+		Fleet:      fleet.Config{MaxInflight: 1, QueueDepth: 16, WorkerBudget: 1},
+		Logf:       t.Logf,
+		FS:         fsys.Faulty(fsys.OS, disk),
+		ProbeEvery: -1, // probe on every submission: deterministic recovery
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,21 +85,25 @@ func TestDegradedModeUnderPersistentENOSPC(t *testing.T) {
 
 	disk.set(enospcEverywhere())
 
-	// First storage failure: 503 + Retry-After, not yet degraded.
-	_, code, hdr := submit(t, hs, "t1", "", testSpec(20))
-	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
-		t.Fatalf("submit on full disk: code %d, Retry-After %q", code, hdr.Get("Retry-After"))
+	// The first degradeAfter-1 storage failures: 503 + Retry-After, not
+	// yet degraded.
+	var hdr http.Header
+	for i := 1; i < degradeAfter; i++ {
+		_, code, hdr = submit(t, hs, "t1", "", testSpec(20))
+		if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+			t.Fatalf("submit %d on full disk: code %d, Retry-After %q", i, code, hdr.Get("Retry-After"))
+		}
+		if degradedNow(t, hs) {
+			t.Fatalf("degraded after %d of %d consecutive failures", i, degradeAfter)
+		}
 	}
-	if degradedNow(t, hs) {
-		t.Fatal("degraded after a single failure with DegradeAfter 2")
-	}
-	// Second consecutive failure crosses DegradeAfter.
+	// The next consecutive failure crosses degradeAfter.
 	_, code, _ = submit(t, hs, "t1", "", testSpec(20))
 	if code != http.StatusServiceUnavailable {
-		t.Fatalf("second submit: code %d", code)
+		t.Fatalf("submit %d: code %d", degradeAfter, code)
 	}
 	if !degradedNow(t, hs) {
-		t.Fatal("not degraded after DegradeAfter consecutive failures")
+		t.Fatalf("not degraded after %d consecutive failures", degradeAfter)
 	}
 
 	// /healthz reports it with a Retry-After hint.
@@ -167,13 +170,12 @@ func TestDegradedProbePacing(t *testing.T) {
 		return now
 	}
 	srv, err := NewServer(Config{
-		DataDir:      t.TempDir(),
-		Fleet:        fleet.Config{MaxInflight: 1, QueueDepth: 16, WorkerBudget: 1},
-		Logf:         t.Logf,
-		FS:           fsys.Faulty(fsys.OS, disk),
-		DegradeAfter: 1,
-		ProbeEvery:   time.Hour,
-		Now:          clock,
+		DataDir:    t.TempDir(),
+		Fleet:      fleet.Config{MaxInflight: 1, QueueDepth: 16, WorkerBudget: 1},
+		Logf:       t.Logf,
+		FS:         fsys.Faulty(fsys.OS, disk),
+		ProbeEvery: time.Hour,
+		Now:        clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,11 +184,13 @@ func TestDegradedProbePacing(t *testing.T) {
 	hs := httpFront(t, srv)
 
 	disk.set(enospcEverywhere())
-	if _, code, _ := submit(t, hs, "t1", "", testSpec(20)); code != http.StatusServiceUnavailable {
-		t.Fatalf("submit on full disk: code %d", code)
+	for i := 1; i <= degradeAfter; i++ {
+		if _, code, _ := submit(t, hs, "t1", "", testSpec(20)); code != http.StatusServiceUnavailable {
+			t.Fatalf("submit %d on full disk: code %d", i, code)
+		}
 	}
 	if !degradedNow(t, hs) {
-		t.Fatal("DegradeAfter 1 must degrade on the first failure")
+		t.Fatalf("%d consecutive failures must degrade", degradeAfter)
 	}
 
 	disk.set(nil) // disk heals, but the probe is paced out

@@ -691,9 +691,18 @@ func TestRestartFailsUnrunnableSpecs(t *testing.T) {
 				t.Fatalf("restart %d: %s (%+v): status %q error %q, want failed with the validation error",
 					restart, id, bad[id], status.Status, status.Error)
 			}
-			rec, err := st.GetTerminal(id)
-			if err != nil || rec == nil || rec.Status != StatusFailed {
-				t.Fatalf("restart %d: %s: persisted terminal record %+v (%v), want failed", restart, id, rec, err)
+		}
+		scanned, _, err := st.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		persisted := map[string]*TerminalRecord{}
+		for _, sj := range scanned {
+			persisted[sj.Record.ID] = sj.Terminal
+		}
+		for id := range bad {
+			if rec := persisted[id]; rec == nil || rec.Status != StatusFailed {
+				t.Fatalf("restart %d: %s: persisted terminal record %+v, want failed", restart, id, rec)
 			}
 		}
 		drainNow(t, srv)

@@ -23,6 +23,11 @@ const (
 	StatusFailed  = "failed"
 )
 
+// degradeAfter is how many consecutive admission-time storage failures
+// flip the server into degraded read-only mode: new admissions are
+// refused with 503, existing jobs keep running and streaming.
+const degradeAfter = 3
+
 // Config describes a Server.
 type Config struct {
 	// DataDir roots the durable job store.
@@ -41,11 +46,6 @@ type Config struct {
 	// corruption, worker panics) — the chaos campaigns' compute faults.
 	Faults faults.Injector
 
-	// DegradeAfter is how many consecutive admission-time storage
-	// failures flip the server into degraded read-only mode (new
-	// admissions refused with 503, existing jobs keep running and
-	// streaming). Default 3; negative disables degraded mode.
-	DegradeAfter int
 	// ProbeEvery rate-limits the store write probes that let a degraded
 	// server recover: at most one probe per interval, tried on the next
 	// submission. Default 1s; negative probes on every submission (the
@@ -88,7 +88,7 @@ type Server struct {
 	shed     int64 // admissions rejected by fleet overload
 
 	// Degraded-mode state machine: admitFails counts consecutive
-	// admission-time storage failures; reaching cfg.DegradeAfter flips
+	// admission-time storage failures; reaching degradeAfter flips
 	// degraded, and a successful store probe (or admission write)
 	// clears it. storageErrors is the lifetime tally for /v1/stats.
 	degraded      bool
@@ -105,9 +105,6 @@ type Server struct {
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.DegradeAfter == 0 {
-		cfg.DegradeAfter = 3
 	}
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = time.Second
@@ -282,14 +279,14 @@ func (s *Server) submit(tenant, key string, sp Spec) (submitResponse, int, strin
 
 // noteStorageFailureLocked (mu held) records one admission-time
 // storage failure and flips the server into degraded read-only mode
-// when cfg.DegradeAfter consecutive failures accumulate. In-flight
+// when degradeAfter consecutive failures accumulate. In-flight
 // jobs are untouched: the fleet keeps running them, progress keeps
 // streaming, and their waiters still try to persist terminal records
 // (logging, never crashing, on failure).
 func (s *Server) noteStorageFailureLocked(err error) {
 	s.storageErrors++
 	s.admitFails++
-	if s.cfg.DegradeAfter > 0 && s.admitFails >= s.cfg.DegradeAfter && !s.degraded {
+	if s.admitFails >= degradeAfter && !s.degraded {
 		s.degraded = true
 		s.lastProbe = s.cfg.Now()
 		s.cfg.Logf("serve: degraded read-only mode after %d consecutive storage failures: %v", s.admitFails, err)

@@ -123,17 +123,6 @@ func (st *Store) Remove(id string) error {
 	return st.fs.RemoveAll(st.jobDir(id))
 }
 
-// GetTerminal loads the completion record, or nil for an incomplete
-// job.
-func (st *Store) GetTerminal(id string) (*TerminalRecord, error) {
-	var rec TerminalRecord
-	ok, err := st.readJSON(st.jobDir(id), "sreport.json", &rec)
-	if err != nil || !ok {
-		return nil, err
-	}
-	return &rec, nil
-}
-
 // Probe checks that the store can still complete a full atomic write:
 // temp file, write, fsync, remove. The degraded-mode recovery loop
 // calls this before accepting admissions again — a disk that fails

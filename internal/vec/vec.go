@@ -50,9 +50,6 @@ func (a V3[T]) MulAdd(s T, b V3[T]) V3[T] {
 	return V3[T]{a.X + s*b.X, a.Y + s*b.Y, a.Z + s*b.Z}
 }
 
-// Hadamard returns the component-wise product of a and b.
-func (a V3[T]) Hadamard(b V3[T]) V3[T] { return V3[T]{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
-
 // Sqrt is a generic square root, computed at the precision of T: for
 // float32 it rounds a float64 result back to float32, matching what a
 // single-precision machine produces for correctly-rounded inputs.
@@ -104,12 +101,6 @@ func Clamp[T Float](x, lo, hi T) T {
 		return hi
 	}
 	return x
-}
-
-// ToV3f64 widens a vector to float64, used when accumulating energies
-// from single-precision devices.
-func ToV3f64[T Float](a V3[T]) V3[float64] {
-	return V3[float64]{float64(a.X), float64(a.Y), float64(a.Z)}
 }
 
 // FromV3f64 narrows a float64 vector to precision T.

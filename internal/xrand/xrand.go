@@ -107,11 +107,3 @@ func (s *Source) NormFloat64() float64 {
 	s.haveSpare = true
 	return u * f
 }
-
-// Shuffle permutes the first n elements using swap, with Fisher-Yates.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

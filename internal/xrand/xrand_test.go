@@ -160,28 +160,6 @@ func TestMul64MatchesBits(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	prop := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = i
-		}
-		New(seed).Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := make([]bool, n)
-		for _, v := range xs {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBitBalance(t *testing.T) {
 	// Each output bit should be set ~half the time.
 	s := New(1234)

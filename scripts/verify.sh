@@ -2,8 +2,8 @@
 # verify.sh — the repository's full verification gate, in escalating
 # cost order: compile, vet, formatting, the pair-loop bounds-check
 # budget, the no-pair-loop check on the parallel engine, the whole
-# test suite, the benchmark module (perfbench, a module of its own),
-# the race-detector pass over the
+# test suite, one run of every example main, the benchmark module
+# (perfbench, a module of its own), the race-detector pass over the
 # sharded/recovery/scheduling paths (tier-1.5), the crash and chaos
 # smokes, the project static-analysis suite (mdlint), then the
 # zero-alloc stepping gate, the determinism certificate diff and the
@@ -76,6 +76,21 @@ fi
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> examples: run each main once (README tells users to go run them)"
+# The build above only compiles them; a main that errors or panics at
+# run time fails here. Output is shown only for a failing example.
+EXAMPLE_OUT="$(mktemp)"
+for EXAMPLE in examples/*/; do
+    echo "go run ./$EXAMPLE"
+    if ! go run "./$EXAMPLE" > "$EXAMPLE_OUT" 2>&1; then
+        cat "$EXAMPLE_OUT" >&2
+        rm -f "$EXAMPLE_OUT"
+        echo "verify: example $EXAMPLE exited nonzero" >&2
+        exit 1
+    fi
+done
+rm -f "$EXAMPLE_OUT"
 
 echo "==> perfbench module: go vet + go test (the root build never compiles it)"
 (cd perfbench && go vet ./... && go test ./...)
