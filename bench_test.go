@@ -426,16 +426,18 @@ func buildBenchWorkers() []int {
 }
 
 // BenchmarkNeighborBuild sweeps the neighbor-list build itself across
-// atom counts and strategies: the reference O(N²) scan, the serial
+// geometries and strategies: the reference O(N²) scan, the serial
 // cell-binned build, and the sharded parallel build at the worker
 // sweep. Every strategy produces byte-identical pair lists (pinned by
 // the md and parallel package tests), so the only thing that varies
-// here is wall-clock. The reported metric is the speedup over the
-// serial N² scan, reported next to that scan's own time
-// (serial_ns/op).
+// here is wall-clock. Each arm reports ns/atom (one build's time per
+// atom, the unit of perfbench's md.build_ns_per_atom) and the speedup
+// over the serial N² scan, next to that scan's own time
+// (serial_ns/op). The skin-0.4 arms are md-steady's density and skin
+// at three sizes; the rebuild arm is md-rebuild's geometry (N=4000,
+// skin 0.2).
 func BenchmarkNeighborBuild(b *testing.B) {
-	const skin = 0.4
-	newList := func(b *testing.B) *md.NeighborList[float64] {
+	newList := func(b *testing.B, skin float64) *md.NeighborList[float64] {
 		nl, err := md.NewNeighborList[float64](skin)
 		if err != nil {
 			b.Fatal(err)
@@ -443,15 +445,14 @@ func BenchmarkNeighborBuild(b *testing.B) {
 		return nl
 	}
 
-	// serialNs lazily measures the reference O(N²) build once per atom
-	// count — the denominator of every speedup metric.
-	serialNs := map[int]float64{}
-	serialBaseline := func(b *testing.B, p md.Params[float64], pos md.Coords[float64]) float64 {
-		n := pos.Len()
-		if ns, ok := serialNs[n]; ok {
+	// serialNs lazily measures the reference O(N²) build once per
+	// geometry — the denominator of every speedup metric.
+	serialNs := map[string]float64{}
+	serialBaseline := func(b *testing.B, key string, skin float64, p md.Params[float64], pos md.Coords[float64]) float64 {
+		if ns, ok := serialNs[key]; ok {
 			return ns
 		}
-		nl := newList(b)
+		nl := newList(b, skin)
 		reps := 0
 		start := time.Now()
 		for time.Since(start) < 200*time.Millisecond || reps < 2 {
@@ -459,13 +460,28 @@ func BenchmarkNeighborBuild(b *testing.B) {
 			reps++
 		}
 		ns := float64(time.Since(start).Nanoseconds()) / float64(reps)
-		serialNs[n] = ns
+		serialNs[key] = ns
 		return ns
 	}
+	report := func(b *testing.B, n int, sNs float64) {
+		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(perOp/float64(n), "ns/atom")
+		b.ReportMetric(sNs/perOp, "build_speedup_vs_serial")
+		b.ReportMetric(sNs, "serial_ns/op")
+	}
 
-	for _, n := range []int{512, 2048, 8192} {
+	for _, g := range []struct {
+		name string
+		n    int
+		skin float64
+	}{
+		{"n512", 512, 0.4},
+		{"n2048", 2048, 0.4},
+		{"n8192", 8192, 0.4},
+		{"rebuild_n4000", 4000, 0.2},
+	} {
 		st, err := lattice.Generate(lattice.Config{
-			N: n, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 7,
+			N: g.n, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 7,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -473,23 +489,20 @@ func BenchmarkNeighborBuild(b *testing.B) {
 		p := md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004}
 		pos := md.CoordsFromV3(st.Pos)
 
-		b.Run(fmt.Sprintf("cell/n%d", n), func(b *testing.B) {
-			sNs := serialBaseline(b, p, pos)
-			nl := newList(b)
+		b.Run("cell/"+g.name, func(b *testing.B) {
+			sNs := serialBaseline(b, g.name, g.skin, p, pos)
+			nl := newList(b, g.skin)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				nl.Build(p, pos)
 			}
 			b.StopTimer()
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			speedup := sNs / perOp
-			b.ReportMetric(speedup, "build_speedup_vs_serial")
-			b.ReportMetric(sNs, "serial_ns/op")
+			report(b, g.n, sNs)
 		})
 		for _, w := range buildBenchWorkers() {
-			b.Run(fmt.Sprintf("parallel/n%d_w%d", n, w), func(b *testing.B) {
-				sNs := serialBaseline(b, p, pos)
-				nl := newList(b)
+			b.Run(fmt.Sprintf("parallel/%s_w%d", g.name, w), func(b *testing.B) {
+				sNs := serialBaseline(b, g.name, g.skin, p, pos)
+				nl := newList(b, g.skin)
 				e := parallel.New[float64](w)
 				defer e.Close()
 				b.ResetTimer()
@@ -499,10 +512,7 @@ func BenchmarkNeighborBuild(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				speedup := sNs / perOp
-				b.ReportMetric(speedup, "build_speedup_vs_serial")
-				b.ReportMetric(sNs, "serial_ns/op")
+				report(b, g.n, sNs)
 			})
 		}
 	}

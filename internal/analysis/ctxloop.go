@@ -33,7 +33,7 @@ var ctxSteppers = map[string]bool{
 	"Step": true, "StepWith": true, "StepWithE": true,
 	"Run": true, "RunContext": true,
 	"ForcesDirect": true, "ForcesPairlist": true,
-	"BuildPairlist": true, "BuildRow": true,
+	"BuildPairlist": true, "BuildSpan": true,
 	"Sleep": true, "Submit": true, "Wait": true,
 	"attempt": true, "backoff": true,
 }

@@ -10,7 +10,7 @@ type system struct{}
 func (s *system) Step()                          {}
 func (s *system) Rebuild()                       {}
 func (s *system) RunContext(ctx context.Context) {}
-func (s *system) BuildRow(i int)                 {}
+func (s *system) BuildSpan(lo, hi int)           {}
 
 // runBlind steps the system but never observes a context: flagged.
 func runBlind(ctx context.Context, sys *system, steps int) {
@@ -50,22 +50,22 @@ func runDelegated(ctx context.Context, sys *system, steps int) {
 	}
 }
 
-// buildBlind fills neighbor-list rows without ever observing a
-// context: flagged (the parallel build's row loop is a stepper).
+// buildBlind fills neighbor-list spans without ever observing a
+// context: flagged (the parallel build's span loop is a stepper).
 func buildBlind(ctx context.Context, sys *system, n int) {
-	for i := 0; i < n; i++ { // want ctxloop
-		sys.BuildRow(i)
+	for at := 0; at < n; at += 1024 { // want ctxloop
+		sys.BuildSpan(at, min(at+1024, n))
 	}
 }
 
-// buildChecked polls ctx.Err at a stride, like the real sharded build:
-// compliant.
+// buildChecked polls ctx.Err before each span, like the real sharded
+// build: compliant.
 func buildChecked(ctx context.Context, sys *system, n int) {
-	for i := 0; i < n; i++ {
-		if i%256 == 0 && ctx.Err() != nil {
+	for at := 0; at < n; at += 1024 {
+		if ctx.Err() != nil {
 			return
 		}
-		sys.BuildRow(i)
+		sys.BuildSpan(at, min(at+1024, n))
 	}
 }
 

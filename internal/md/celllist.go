@@ -9,36 +9,45 @@ import (
 // cellGrid bins atoms into a grid of cells at least one list radius
 // wide, so an atom's neighbors all lie in its own cell or the 26
 // around it. It is the spatial index the neighbor-list build gathers
-// over (NeighborList.BeginBuild / BuildRow) — the same cell blocking
+// over (NeighborList.BeginBuild / BuildSpan) — the same cell blocking
 // the Cell and GPU ports in the related work use to lay out what a
 // list build reads — and it never leaves this package: the force
 // kernels all walk list rows or the full pair scan, never cells.
 //
 // There is one layout and one sizing rule: binWrapped folds every
 // position into the box, sizes the grid for the atom count with
-// buildGridDims, and counting-sorts the atoms into packed per-cell
-// runs. All scratch state is carved from two grow-once arenas (one
-// int32, one T), so a steady-state rebuild allocates nothing and the
-// whole ledger cost of binning is the two arena makes below.
+// buildGridDims, and counting-sorts the atoms into per-cell runs. A
+// box too small for three cells per edge is binned as one cell, whose
+// run is every atom in index order. All scratch state, the build's
+// per-shard gather scratch included, is carved from two grow-once
+// arenas (one int32, one T), so a steady-state rebuild allocates
+// nothing and the whole ledger cost of binning is the two arena makes
+// in ensureCSR.
 type cellGrid[T vec.Float] struct {
-	dims  int // cells per box edge, set by binWrapped
+	dims  int // cells per box edge, set by binWrapped: 1, or 3 and up
 	width T   // cell edge length (>= reach)
 	box   T   // box edge the grid covers
 	reach T   // the smallest cell edge allowed: the list radius
 
-	// Packed (CSR) layout: order holds atom indices grouped by cell
-	// (ascending within each cell), packed the corresponding positions
-	// copied alongside as SoA planes, and starts[c]..starts[c+1]
-	// delimits cell c's run. Streaming contiguous runs keeps every
-	// inner loop on sequential loads.
+	// CSR layout: order holds atom indices grouped by cell (ascending
+	// within each cell), and starts[c]..starts[c+1] delimits cell c's
+	// run. The build shards over positions in order ("slots").
 	starts []int32
 	order  []int32
-	packed Coords[T]
 	cursor []int32 // counting-sort scratch
 	cellOf []int32 // counting-sort scratch: each atom's cell, one fold per atom
 
-	csrInts []int32 // arena behind starts+cursor+order+cellOf
-	csrPos  []T     // arena behind packed
+	// span is the most atoms one home cell's candidate union can hold
+	// (its stencil's cell count times the fullest cell's occupancy, at
+	// most the atom count). Each build shard owns span-sized gather
+	// scratch: two int32 blocks (the union and the radix pass's
+	// ping-pong buffer) at scratchAt in csrInts, and three T planes
+	// (the union's positions) in csrPos.
+	span      int
+	scratchAt int
+
+	csrInts []int32 // arena behind starts+cursor+order+cellOf+gather scratch
+	csrPos  []T     // arena behind the gather scratch's position planes
 }
 
 // axisCell maps one folded coordinate to its cell along an axis. A
@@ -55,23 +64,28 @@ func (g *cellGrid[T]) axisCell(x T) int {
 	return c
 }
 
-// neighborCells writes cell c itself followed by its 26 periodic
-// neighbors into buf (which must have length >= 27) and returns the
-// filled slice: the full shell a list row gathers its candidates from.
+// neighborCells writes the stencil a home cell's candidates come from
+// into buf (which must have length >= 27) and returns the filled
+// slice: cell c itself first, then, on a grid of three or more cells
+// per edge, its 26 periodic neighbors. A one-cell grid's stencil is
+// that cell. Each axis wraps once per cell, not once per neighbor.
 func (g *cellGrid[T]) neighborCells(c int, buf []int) []int {
+	buf = append(buf[:0], c)
 	d := g.dims
 	cz := c % d
 	cy := (c / d) % d
 	cx := c / (d * d)
-	buf = buf[:0]
-	buf = append(buf, c)
-	for ox := -1; ox <= 1; ox++ {
-		for oy := -1; oy <= 1; oy++ {
-			for oz := -1; oz <= 1; oz++ {
-				if ox == 0 && oy == 0 && oz == 0 {
-					continue
+	xs := [3]int{(cx + d - 1) % d, cx, (cx + 1) % d}
+	ys := [3]int{(cy + d - 1) % d, cy, (cy + 1) % d}
+	zs := [3]int{(cz + d - 1) % d, cz, (cz + 1) % d}
+	for _, x := range xs {
+		for _, y := range ys {
+			for _, z := range zs {
+				// With d >= 3 the 27 cells are distinct, and with
+				// d == 1 all are c, so only c can repeat.
+				if nc := (x*d+y)*d + z; nc != c {
+					buf = append(buf, nc)
 				}
-				buf = append(buf, g.wrapCell(cx+ox, cy+oy, cz+oz))
 			}
 		}
 	}
@@ -99,9 +113,7 @@ func foldCoord[T vec.Float](x, box T) T {
 	return x
 }
 
-// cellOfWrapped returns the cell the last binWrapped assigned, or
-// would assign, to position p — the lookup the list row builder uses
-// to find an atom's home cell without storing a per-atom cell table.
+// cellOfWrapped returns the cell binWrapped assigns to position p.
 // Valid after binWrapped, which sizes the grid.
 func (g *cellGrid[T]) cellOfWrapped(p vec.V3[T]) int {
 	return (g.axisCell(foldCoord(p.X, g.box))*g.dims+
@@ -110,15 +122,26 @@ func (g *cellGrid[T]) cellOfWrapped(p vec.V3[T]) int {
 }
 
 // ensureCSR carves the counting-sort buffers for n atoms and ncells
-// cells out of the two CSR arenas, growing them only when capacity is
-// exceeded. noinline keeps each arena make a single ledger site rather
+// cells, then shards gather-scratch blocks of span atoms each, out of
+// the two arenas, growing them only when capacity is exceeded.
+// binWrapped calls it twice per binning: with no scratch before the
+// count, and with the scratch the count sizes after it. The carve is
+// the same prefix both times and a grown int arena keeps the old
+// contents, so the second call leaves the binned layout in place. A
+// grown arena leaves each scratch block 25%+8 atoms of slack, so the
+// fuller cells of a melting lattice stop regrowing it after a few
+// builds. noinline keeps each arena make a single ledger site rather
 // than one per inlined caller.
 //
 //go:noinline
-func (g *cellGrid[T]) ensureCSR(n, ncells int) {
-	need := (ncells + 1) + ncells + n + n
+func (g *cellGrid[T]) ensureCSR(n, ncells, shards, span int) {
+	csr := (ncells + 1) + ncells + n + n
+	need := csr + shards*2*span
+	slack := shards * (span/4 + 8)
 	if cap(g.csrInts) < need {
-		g.csrInts = make([]int32, need) //mdlint:ignore hotalloc amortized grow-once CSR arena, reused while capacity suffices
+		grown := make([]int32, need+2*slack) //mdlint:ignore hotalloc amortized grow-once CSR arena, reused while capacity suffices
+		copy(grown, g.csrInts)
+		g.csrInts = grown
 	}
 	b := g.csrInts[:need]
 	g.starts = b[0 : ncells+1 : ncells+1]
@@ -127,10 +150,23 @@ func (g *cellGrid[T]) ensureCSR(n, ncells int) {
 	b = b[ncells:]
 	g.order = b[0:n:n]
 	g.cellOf = b[n : 2*n : 2*n]
-	if cap(g.csrPos) < 3*n {
-		g.csrPos = make([]T, 3*n) //mdlint:ignore hotalloc amortized grow-once packed-position arena, reused while capacity suffices
+	g.span, g.scratchAt = span, csr
+	if cap(g.csrPos) < shards*3*span {
+		g.csrPos = make([]T, 3*(shards*span+slack)) //mdlint:ignore hotalloc amortized grow-once gather-plane arena, reused while capacity suffices
 	}
-	g.packed = coordsOver(g.csrPos[:3*n], n)
+}
+
+// gatherScratch returns shard s's gather scratch: the candidate
+// union's index buffer, the radix pass's second buffer, and the
+// union's position planes, each span long. Valid after binWrapped
+// carved at least s+1 shards.
+func (g *cellGrid[T]) gatherScratch(s int) (union, tmp []int32, planes Coords[T]) {
+	span := g.span
+	at := g.scratchAt + s*2*span
+	union = g.csrInts[at : at+span : at+span]
+	tmp = g.csrInts[at+span : at+2*span : at+2*span]
+	at = s * 3 * span
+	return union, tmp, coordsOver(g.csrPos[at:at+3*span], span)
 }
 
 // maxBuildGridDims bounds a cell grid's per-edge cell count: more
@@ -149,7 +185,7 @@ func maxBuildGridDims(n int) int {
 
 // buildGridDims returns the per-edge cell count binWrapped sizes the
 // grid to for n atoms, or 0 when cells rl wide do not fit three to the
-// box (the list build then falls back to the O(N²) scan). Guards are
+// box (binWrapped then bins every atom into one cell). Guards are
 // written so NaN/Inf boxes and radii answer 0 or a clamped grid, never
 // a panic: the comparison form !(x > 0) is false-for-NaN on both
 // sides.
@@ -168,31 +204,38 @@ func buildGridDims[T vec.Float](box, rl T, n int) int {
 	return int(r)
 }
 
-// binWrapped rebuilds the packed cell layout. It first sizes the grid
-// for pos.Len() atoms with buildGridDims — the cap that keeps a
-// pathological box/radius ratio from sizing a grid larger than the
-// atoms can fill — then folds each coordinate into [0, box), so an
-// unwrapped (or adversarial) input still bins every atom into the cell
-// its minimum image lives in. Binning is a counting sort — count,
+// binWrapped rebuilds the cell layout and carves shards gather-scratch
+// blocks. It first sizes the grid for pos.Len() atoms with
+// buildGridDims — the cap that keeps a pathological box/radius ratio
+// from sizing a grid larger than the atoms can fill — and bins into
+// one cell when the box holds fewer than three cells per edge. On a
+// real grid it folds each coordinate into [0, box), so an unwrapped
+// (or adversarial) input still bins every atom into the cell its
+// minimum image lives in. Binning is a counting sort — count,
 // prefix-sum, scatter — so order stays ascending within every cell and
 // the whole pass is O(N + cells).
-func (g *cellGrid[T]) binWrapped(pos Coords[T]) {
+func (g *cellGrid[T]) binWrapped(pos Coords[T], shards int) {
 	n := pos.Len()
-	g.dims = buildGridDims(g.box, g.reach, n)
+	g.dims = max(1, buildGridDims(g.box, g.reach, n))
 	g.width = g.box / T(g.dims)
 	ncells := g.dims * g.dims * g.dims
-	g.ensureCSR(n, ncells)
+	g.ensureCSR(n, ncells, 0, 0)
 	for c := range g.cursor {
 		g.cursor[c] = 0
 	}
 
 	for i := 0; i < n; i++ {
-		c := g.cellOfWrapped(pos.At(i))
+		c := 0
+		if g.dims > 1 {
+			c = g.cellOfWrapped(pos.At(i))
+		}
 		g.cellOf[i] = int32(c)
 		g.cursor[c]++
 	}
 	g.starts[0] = 0
+	fullest := int32(0)
 	for c := 0; c < ncells; c++ {
+		fullest = max(fullest, g.cursor[c])
 		g.starts[c+1] = g.starts[c] + g.cursor[c]
 		g.cursor[c] = g.starts[c]
 	}
@@ -201,22 +244,8 @@ func (g *cellGrid[T]) binWrapped(pos Coords[T]) {
 		k := g.cursor[c]
 		g.cursor[c] = k + 1
 		g.order[k] = int32(i)
-		g.packed.Set(int(k), pos.At(i))
 	}
-}
-
-// cellSpan returns the half-open range of cell c's run in the packed
-// layout. Valid after binWrapped.
-func (g *cellGrid[T]) cellSpan(c int) (lo, hi int32) {
-	return g.starts[c], g.starts[c+1]
-}
-
-// wrapCell folds a (possibly negative or overflowing) cell coordinate
-// back into the periodic grid.
-func (g *cellGrid[T]) wrapCell(cx, cy, cz int) int {
-	d := g.dims
-	cx = (cx%d + d) % d
-	cy = (cy%d + d) % d
-	cz = (cz%d + d) % d
-	return (cx*d+cy)*d + cz
+	// A union never holds more than its 27 stencil cells' atoms, nor
+	// more than every atom (the one-cell grid's whole run).
+	g.ensureCSR(n, ncells, shards, min(n, 27*int(fullest)))
 }

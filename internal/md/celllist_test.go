@@ -11,13 +11,13 @@ import (
 // The cell grid lives inside NeighborList, so the force-level tests
 // below drive it through the list: 864 atoms at the standard density
 // give a box of ~10.1, which holds three (Cutoff+Skin)-wide cells per
-// edge, so every build bins (each such test asserts gridOK to keep
+// edge, so every build bins (each such test asserts binned() to keep
 // that true). The binning tests further down use a cellGrid directly.
 
 // TestCellListRejectsBadGeometry pins the sizing rule's refusals: a
 // box that cannot hold three list-radius-wide cells per edge, a zero
 // or NaN box or radius, all answer 0 (the list then falls back to the
-// O(N²) row scan) instead of sizing a degenerate grid.
+// one-cell scan) instead of sizing a degenerate grid.
 func TestCellListRejectsBadGeometry(t *testing.T) {
 	nan := math.NaN()
 	for _, c := range []struct{ box, rl float64 }{
@@ -38,7 +38,7 @@ func TestCellListRejectsBadGeometry(t *testing.T) {
 	}
 	s := makeSystem(t, 500, false) // box ~8.4: 2.9 cells of 2.9
 	nl.Build(s.P, s.Pos)
-	if nl.gridOK {
+	if nl.binned() {
 		t.Fatal("a box under three cells per edge took the cell-binned build")
 	}
 }
@@ -55,8 +55,8 @@ func TestCellListMatchesReference(t *testing.T) {
 	accNL := MakeCoords[float64](s.N())
 	peRef := ComputeForces(s.P, s.Pos, accRef)
 	peNL := nl.Forces(s.P, s.Pos, accNL)
-	if !nl.gridOK || nl.grid.dims < 3 {
-		t.Fatalf("build did not bin: gridOK %v, dims %d", nl.gridOK, nl.grid.dims)
+	if !nl.binned() {
+		t.Fatalf("build did not bin: dims %d", nl.grid.dims)
 	}
 	if peRef != peNL {
 		t.Fatalf("PE mismatch: ref %v, cell-binned list %v", peRef, peNL)
@@ -83,7 +83,7 @@ func TestCellListTrajectoryMatches(t *testing.T) {
 		ref.Step()
 		opt.StepWith(func() float64 { return nl.Forces(opt.P, opt.Pos, opt.Acc) })
 	}
-	if !nl.gridOK {
+	if !nl.binned() {
 		t.Fatal("build did not bin")
 	}
 	for i := 0; i < ref.N(); i++ {
@@ -119,7 +119,7 @@ func TestCellListFloat32(t *testing.T) {
 	accNL := MakeCoords[float32](pos.Len())
 	peRef := ComputeForces(p, pos, accRef)
 	peNL := nl.Forces(p, pos, accNL)
-	if !nl.gridOK {
+	if !nl.binned() {
 		t.Fatal("build did not bin")
 	}
 	if peRef != peNL {
@@ -137,11 +137,10 @@ func TestCellListFloat32(t *testing.T) {
 // every cell index is in range).
 func checkBinning(t *testing.T, g *cellGrid[float64], pos Coords[float64]) {
 	t.Helper()
-	g.binWrapped(pos)
+	g.binWrapped(pos, 1)
 	found := make([]int, pos.Len())
 	for c := 0; c < g.dims*g.dims*g.dims; c++ {
-		lo, hi := g.cellSpan(c)
-		for k := lo; k < hi; k++ {
+		for k := g.starts[c]; k < g.starts[c+1]; k++ {
 			i := int(g.order[k])
 			found[i]++
 			if got := g.cellOfWrapped(pos.At(i)); got != c {
@@ -209,7 +208,7 @@ func TestCellListSparseBoxCapsGrid(t *testing.T) {
 		accRef := MakeCoords[float64](n)
 		pe := nl.Forces(p, pos, acc)
 		peRef := ComputeForces(p, pos, accRef)
-		if !nl.gridOK {
+		if !nl.binned() {
 			t.Fatal("sparse box did not take the cell-binned build")
 		}
 		if d := nl.grid.dims; d > maxBuildGridDims(n) {
@@ -230,26 +229,31 @@ func TestCellListSparseBoxCapsGrid(t *testing.T) {
 }
 
 func TestNeighborCellsFullShell(t *testing.T) {
-	g := &cellGrid[float64]{dims: 4}
-	ncells := g.dims * g.dims * g.dims
 	buf := make([]int, 27)
-	for c := 0; c < ncells; c++ {
-		cells := g.neighborCells(c, buf)
-		if len(cells) != 27 {
-			t.Fatalf("cell %d: %d neighbor cells, want 27", c, len(cells))
-		}
-		if cells[0] != c {
-			t.Fatalf("cell %d: first entry is %d, want the cell itself", c, cells[0])
-		}
-		seen := map[int]bool{}
-		for _, nc := range cells {
-			if nc < 0 || nc >= ncells {
-				t.Fatalf("cell %d: neighbor %d out of range", c, nc)
+	if cells := (&cellGrid[float64]{dims: 1}).neighborCells(0, buf); len(cells) != 1 || cells[0] != 0 {
+		t.Fatalf("one-cell grid: stencil %v, want [0]", cells)
+	}
+	for _, dims := range []int{3, 4} {
+		g := &cellGrid[float64]{dims: dims}
+		ncells := g.dims * g.dims * g.dims
+		for c := 0; c < ncells; c++ {
+			cells := g.neighborCells(c, buf)
+			if len(cells) != 27 {
+				t.Fatalf("dims %d, cell %d: %d neighbor cells, want 27", dims, c, len(cells))
 			}
-			if seen[nc] {
-				t.Fatalf("cell %d: neighbor %d duplicated", c, nc)
+			if cells[0] != c {
+				t.Fatalf("dims %d, cell %d: first entry is %d, want the cell itself", dims, c, cells[0])
 			}
-			seen[nc] = true
+			seen := map[int]bool{}
+			for _, nc := range cells {
+				if nc < 0 || nc >= ncells {
+					t.Fatalf("dims %d, cell %d: neighbor %d out of range", dims, c, nc)
+				}
+				if seen[nc] {
+					t.Fatalf("dims %d, cell %d: neighbor %d duplicated", dims, c, nc)
+				}
+				seen[nc] = true
+			}
 		}
 	}
 }

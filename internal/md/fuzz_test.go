@@ -89,11 +89,12 @@ func FuzzReadCheckpoint(f *testing.F) {
 
 // FuzzNeighborListBuild feeds the cell-binned build pathological
 // geometry — zero or non-finite boxes, atoms exactly on box and cell
-// boundaries, coincident atoms, out-of-range stragglers — and asserts
-// it never panics or hangs, always produces well-formed rows (strictly
-// ascending, in-bounds, j > i), and always matches the reference O(N²)
-// build pair for pair: the two paths score identical MinImage
-// distances, so any divergence is a binning coverage bug.
+// boundaries, coincident atoms, out-of-range stragglers, every atom in
+// one cell, atoms one box out — and asserts it never panics or hangs,
+// always produces well-formed rows (strictly ascending, in-bounds,
+// j > i), and always matches the reference O(N²) build pair for pair:
+// the two paths score identical MinImage distances, so any divergence
+// is a binning coverage bug.
 func FuzzNeighborListBuild(f *testing.F) {
 	f.Add(9.0, 2.5, 0.4, uint64(1), uint8(32), uint8(0))
 	f.Add(0.0, 2.5, 0.4, uint64(2), uint8(16), uint8(0))  // zero-size box
@@ -103,6 +104,12 @@ func FuzzNeighborListBuild(f *testing.F) {
 	f.Add(9.0, 2.5, 0.4, uint64(6), uint8(24), uint8(2))     // coincident atoms
 	f.Add(9.0, 2.5, 0.4, uint64(7), uint8(24), uint8(4))     // out-of-range atom
 	f.Add(1e-8, 1e-9, 1e-10, uint64(8), uint8(12), uint8(7)) // degenerate scale
+	f.Add(8.8, 2.5, 0.4, uint64(9), uint8(62), uint8(0))     // exactly 3 cells per edge
+	f.Add(40.0, 2.5, 0.4, uint64(10), uint8(40), uint8(0))   // sparse: most cells empty
+	f.Add(12.0, 2.5, 0.4, uint64(11), uint8(40), uint8(8))   // every atom in one cell
+	f.Add(12.0, 2.5, 0.4, uint64(12), uint8(40), uint8(2))   // coincident atoms (r2 == 0)
+	f.Add(12.0, 2.5, 0.4, uint64(13), uint8(40), uint8(16))  // atoms one box outside
+	f.Add(7.0, 2.5, 0.4, uint64(14), uint8(40), uint8(0))    // one-cell (no-grid) box
 	f.Fuzz(func(t *testing.T, box, cutoff, skin float64, seed uint64, n, patho uint8) {
 		if skin <= 0 || skin != skin {
 			skin = 0.3
@@ -129,6 +136,16 @@ func FuzzNeighborListBuild(f *testing.F) {
 		}
 		if patho&4 != 0 { // outside [0, box)
 			pos[nn-1] = vec.V3[float64]{X: -span / 3, Y: 2.5 * span, Z: span / 2}
+		}
+		if rl := cutoff + skin; patho&8 != 0 && rl > 0 && rl < span { // one cell's worth of space
+			for i := range pos {
+				pos[i] = pos[i].Scale(rl / 2 / span)
+			}
+		}
+		if patho&16 != 0 { // every other atom one box out on one axis
+			for i := 0; i < nn; i += 2 {
+				pos[i].X += box * float64(i%4-1)
+			}
 		}
 		p := Params[float64]{Box: box, Cutoff: cutoff, Dt: 1}
 

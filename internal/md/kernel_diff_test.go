@@ -66,7 +66,7 @@ func checkCoordsBitsEqual[T vec.Float](t *testing.T, label string, got, want Coo
 		got, want []T
 	}{{"X", got.X, want.X}, {"Y", got.Y, want.Y}, {"Z", got.Z, want.Z}} {
 		for i := range pl.want {
-			if bits(pl.got[i]) != bits(pl.want[i]) {
+			if floatBits(pl.got[i]) != floatBits(pl.want[i]) {
 				t.Fatalf("%s: acc.%s[%d] = %v, want %v", label, pl.name, i, pl.got[i], pl.want[i])
 			}
 		}
@@ -89,8 +89,8 @@ func checkHoistedKernel[T vec.Float](t *testing.T, label string, p Params[T], sr
 	}
 	acc := MakeCoords[T](pos.Len())
 	pe := nl.Forces(p, pos, acc)
-	if nl.gridOK != grid {
-		t.Fatalf("%s: cell-grid build %v, want %v", label, nl.gridOK, grid)
+	if nl.binned() != grid {
+		t.Fatalf("%s: cell-grid build %v, want %v", label, nl.binned(), grid)
 	}
 	want := MakeCoords[T](pos.Len())
 	wantPE := forcesUnhoisted(nl, p, pos, want)

@@ -226,7 +226,8 @@ func TestVerletTimeReversibility(t *testing.T) {
 	const steps = 40
 	s.Run(steps)
 	for i := 0; i < s.N(); i++ {
-		s.Vel.Set(i, s.Vel.At(i).Neg())
+		v := s.Vel.At(i)
+		s.Vel.Set(i, vec.V3[float64]{X: -v.X, Y: -v.Y, Z: -v.Z})
 	}
 	s.Run(steps)
 	for i := 0; i < s.N(); i++ {

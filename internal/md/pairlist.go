@@ -2,6 +2,7 @@ package md
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/vec"
@@ -18,7 +19,8 @@ import (
 // Cutoff+Skin. It is valid until some atom has moved more than Skin/2
 // since the last build, at which point pairs may be missed and the list
 // must be rebuilt. Builds bin the atoms into a private cell grid first
-// (see cellGrid), so a build is O(N) at fixed density too.
+// (see cellGrid) and gather cell by cell, so a build is O(N) at fixed
+// density too.
 type NeighborList[T vec.Float] struct {
 	Skin T // extra shell beyond the cutoff (> 0)
 
@@ -41,11 +43,8 @@ type NeighborList[T vec.Float] struct {
 	// grid is the cell binning the build gathers over, embedded by
 	// value so rebuilds re-geometry it in place instead of
 	// reconstructing — its arenas persist across box/dims changes.
-	// BeginBuild bins into it and BuildRow reads it; gridOK is false
-	// when the box cannot support cell binning (or BuildN2 asked for
-	// the scan) and rows fall back to the reference O(N²) scan.
-	grid   cellGrid[T]
-	gridOK bool
+	// BeginBuild bins into it and BuildSpan reads it.
+	grid cellGrid[T]
 }
 
 // NewNeighborList creates an empty list with the given skin width.
@@ -62,50 +61,52 @@ func (nl *NeighborList[T]) Builds() int { return nl.builds }
 // Queries returns how many force evaluations the list has served.
 func (nl *NeighborList[T]) Queries() int { return nl.queries }
 
-// Build rebuilds the list from the current positions. When the box can
-// hold a 3×3×3 grid of (Cutoff+Skin)-wide cells the build bins atoms
-// and gathers each row from the 27 neighboring cells — O(N·density)
-// instead of the reference scan's O(N²) — and otherwise falls back to
-// the O(N²) scan. Both paths emit, for every atom i, exactly the
-// neighbors j > i within Cutoff+Skin in ascending-j order, so the
-// built list (and every force evaluation over it) is bitwise
-// independent of the path taken. BuildN2 pins this in the tests.
+// Build rebuilds the list from the current positions. It bins the
+// atoms into cells one list radius wide and gathers each home cell's
+// candidates once, from the cell and its 26 neighbors — O(N·density)
+// instead of the reference scan's O(N²). A box too small for three
+// cells per edge is one cell, so the gather is then the full scan.
+// Either way the list holds, for every atom i, exactly the neighbors
+// j > i within Cutoff+Skin in ascending-j order, so the built list
+// (and every force evaluation over it) is bitwise independent of the
+// grid. BuildN2 pins this in the tests.
 func (nl *NeighborList[T]) Build(p Params[T], pos Coords[T]) {
-	nl.BeginBuild(p, pos)
-	for i := 0; i < pos.Len(); i++ {
-		nl.BuildRow(p, pos, i)
-	}
+	nl.BeginBuild(p, pos, 1)
+	nl.BuildSpan(p, pos, 0, 0, pos.Len())
 	nl.EndBuild(pos)
 }
 
-// BuildN2 rebuilds the list with the reference O(N²) scan regardless
-// of whether the box supports cell binning — the oracle the property
-// tests, the fuzz target, and the build benchmarks compare the
-// cell-binned and parallel builds against.
+// BuildN2 rebuilds the list with the reference O(N²) scan, which
+// shares no code with the cell-major gather: the oracle the property
+// tests, the fuzz target, and the build benchmarks compare the serial
+// and parallel builds against.
 func (nl *NeighborList[T]) BuildN2(p Params[T], pos Coords[T]) {
 	nl.sizeRows(pos.Len())
-	nl.gridOK = false
+	rl := p.Cutoff + nl.Skin
+	rl2 := rl * rl
 	for i := 0; i < pos.Len(); i++ {
-		nl.BuildRow(p, pos, i)
+		row := nl.pairs[i][:0]
+		pi := pos.At(i)
+		for j := i + 1; j < pos.Len(); j++ {
+			d := MinImage(pi.Sub(pos.At(j)), p.Box)
+			if d.Norm2() < rl2 {
+				row = append(row, int32(j))
+			}
+		}
+		nl.pairs[i] = row
 	}
 	nl.EndBuild(pos)
 }
 
-// BeginBuild prepares a rebuild: it sizes the row table and, when the
-// box can support cell binning, bins the atoms into the list's grid
-// for BuildRow to gather over (otherwise rows fall back to the O(N²)
-// scan). It is exported, together with BuildRow and EndBuild, for the
-// sharded parallel builder in internal/parallel; serial callers use
-// Build.
-func (nl *NeighborList[T]) BeginBuild(p Params[T], pos Coords[T]) {
+// BeginBuild prepares a rebuild: it sizes the row table, bins the
+// atoms into the list's grid, and carves gather scratch for shards
+// concurrent BuildSpan calls. It is exported, together with BuildSpan
+// and EndBuild, for the sharded parallel builder in internal/parallel;
+// serial callers use Build.
+func (nl *NeighborList[T]) BeginBuild(p Params[T], pos Coords[T], shards int) {
 	nl.sizeRows(pos.Len())
-	rl := p.Cutoff + nl.Skin
-	nl.gridOK = buildGridDims(p.Box, rl, pos.Len()) != 0
-	if !nl.gridOK {
-		return
-	}
-	nl.grid.box, nl.grid.reach = p.Box, rl
-	nl.grid.binWrapped(pos)
+	nl.grid.box, nl.grid.reach = p.Box, p.Cutoff+nl.Skin
+	nl.grid.binWrapped(pos, shards)
 }
 
 // initialRowStride is the first-build guess at the per-row arena
@@ -171,64 +172,115 @@ func (nl *NeighborList[T]) restride() {
 	nl.rowArena, nl.stride = arena, stride
 }
 
-// BuildRow fills pairs[i]: the neighbors j > i within Cutoff+Skin, in
-// ascending-j order. When BeginBuild binned the atoms it gathers
-// candidates from atom i's cell and its 26 periodic neighbors and sorts
-// the survivors (the gather visits cells in shell order, so a sort
-// restores the global ascending order the O(N²) scan produces by
-// construction); otherwise it is the reference scan for one row. Rows
-// are independent and only read the grid: the parallel builder shards
-// them by range with no post-merge.
-func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], i int) {
-	row := nl.pairs[i][:0]
+// BuildSpan fills the rows of the atoms at slots [lo, hi) of the
+// grid's cell order (0 <= lo <= hi <= N), using shard's gather
+// scratch. It walks the span cell by cell. For each home cell it
+// gathers the stencil's atoms past the cell's first home atom into one
+// union, puts the union in ascending index order, copies its positions
+// into contiguous planes, and then fills the home atoms' rows in
+// ascending order: a cursor moves past each home atom i, and the
+// union's suffix beyond it is distance-tested. Accepted j therefore
+// come out ascending, with no per-row sort. A span that starts inside
+// a cell gathers that cell's union anew, from its first home atom in
+// the span. Rows depend only on positions, so spans are independent:
+// the parallel builder shards slots with no post-merge, and any split
+// gives the rows a single Build gives.
+func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi int) {
+	g := &nl.grid
 	rl := p.Cutoff + nl.Skin
 	rl2 := rl * rl
-	pi := pos.At(i)
-	if !nl.gridOK {
-		for j := i + 1; j < pos.Len(); j++ {
-			d := MinImage(pi.Sub(pos.At(j)), p.Box)
-			if d.Norm2() < rl2 {
-				row = append(row, int32(j))
-			}
-		}
-		nl.pairs[i] = row
-		return
-	}
-	var cellbuf [27]int
-	grid := &nl.grid
 	box := p.Box
 	h := box / 2
-	for _, c := range grid.neighborCells(grid.cellOfWrapped(pi), cellbuf[:]) {
-		lo, hi := grid.cellSpan(c)
-		// The run is ascending in atom index, so the j <= i prefix ends
-		// at the first index past i; everything after it needs only the
-		// distance test.
-		run := grid.order[lo:hi]
-		skip := 0
-		for skip < len(run) && int(run[skip]) <= i {
-			skip++
+	keyBits := bits.Len(uint(max(pos.Len()-1, 0)))
+	unionBuf, tmp, planes := g.gatherScratch(shard)
+	var cellbuf [27]int
+	// The first cell whose run ends past lo holds slot lo.
+	c, _ := slices.BinarySearch(g.starts[1:], int32(lo+1))
+	for ; lo < hi; c++ {
+		home := g.order[lo:min(hi, int(g.starts[c+1]))]
+		if len(home) == 0 {
+			continue
 		}
-		// The candidates past the prefix and their positions, each plane
-		// resliced to them and then to their count: that tells the
-		// compiler all four slices have one length, so the gather
-		// indexes them without bounds checks.
-		order := run[skip:]
-		lo += int32(skip)
-		xs, ys, zs := grid.packed.X[lo:hi], grid.packed.Y[lo:hi], grid.packed.Z[lo:hi]
-		xs, ys, zs = xs[:len(order)], ys[:len(order)], zs[:len(order)]
-		// bce:begin
-		for k, j := range order {
-			dx := minImage1(pi.X-xs[k], box, h)
-			dy := minImage1(pi.Y-ys[k], box, h)
-			dz := minImage1(pi.Z-zs[k], box, h)
-			if dx*dx+dy*dy+dz*dz < rl2 {
-				row = append(row, j)
+		lo += len(home)
+		union := unionBuf[:0]
+		runs := 0
+		for _, s := range g.neighborCells(c, cellbuf[:]) {
+			run := g.order[g.starts[s]:g.starts[s+1]]
+			k, _ := slices.BinarySearch(run, home[0]+1)
+			if k < len(run) {
+				union = append(union, run[k:]...)
+				runs++
 			}
 		}
-		// bce:end
+		if runs > 1 {
+			union = radixSortIndices(union, tmp[:len(union)], keyBits)
+		}
+		ux, uy, uz := planes.X[:len(union)], planes.Y[:len(union)], planes.Z[:len(union)]
+		for k, j := range union {
+			ux[k], uy[k], uz[k] = pos.X[j], pos.Y[j], pos.Z[j]
+		}
+
+		cur := 0
+		for _, i := range home {
+			for cur < len(union) && union[cur] <= i {
+				cur++
+			}
+			// The candidates past i and their positions, each plane
+			// resliced to them and then to their count: that tells the
+			// compiler all four slices have one length, so the test
+			// indexes them without bounds checks.
+			cand := union[cur:]
+			xs, ys, zs := ux[cur:], uy[cur:], uz[cur:]
+			xs, ys, zs = xs[:len(cand)], ys[:len(cand)], zs[:len(cand)]
+			xi, yi, zi := pos.X[i], pos.Y[i], pos.Z[i]
+			row := nl.pairs[i][:0]
+			// bce:begin
+			for k, j := range cand {
+				dx := minImage1(xi-xs[k], box, h)
+				dy := minImage1(yi-ys[k], box, h)
+				dz := minImage1(zi-zs[k], box, h)
+				if dx*dx+dy*dy+dz*dz < rl2 {
+					row = append(row, j)
+				}
+			}
+			// bce:end
+			nl.pairs[i] = row
+		}
 	}
-	slices.Sort(row)
-	nl.pairs[i] = row
+}
+
+// radixSortIndices sorts keys, distinct atom indices below 1<<keyBits,
+// ascending by an LSD radix over keyBits in as few byte-or-narrower
+// digits as cover them, ping-ponging with tmp (len(tmp) == len(keys)).
+// It returns whichever buffer holds the result. Linear in len(keys)
+// plus one digit table per pass, with the table on the stack.
+func radixSortIndices(keys, tmp []int32, keyBits int) []int32 {
+	passes := (keyBits + 7) / 8
+	if passes == 0 {
+		return keys
+	}
+	width := (keyBits + passes - 1) / passes
+	mask := int32(1)<<width - 1
+	var count [256]int32
+	src, dst := keys, tmp[:len(keys)]
+	for pass := range passes {
+		shift := pass * width
+		clear(count[:mask+1])
+		for _, k := range src {
+			count[k>>shift&mask]++
+		}
+		at := int32(0)
+		for d := range count[:mask+1] {
+			at, count[d] = at+count[d], at
+		}
+		for _, k := range src {
+			d := k >> shift & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // EndBuild commits a rebuild: reference positions for the staleness
@@ -246,16 +298,26 @@ func (nl *NeighborList[T]) EndBuild(pos Coords[T]) {
 }
 
 // Stale reports whether any atom has moved more than Skin/2 since the
-// last build (in which case the list can no longer be trusted).
+// last build (in which case the list can no longer be trusted). It
+// reads the planes directly; the displacement is MinImage of pos minus
+// ref and its square is Norm2's x*x+y*y+z*z, so the answer is the V3
+// form's bit for bit.
 func (nl *NeighborList[T]) Stale(p Params[T], pos Coords[T]) bool {
-	if nl.ref.Len() != pos.Len() {
+	n := pos.Len()
+	if nl.ref.Len() != n {
 		return true
 	}
 	limit := nl.Skin / 2
 	limit2 := limit * limit
-	for i := 0; i < pos.Len(); i++ {
-		d := MinImage(pos.At(i).Sub(nl.ref.At(i)), p.Box)
-		if d.Norm2() > limit2 {
+	box := p.Box
+	h := box / 2
+	px, py, pz := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	rx, ry, rz := nl.ref.X[:n], nl.ref.Y[:n], nl.ref.Z[:n]
+	for i := range px {
+		dx := minImage1(px[i]-rx[i], box, h)
+		dy := minImage1(py[i]-ry[i], box, h)
+		dz := minImage1(pz[i]-rz[i], box, h)
+		if dx*dx+dy*dy+dz*dz > limit2 {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package md
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/vec"
@@ -20,6 +21,10 @@ func randomPositions(rng *xrand.Source, n int, span float64) Coords[float64] {
 	}
 	return pos
 }
+
+// binned reports whether the last Build gathered over a real cell grid
+// (three or more cells per edge) rather than the one-cell scan.
+func (nl *NeighborList[T]) binned() bool { return nl.grid.dims >= 3 }
 
 // checkRowsWellFormed asserts every row holds strictly ascending
 // in-bounds indices j > i — the shape every build path must produce.
@@ -79,7 +84,7 @@ func TestBuildCellBinnedMatchesN2Randomized(t *testing.T) {
 		}
 		ref.BuildN2(p, pos)
 		got.Build(p, pos)
-		if got.gridOK {
+		if got.binned() {
 			gridTrials++
 		}
 		checkRowsWellFormed(t, got, n)
@@ -89,6 +94,176 @@ func TestBuildCellBinnedMatchesN2Randomized(t *testing.T) {
 	}
 	if gridTrials == 0 {
 		t.Fatal("no trial took the cell-binned path; geometry ranges too small")
+	}
+	for _, c := range buildEdgeCases() {
+		ref, err := NewNeighborList[float64](c.skin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewNeighborList[float64](c.skin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.BuildN2(c.p, c.pos)
+		got.Build(c.p, c.pos)
+		if got.grid.dims != c.dims {
+			t.Fatalf("%s: grid has %d cells per edge, want %d", c.name, got.grid.dims, c.dims)
+		}
+		checkRowsWellFormed(t, got, c.pos.Len())
+		checkSamePairs(t, ref, got, c.pos.Len(), c.name)
+	}
+}
+
+// buildEdgeCase is one directed build geometry, with the cells per edge
+// the grid must take for it.
+type buildEdgeCase struct {
+	name string
+	p    Params[float64]
+	skin float64
+	pos  Coords[float64]
+	dims int
+}
+
+// buildEdgeCases returns the geometries the randomized trials are
+// unlikely to hit: the smallest grid, a mostly empty grid, every atom
+// in one cell, coincident atoms, atoms one box outside, and a box too
+// small for a grid.
+func buildEdgeCases() []buildEdgeCase {
+	const cutoff, skin = 2.5, 0.4
+	rl := cutoff + skin
+	rng := xrand.New(11)
+	params := func(box float64) Params[float64] { return Params[float64]{Box: box, Cutoff: cutoff, Dt: 0.001} }
+	var cases []buildEdgeCase
+
+	box := 3.05 * rl // three cells per edge, the smallest grid
+	cases = append(cases, buildEdgeCase{"three cells per edge", params(box), skin, randomPositions(rng, 300, box), 3})
+
+	box = 40 // 6 cells per edge for 30 atoms: most cells empty
+	cases = append(cases, buildEdgeCase{"sparse box", params(box), skin, randomPositions(rng, 30, box), 6})
+
+	box = 12 // every atom inside one cell of a 4-per-edge grid
+	one := randomPositions(rng, 80, rl/2)
+	for i := range one.X {
+		one.X[i] += rl / 4
+	}
+	cases = append(cases, buildEdgeCase{"all atoms in one cell", params(box), skin, one, 4})
+
+	box = 12 // pairs at r2 == 0, inside a cell and across a cell face
+	dup := randomPositions(rng, 120, box)
+	for i := 0; i+1 < dup.Len(); i += 4 {
+		dup.Set(i+1, dup.At(i))
+	}
+	dup.Set(3, vec.V3[float64]{X: 3 * box / 4, Y: 1, Z: 1})
+	dup.Set(7, vec.V3[float64]{X: 3 * box / 4, Y: 1, Z: 1})
+	cases = append(cases, buildEdgeCase{"coincident atoms", params(box), skin, dup, 4})
+
+	box = 12 // a third of the atoms shifted one box out on some axis
+	out := randomPositions(rng, 150, box)
+	for i := 0; i < out.Len(); i += 3 {
+		out.X[i] += box * float64(i%2*2-1)
+		out.Z[i] -= box * float64(i%5%2)
+	}
+	cases = append(cases, buildEdgeCase{"one box outside", params(box), skin, out, 4})
+
+	box = 2.5 * rl // under three cells per edge: the one-cell scan
+	cases = append(cases, buildEdgeCase{"one-cell box", params(box), skin, randomPositions(rng, 90, box), 1})
+	return cases
+}
+
+// TestBuildSpanSplitsMatchBuild pins the shard contract the parallel
+// builder relies on: building the cell-ordered atoms as any set of
+// spans, each with its own gather scratch and some starting inside a
+// cell, gives the rows a single Build gives.
+func TestBuildSpanSplitsMatchBuild(t *testing.T) {
+	for _, c := range buildEdgeCases() {
+		n := c.pos.Len()
+		want, err := NewNeighborList[float64](c.skin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Build(c.p, c.pos)
+		for _, shards := range []int{2, 3, 7} {
+			got, err := NewNeighborList[float64](c.skin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.BeginBuild(c.p, c.pos, shards)
+			// One cut one slot past the start of the fullest cell, so a
+			// span starts inside a cell whatever the geometry; the rest
+			// split the remainder evenly.
+			fullest := 0
+			for cell := 0; cell+1 < len(got.grid.starts); cell++ {
+				if got.grid.starts[cell+1]-got.grid.starts[cell] > got.grid.starts[fullest+1]-got.grid.starts[fullest] {
+					fullest = cell
+				}
+			}
+			cuts := []int{0, int(got.grid.starts[fullest]) + 1}
+			for k := 1; k < shards-1; k++ {
+				cuts = append(cuts, max(cuts[1], k*n/(shards-1)))
+			}
+			cuts = append(cuts, n)
+			for k := 0; k+1 < len(cuts); k++ {
+				got.BuildSpan(c.p, c.pos, k, cuts[k], cuts[k+1])
+			}
+			got.EndBuild(c.pos)
+			checkSamePairs(t, want, got, n, fmt.Sprintf("%s, %d spans", c.name, shards))
+		}
+	}
+}
+
+// staleV3 is the V3 form Stale replaced: the minimum image of each
+// displacement as a vector, then its Norm2.
+func staleV3(nl *NeighborList[float64], p Params[float64], pos Coords[float64]) bool {
+	limit := nl.Skin / 2
+	for i := 0; i < pos.Len(); i++ {
+		if MinImage(pos.At(i).Sub(nl.ref.At(i)), p.Box).Norm2() > limit*limit {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStaleMatchesV3Form is the differential test for the plane-wise
+// Stale: one atom at a time is displaced by Skin/2 and by the next
+// float either side of it, along an axis, along a diagonal, and across
+// the periodic boundary, and the two forms must answer alike on every
+// displacement. The boundary displacements must land on both answers,
+// so the comparison is exercised where rounding decides it.
+func TestStaleMatchesV3Form(t *testing.T) {
+	rng := xrand.New(5)
+	p := Params[float64]{Box: 9, Cutoff: 2.5, Dt: 0.001}
+	const skin = 0.4
+	pos := randomPositions(rng, 64, p.Box)
+	pos.Set(0, vec.V3[float64]{X: 1e-9, Y: p.Box - 1e-9, Z: 4})
+	nl, err := NewNeighborList[float64](skin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl.Build(p, pos)
+	lim := skin / 2
+	var steps []vec.V3[float64]
+	for _, d := range []float64{math.Nextafter(lim, 0), lim, math.Nextafter(lim, 1)} {
+		diag := d / math.Sqrt(3)
+		steps = append(steps,
+			vec.V3[float64]{X: d}, vec.V3[float64]{Y: -d}, vec.V3[float64]{Z: d},
+			vec.V3[float64]{X: diag, Y: diag, Z: -diag},
+			vec.V3[float64]{X: math.Nextafter(diag, 1), Y: diag, Z: diag})
+	}
+	answers := map[bool]int{}
+	for _, i := range []int{0, 17, 63} {
+		for _, d := range steps {
+			moved := MakeCoords[float64](pos.Len())
+			moved.CopyFrom(pos)
+			moved.Set(i, Wrap(pos.At(i).Add(d), p.Box))
+			got, want := nl.Stale(p, moved), staleV3(nl, p, moved)
+			if got != want {
+				t.Fatalf("atom %d displaced by %+v: Stale %v, V3 form %v", i, d, got, want)
+			}
+			answers[got]++
+		}
+	}
+	if answers[true] == 0 || answers[false] == 0 {
+		t.Fatalf("boundary displacements gave only one answer: %v", answers)
 	}
 }
 
@@ -104,7 +279,7 @@ func TestBuildGridReusedAcrossRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl.Build(p, pos)
-	if !nl.gridOK {
+	if !nl.binned() {
 		t.Fatal("geometry supports binning but no grid was built")
 	}
 	dims := nl.grid.dims
@@ -175,7 +350,7 @@ func TestBuildN2MatchesLegacyOnLattice(t *testing.T) {
 	}
 	ref.BuildN2(s.P, s.Pos)
 	got.Build(s.P, s.Pos)
-	if !got.gridOK {
+	if !got.binned() {
 		t.Fatal("standard state should take the cell-binned path")
 	}
 	checkSamePairs(t, ref, got, s.N(), "lattice")

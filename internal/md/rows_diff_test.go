@@ -111,14 +111,14 @@ func rowsCases(t *testing.T) []rowsCase {
 func (c rowsCase) params(t *testing.T) Params[float64] {
 	t.Helper()
 	p := Params[float64]{Box: c.box, Cutoff: c.cutoff, Dt: 0.004}
-	if got := scanList(p, CoordsFromV3(c.pos)).gridOK; got != c.grid {
+	if got := scanList(p, CoordsFromV3(c.pos)).binned(); got != c.grid {
 		t.Fatalf("%s: cell-grid build %v, want %v", c.name, got, c.grid)
 	}
 	return p
 }
 
-// bits returns x's IEEE bit pattern at its own precision.
-func bits[T vec.Float](x T) uint64 {
+// floatBits returns x's IEEE bit pattern at its own precision.
+func floatBits[T vec.Float](x T) uint64 {
 	if f, ok := any(x).(float32); ok {
 		return uint64(math.Float32bits(f))
 	}
@@ -127,8 +127,8 @@ func bits[T vec.Float](x T) uint64 {
 
 func checkBitsEqual[T vec.Float](t *testing.T, what string, got, want T) {
 	t.Helper()
-	if bits(got) != bits(want) {
-		t.Fatalf("%s: %v (bits %x), want %v (bits %x)", what, got, bits(got), want, bits(want))
+	if floatBits(got) != floatBits(want) {
+		t.Fatalf("%s: %v (bits %x), want %v (bits %x)", what, got, floatBits(got), want, floatBits(want))
 	}
 }
 

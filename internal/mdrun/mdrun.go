@@ -166,6 +166,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// checkStrides rejects a negative sampling or trajectory stride. Zero
+// means the default, and the step loop's s%stride would quietly run a
+// stride of -3 as 3.
+func (c Config) checkStrides() error {
+	if c.SampleEvery < 0 || c.TrajectoryEvery < 0 {
+		return fmt.Errorf("mdrun: SampleEvery (%d) and TrajectoryEvery (%d) must not be negative", c.SampleEvery, c.TrajectoryEvery)
+	}
+	return nil
+}
+
 // Summary reports a completed run.
 type Summary struct {
 	Steps int
@@ -205,6 +215,9 @@ type Runner struct {
 // New builds and validates a runner; forces are evaluated once so the
 // initial energy is meaningful.
 func New(cfg Config) (*Runner, error) {
+	if err := cfg.checkStrides(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	st, err := lattice.Generate(lattice.Config{
 		N: cfg.Atoms, Density: cfg.Density, Temperature: cfg.Temperature,
@@ -235,6 +248,9 @@ func New(cfg Config) (*Runner, error) {
 func NewFromSystem(sys *md.System[float64], cfg Config) (*Runner, error) {
 	if sys == nil || sys.N() == 0 {
 		return nil, fmt.Errorf("mdrun: NewFromSystem needs a non-empty system")
+	}
+	if err := cfg.checkStrides(); err != nil {
+		return nil, err
 	}
 	if !(cfg.Cutoff > 0) {
 		cfg.Cutoff = sys.P.Cutoff

@@ -269,6 +269,33 @@ func TestNonFiniteParametersRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeStridesRejected pins that New and NewFromSystem refuse a
+// negative SampleEvery or TrajectoryEvery instead of running it as its
+// absolute value.
+func TestNegativeStridesRejected(t *testing.T) {
+	r, err := New(baseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"SampleEvery -3", func(c *Config) { c.SampleEvery = -3 }},
+		{"TrajectoryEvery -3", func(c *Config) { c.TrajectoryEvery = -3 }},
+	} {
+		cfg := baseConfig()
+		tc.mod(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New: %s accepted", tc.name)
+		}
+		if _, err := NewFromSystem(r.System().Clone(), cfg); err == nil {
+			t.Errorf("NewFromSystem: %s accepted", tc.name)
+		}
+	}
+}
+
 func TestNegativeStepsRejected(t *testing.T) {
 	r, err := New(baseConfig())
 	if err != nil {

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -45,27 +46,36 @@ func samePairs(t *testing.T, want, got *md.NeighborList[float64], n int, label s
 
 // TestBuildPairlistWorkersBitwise is the parallel half of the build
 // property test: for randomized geometries, the sharded build at
-// Workers ∈ {2, 4, 8} produces byte-identical pairs slices to
-// Workers=1, which in turn matches the serial Build. Forces evaluated
-// over the lists are then bitwise equal by construction.
+// Workers ∈ {1, 2, 3, 4, 8} produces byte-identical pairs slices to
+// the serial Build. Forces evaluated over the lists are then bitwise
+// equal by construction.
 func TestBuildPairlistWorkersBitwise(t *testing.T) {
 	rng := xrand.New(21)
-	// The last trial is large enough that BuildPairlist shards the rows
-	// instead of building inline (serialBuildAtoms).
-	for trial := 0; trial < 9; trial++ {
+	// The last two trials are large enough that BuildPairlist shards
+	// the cell-ordered atoms instead of building inline
+	// (serialBuildAtoms). In the last, every atom sits in one cell, so
+	// each shard boundary falls inside a cell and that shard gathers
+	// the cell's candidates on its own.
+	for trial := 0; trial < 10; trial++ {
 		box := 6 + 8*rng.Float64()
 		skin := 0.2 + 0.4*rng.Float64()
 		n := 100 + rng.Intn(400)
-		if trial == 8 {
+		span := box
+		switch trial {
+		case 8:
 			n = 2 * serialBuildAtoms
 			box = math.Cbrt(float64(n) / 0.8)
+			span = box
+		case 9:
+			n = serialBuildAtoms + 76
+			box, span = 12, 1
 		}
 		pos := md.MakeCoords[float64](n)
 		for i := 0; i < n; i++ {
 			pos.Set(i, vec.V3[float64]{
-				X: rng.Float64() * box,
-				Y: rng.Float64() * box,
-				Z: rng.Float64() * box,
+				X: rng.Float64() * span,
+				Y: rng.Float64() * span,
+				Z: rng.Float64() * span,
 			})
 		}
 		p := md.Params[float64]{Box: box, Cutoff: 1.8, Dt: 0.001}
@@ -75,11 +85,9 @@ func TestBuildPairlistWorkersBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial.Build(p, pos)
-		one := buildList(t, 1, p, pos, skin)
-		samePairs(t, serial, one, n, "workers=1 vs serial Build")
-		for _, w := range []int{2, 4, 8} {
+		for _, w := range []int{1, 2, 3, 4, 8} {
 			many := buildList(t, w, p, pos, skin)
-			samePairs(t, one, many, n, "workers="+string(rune('0'+w))+" vs workers=1")
+			samePairs(t, serial, many, n, fmt.Sprintf("trial %d: workers=%d vs serial Build", trial, w))
 		}
 	}
 }

@@ -10,11 +10,12 @@
 // The engine owns no pair loop. The kernels live in internal/md, each
 // written once over a range (md.ComputeForcesFullRows over atom rows,
 // md.NeighborList.ForcesSpan over a flattened pair span,
-// md.NeighborList.BuildRow over list rows), and the engine only shards
-// them: it picks the ranges, hands each worker a private buffer,
-// reduces the buffers in a fixed tree, and arms fault injection and
-// context cancellation around every shard. Each method has one entry
-// point, which returns an error when a worker fails:
+// md.NeighborList.BuildSpan over a range of cell-ordered atoms), and
+// the engine only shards them: it picks the ranges, hands each worker
+// a private buffer, reduces the buffers in a fixed tree, and arms
+// fault injection and context cancellation around every shard. Each
+// method has one entry point, which returns an error when a worker
+// fails:
 //
 //   - ForcesDirect: the paper's O(N²) full-loop (gather-only) kernel,
 //     sharded by atom range. Each atom's acceleration is written by
@@ -24,10 +25,12 @@
 //     The half-triangle pair layout scatters to both atoms of a pair,
 //     so each worker scatters into a private acceleration buffer and
 //     the buffers are combined by a parallel tree reduction.
-//   - BuildPairlist: the neighbor-list build, sharded by row range
-//     after the list's single cell-binning pass
-//     (md.NeighborList.BeginBuild), in one shard on the caller below
-//     serialBuildAtoms. Rows are disjoint and row content is
+//   - BuildPairlist: the neighbor-list build, sharded by ranges of the
+//     cell-ordered atoms after the list's single cell-binning
+//     pass (md.NeighborList.BeginBuild), in one shard on the caller
+//     below serialBuildAtoms. A shard that starts inside a cell
+//     gathers that cell's candidates itself. Each atom's row is
+//     written by the one shard holding it and row content is
 //     sharding-independent, so the built list — and every force
 //     evaluated over it — is byte-identical for any worker count.
 //
@@ -228,8 +231,8 @@ func (e *Engine[T]) corruptOutput(acc md.Coords[T]) {
 
 // shardRange splits n items into parts contiguous near-equal ranges
 // and returns range w's [lo, hi): atoms for the direct kernel and the
-// publish step, flattened pairs for the list kernel, rows for the
-// build.
+// publish step, flattened pairs for the list kernel, cell-ordered atom
+// slots for the build.
 func shardRange(n, w, parts int) (lo, hi int) {
 	return w * n / parts, (w + 1) * n / parts
 }
@@ -265,48 +268,53 @@ func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, erro
 	return e.reducePE() / 2, nil
 }
 
-// buildCtxStride is how many neighbor-list rows a build worker fills
+// buildCtxStride is how many cell-ordered atoms a build worker fills
 // between context checks: frequent enough that a cancelled replica
 // stops a large build well inside one MD step, rare enough that the
-// check is free against the ~100 distance tests each row costs.
-const buildCtxStride = 256
+// check is free. Each check starts a new BuildSpan, which gathers
+// anew the cell it starts inside, so the stride spans tens of cells
+// to keep those repeat gathers rare.
+const buildCtxStride = 1024
 
 // serialBuildAtoms is the atom count below which BuildPairlist runs
 // the build inline instead of sharding it, where task hand-off and
 // shard bookkeeping cost more than a second core returns. On a 2-vCPU
-// Xeon (go1.24, BenchmarkNeighborBuild, two runs each) the serial
-// cell-binned build took 1.6–2.0 ms at n512, 11.8–12.3 ms at n2048 and
-// 44.3–44.6 ms at n8192; the sharded build at two workers took
-// 1.58–1.73, 7.4–8.9 and 24.6–27.0 ms. It ties at 512 and wins from
-// 2048 up, so the crossover sits between the two. Output is
-// unaffected: rows are position-determined, so every shard count emits
-// byte-identical lists (pinned by TestBuildPairlistWorkersBitwise).
-const serialBuildAtoms = 1024
+// Xeon (go1.24, BenchmarkNeighborBuild with sharding forced, three
+// runs at n512 and n2048, two at n8192) the serial build took
+// 0.85–1.20 ms at n512, 5.4–7.3 ms at n2048 and 18.9–23.9 ms at n8192;
+// the sharded build at two workers took 0.72–0.83, 4.2–4.8 and
+// 12.3–13.6 ms. It wins from 512 up, least at 512, whose box holds no
+// grid: the one-cell scan's rows shorten with i, so equal atom ranges
+// are unequal work. Output is unaffected: rows are
+// position-determined, so every shard count emits byte-identical lists
+// (pinned by TestBuildPairlistWorkersBitwise).
+const serialBuildAtoms = 512
 
-// BuildPairlist rebuilds nl from pos with row-range sharding over the
-// pool: BeginBuild bins the atoms once, then each shard fills a
-// contiguous range of rows (one shard below serialBuildAtoms). Rows
-// are disjoint and each row's content is independent of the sharding
-// (ascending-j by construction, see md.NeighborList.BuildRow), so the
+// BuildPairlist rebuilds nl from pos sharded over the pool:
+// BeginBuild bins the atoms once and carves one gather scratch per
+// shard, then each shard fills the rows of a contiguous range of the
+// cell-ordered atoms (one shard below serialBuildAtoms). Each row is
+// written by one shard and its content is independent of the sharding
+// (ascending-j by construction, see md.NeighborList.BuildSpan), so the
 // built list is byte-identical for every worker count and identical
 // to the serial Build. The SetContext context bounds the build at
-// row-stride granularity; on cancellation (or a worker failure) the
-// list is left stale-but-consistent and an error is returned.
+// buildCtxStride granularity; on cancellation (or a worker failure)
+// the list is left stale-but-consistent and an error is returned.
 func (e *Engine[T]) BuildPairlist(nl *md.NeighborList[T], p md.Params[T], pos md.Coords[T]) error {
 	ctx := e.evalCtx()
-	nl.BeginBuild(p, pos)
 	n := pos.Len()
 	shards := e.workers
 	if n < serialBuildAtoms {
 		shards = 1
 	}
+	nl.BeginBuild(p, pos, shards)
 	err := e.runN(shards, false, func(w int) {
 		lo, hi := shardRange(n, w, shards)
-		for i := lo; i < hi; i++ {
-			if (i-lo)%buildCtxStride == 0 && ctx.Err() != nil {
+		for at := lo; at < hi; at += buildCtxStride {
+			if ctx.Err() != nil {
 				return // abandon the shard; EndBuild below is skipped
 			}
-			nl.BuildRow(p, pos, i)
+			nl.BuildSpan(p, pos, w, at, min(at+buildCtxStride, hi))
 		}
 	})
 	if err == nil {

@@ -32,9 +32,6 @@ func (a V3[T]) Sub(b V3[T]) V3[T] { return V3[T]{a.X - b.X, a.Y - b.Y, a.Z - b.Z
 // Scale returns s * a.
 func (a V3[T]) Scale(s T) V3[T] { return V3[T]{a.X * s, a.Y * s, a.Z * s} }
 
-// Neg returns -a.
-func (a V3[T]) Neg() V3[T] { return V3[T]{-a.X, -a.Y, -a.Z} }
-
 // Dot returns the inner product a·b.
 func (a V3[T]) Dot(b V3[T]) T { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 

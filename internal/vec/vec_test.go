@@ -85,16 +85,6 @@ func TestMulAddMatchesExplicit(t *testing.T) {
 	}
 }
 
-func TestNegIsScaleMinusOne(t *testing.T) {
-	prop := func(ax, ay, az float64) bool {
-		a := v3(ax, ay, az)
-		return a.Neg() == a.Scale(-1)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCopysignSemantics(t *testing.T) {
 	cases := []struct{ mag, sign, want float64 }{
 		{3, -1, -3},

@@ -35,7 +35,7 @@ echo "==> bounds checks in the pair loops <= 1 (between // bce:begin and // bce:
 BCE_BUDGET=1
 BCE_MARKERS="$(cat internal/md/*.go | grep -c '// bce:begin' || true)"
 if [ "$BCE_MARKERS" -lt 2 ]; then
-    echo "verify: expected bce markers around the NeighborList.ForcesSpan and BuildRow loops, found $BCE_MARKERS" >&2
+    echo "verify: expected bce markers around the NeighborList.ForcesSpan and BuildSpan loops, found $BCE_MARKERS" >&2
     exit 1
 fi
 BCE_CHECKS="$(go build -gcflags=-d=ssa/check_bce -o /dev/null ./internal/md 2>&1 | awk -F: '
