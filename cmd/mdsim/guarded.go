@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -80,36 +79,25 @@ func runGuarded(o runOpts) (err error) {
 }
 
 // buildRunConfig assembles the standard-workload mdrun config the
-// reference, guarded and batch modes share: the paper's LJ argon state with the
-// StandardWorkload small-system cutoff reduction. Workers is -workers
-// as given; each mode resolves 0 its own way.
+// reference, guarded and batch modes share: the paper's LJ argon state
+// with core.FitCutoff's small-system cutoff reduction. Workers is
+// -workers as given; each mode resolves 0 its own way.
 func buildRunConfig(o runOpts, inj faults.Injector) (mdrun.Config, error) {
 	method, err := mdrun.ParseMethod(o.method)
 	if err != nil {
 		return mdrun.Config{}, err
 	}
-	cfg := mdrun.Config{
+	thermostat, err := mdrun.ParseCheckpointableThermostat(o.thermostat)
+	if err != nil {
+		return mdrun.Config{}, err
+	}
+	return mdrun.Config{
 		Atoms: o.atoms, Density: core.StdDensity, Temperature: core.StdTemperature,
-		Lattice: lattice.FCC, Seed: core.StdSeed,
-		Cutoff: core.StdCutoff, Dt: core.StdDt,
+		Lattice: lattice.FCC, Seed: core.StdSeed, Dt: core.StdDt,
+		Cutoff: core.FitCutoff(core.StdCutoff, lattice.BoxLength(o.atoms, core.StdDensity)),
 		Method: method, Workers: o.workers, PairlistSkin: o.skin,
-		Faults: inj,
-	}
-	// Match StandardWorkload's small-system cutoff reduction.
-	if box := math.Cbrt(float64(o.atoms) / core.StdDensity); 2*cfg.Cutoff > box {
-		cfg.Cutoff = box / 2 * 0.99
-	}
-	switch o.thermostat {
-	case "":
-		cfg.Thermostat = mdrun.NVE
-	case "rescale":
-		cfg.Thermostat = mdrun.Rescale
-	case "berendsen":
-		cfg.Thermostat = mdrun.Berendsen
-	default:
-		return mdrun.Config{}, fmt.Errorf("unknown thermostat %q (want rescale|berendsen)", o.thermostat)
-	}
-	return cfg, nil
+		Thermostat: thermostat, Faults: inj,
+	}, nil
 }
 
 // parseInject translates comma-separated fault specs into an armed

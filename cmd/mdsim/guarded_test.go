@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -98,23 +100,6 @@ func TestGuardedCheckpointWriteFault(t *testing.T) {
 	}
 }
 
-func TestGuardedTrajectoryAndThermostat(t *testing.T) {
-	o := guardOpts()
-	o.thermostat = "berendsen"
-	o.dump = filepath.Join(t.TempDir(), "g.xyz")
-	o.dumpEvery = 5
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(o.dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty guarded trajectory")
-	}
-}
-
 func TestGuardedRejectsBadFlags(t *testing.T) {
 	o := guardOpts()
 	o.devName = "gpu"
@@ -150,5 +135,37 @@ func TestParseInjectSpecs(t *testing.T) {
 	}
 	if inj == nil {
 		t.Fatal("nil injector for non-empty spec")
+	}
+}
+
+// TestGuardedTrajectoryAndThermostat pins that frames follow the
+// system's step count, not the watchdog segment: a guarded Berendsen
+// run with a frame stride longer than its 10-step segments writes the
+// bare run's frames, byte for byte.
+func TestGuardedTrajectoryAndThermostat(t *testing.T) {
+	dir := t.TempDir()
+	xyz := map[bool][]byte{}
+	for _, guarded := range []bool{false, true} {
+		o := opts("reference")
+		o.guard = guarded
+		o.thermostat = "berendsen"
+		o.steps = 60
+		o.dump = filepath.Join(dir, fmt.Sprintf("guard-%v.xyz", guarded))
+		o.dumpEvery = 20
+		if _, err := stdoutOf(t, func() error { return run(o) }); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(o.dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xyz[guarded] = data
+	}
+	if n := strings.Count(string(xyz[false]), "\nstep "); n != 3 {
+		t.Fatalf("bare run wrote %d frames, want 3", n)
+	}
+	if !bytes.Equal(xyz[true], xyz[false]) {
+		t.Fatalf("guarded trajectory (%d frames) differs from the bare run's",
+			strings.Count(string(xyz[true]), "\nstep "))
 	}
 }

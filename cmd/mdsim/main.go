@@ -222,7 +222,6 @@ func runReference(w device.Workload, o runOpts) (err error) {
 	// The system, fresh or restored, keeps its own numerics.
 	cfg.Cutoff, cfg.Dt, cfg.Shifted = sys.P.Cutoff, sys.P.Dt, sys.P.Shifted
 	cfg.Workers = parallel.ClampWorkers(o.workers)
-	cfg.Tau = 0.1
 	if o.dump != "" {
 		f, ferr := os.Create(o.dump)
 		if ferr != nil {

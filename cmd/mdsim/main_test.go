@@ -4,6 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/lattice"
+	"repro/internal/mdrun"
 )
 
 func opts(dev string) runOpts {
@@ -130,5 +134,48 @@ func TestCheckpointSaveAndResume(t *testing.T) {
 	}
 	if err := run(runOpts{devName: "reference", atoms: 108, steps: 1, loadCkpt: "/nonexistent"}); err == nil {
 		t.Fatal("missing checkpoint accepted")
+	}
+}
+
+// TestBuildRunConfigPinned pins the config the reference, guarded and
+// batch modes build: the standard state, StandardWorkload's cutoff
+// (shrunk for a small box) and mdrun's thermostat names, "" for NVE
+// and never Langevin.
+func TestBuildRunConfigPinned(t *testing.T) {
+	cutoffs := map[int]float64{32: 1.6628002294686821, 108: 2.5, 864: 2.5}
+	thermostats := map[string]mdrun.ThermostatKind{
+		"": mdrun.NVE, "nve": mdrun.NVE, "rescale": mdrun.Rescale, "berendsen": mdrun.Berendsen,
+	}
+	for n, cutoff := range cutoffs {
+		w, err := core.StandardWorkload(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Cutoff != cutoff {
+			t.Fatalf("StandardWorkload(%d) cutoff %v, want %v", n, w.Cutoff, cutoff)
+		}
+		for name, kind := range thermostats {
+			o := opts("reference")
+			o.atoms, o.thermostat = n, name
+			cfg, err := buildRunConfig(o, nil)
+			if err != nil {
+				t.Fatalf("%d atoms, %q: %v", n, name, err)
+			}
+			want := mdrun.Config{
+				Atoms: n, Density: core.StdDensity, Temperature: core.StdTemperature,
+				Lattice: lattice.FCC, Seed: core.StdSeed, Cutoff: cutoff, Dt: core.StdDt,
+				Method: mdrun.Direct, Workers: 1, PairlistSkin: 0.4, Thermostat: kind,
+			}
+			if cfg != want {
+				t.Errorf("%d atoms, %q:\n got %+v\nwant %+v", n, name, cfg, want)
+			}
+		}
+	}
+	for _, name := range []string{"langevin", "Rescale", "maxwell-daemon"} {
+		o := opts("reference")
+		o.thermostat = name
+		if _, err := buildRunConfig(o, nil); err == nil {
+			t.Errorf("thermostat %q accepted", name)
+		}
 	}
 }

@@ -45,17 +45,20 @@ func main() {
 	fmt.Printf("  mean T %.4f (target %.4f)   E %.2f -> %.2f (thermostat removes the lattice's excess)\n",
 		eq.MeanTemperature, cfg.Temperature, eq.InitialEnergy, eq.FinalEnergy)
 
-	// Production: fresh runner continuing in NVE would need state carry;
-	// here we keep the same runner but the thermostat stays on (weak
-	// coupling) — standard practice for liquid-state sampling.
+	// Production: a runner whose observables start at the equilibrated
+	// state, thermostat still on (weak coupling, standard practice).
 	fmt.Println("\n== Production (600 steps, sampling every 5) ==")
-	prod, err := r.Run(600)
+	pr, err := mdrun.NewFromSystem(r.System(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prod, err := pr.Run(600)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  mean T      %.4f\n", prod.MeanTemperature)
 	fmt.Printf("  pressure    %.4f (reduced units; LJ liquid at this state point is near ~0-1)\n", prod.Pressure)
-	fmt.Printf("  MSD         %.4f σ² over the whole run\n", prod.MSD)
+	fmt.Printf("  MSD         %.4f σ² over production\n", prod.MSD)
 
 	fmt.Println("\n== Radial distribution function g(r) ==")
 	// A text sketch: one row per bin group.

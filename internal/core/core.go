@@ -45,11 +45,17 @@ func StandardWorkload(n, steps int) (device.Workload, error) {
 	if err != nil {
 		return device.Workload{}, err
 	}
-	cutoff := float64(StdCutoff)
-	if 2*cutoff > st.Box {
-		cutoff = st.Box / 2 * 0.99
+	return device.Workload{State: st, Cutoff: FitCutoff(StdCutoff, st.Box), Dt: StdDt, Steps: steps}, nil
+}
+
+// FitCutoff is the small-system cutoff rule every standard-state entry
+// point shares: the cutoff itself, or just under half the box side when
+// the cutoff would break the minimum-image requirement.
+func FitCutoff(cutoff, box float64) float64 {
+	if 2*cutoff > box {
+		return box / 2 * 0.99
 	}
-	return device.Workload{State: st, Cutoff: cutoff, Dt: StdDt, Steps: steps}, nil
+	return cutoff
 }
 
 // ReferenceEnergies integrates the workload with the double-precision

@@ -338,3 +338,15 @@ func (wrongPhysicsDevice) Run(w device.Workload) (*device.Result, error) {
 		PE: 123456, KE: -1, Time: sim.NewBreakdown(),
 	}, nil
 }
+
+func TestFitCutoff(t *testing.T) {
+	for _, tc := range []struct{ cutoff, box, want float64 }{
+		{2.5, 10, 2.5},
+		{2.5, 5, 2.5}, // exactly half the box still fits
+		{2.5, 4, 1.98},
+	} {
+		if got := FitCutoff(tc.cutoff, tc.box); got != tc.want {
+			t.Errorf("FitCutoff(%v, %v) = %v, want %v", tc.cutoff, tc.box, got, tc.want)
+		}
+	}
+}

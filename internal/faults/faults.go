@@ -372,10 +372,11 @@ func (f *Fault) WorkerFaultCtx(ctx context.Context) error {
 }
 
 // NewWriter wraps w so that every Write first consults the injector at
-// site: Error faults fail the write, ShortWrite faults write half the
-// buffer and report the short count with a nil error (exactly the
-// lying-writer failure a CRC trailer catches), Panic faults panic, and
-// Delay faults sleep before writing. A nil injector returns w itself.
+// site, once: Error faults fail the write, ENOSPC faults write half the
+// buffer and fail with syscall.ENOSPC, ShortWrite faults write half and
+// report the short count with a nil error (the lying-writer failure a
+// CRC trailer catches), Panic faults panic, and Delay faults sleep
+// before writing. A nil injector returns w itself.
 func NewWriter(w io.Writer, in Injector, site Site) io.Writer {
 	if in == nil {
 		return w

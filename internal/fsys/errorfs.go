@@ -2,6 +2,7 @@ package fsys
 
 import (
 	"fmt"
+	"io"
 	iofs "io/fs"
 	"path/filepath"
 	"syscall"
@@ -77,8 +78,8 @@ func (e *faultFS) op(site faults.Site, name string) error {
 // fired at site on name (nil: none fired): Error and ENOSPC fail it,
 // Delay sleeps, Panic panics, anything else passes through. A non-nil
 // error means the operation must fail without touching the inner
-// filesystem. Operations with kinds of their own (Write's half-write
-// ENOSPC and ShortWrite, Rename's TornRename) handle those first.
+// filesystem. Rename handles its own TornRename first; Write uses
+// faults.NewWriter, which owns the write-only kinds.
 func inject(f *faults.Fault, site faults.Site, name string) error {
 	if f == nil {
 		return nil
@@ -111,7 +112,7 @@ func (e *faultFS) CreateTemp(dir, pattern string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: f, in: e.in}, nil
+	return &faultFile{File: f, in: e.in, w: faults.NewWriter(f, e.in, SiteWrite)}, nil
 }
 
 func (e *faultFS) Open(name string) (File, error) {
@@ -122,7 +123,7 @@ func (e *faultFS) Open(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: f, in: e.in}, nil
+	return &faultFile{File: f, in: e.in, w: faults.NewWriter(f, e.in, SiteWrite)}, nil
 }
 
 func (e *faultFS) ReadFile(name string) ([]byte, error) {
@@ -182,28 +183,15 @@ func (e *faultFS) RemoveAll(path string) error {
 	return e.inner.RemoveAll(path)
 }
 
-// faultFile injects write/sync/read faults on an open handle.
+// faultFile injects write/sync/read faults on an open handle; w is
+// the handle wrapped by faults.NewWriter at SiteWrite.
 type faultFile struct {
 	File
 	in faults.Injector
+	w  io.Writer
 }
 
-func (f *faultFile) Write(p []byte) (int, error) {
-	ff := faults.Fire(f.in, SiteWrite)
-	if ff != nil {
-		switch ff.Kind {
-		case faults.ENOSPC:
-			n, _ := f.File.Write(p[:len(p)/2])
-			return n, fmt.Errorf("fsys: %s %s: %w", SiteWrite, f.Name(), syscall.ENOSPC)
-		case faults.ShortWrite:
-			return f.File.Write(p[:len(p)/2])
-		}
-	}
-	if err := inject(ff, SiteWrite, f.Name()); err != nil {
-		return 0, err
-	}
-	return f.File.Write(p)
-}
+func (f *faultFile) Write(p []byte) (int, error) { return f.w.Write(p) }
 
 func (f *faultFile) Sync() error {
 	if err := inject(faults.Fire(f.in, SiteSync), SiteSync, f.Name()); err != nil {

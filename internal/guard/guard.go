@@ -212,21 +212,23 @@ func (s *Supervisor) System() *md.System[float64] { return s.runner.System() }
 func (s *Supervisor) Report() *RunReport { return s.report }
 
 // Run advances the simulation the given number of steps under
-// supervision and returns a synthesized Summary, the RunReport, and
-// the terminal error if the recovery budget was exhausted. The report
-// is returned in every case. A Supervisor is single-use.
+// supervision and returns the Summary, the RunReport, and the terminal
+// error if the recovery budget was exhausted. The report is returned
+// in every case. A Supervisor is single-use.
 //
-// The Summary's Steps/InitialEnergy/FinalEnergy/Pressure fields are
-// authoritative; MeanTemperature is the step-weighted mean over
-// committed (non-rolled-back) segments, and the MSD/RDF observables
-// are not aggregated across recoveries (they reset at each rollback)
-// so they are left zero.
+// The Summary is the active runner's (see mdrun.Summary), with Steps
+// and InitialEnergy set to the supervised run's. A clean run's Summary
+// is therefore the bare mdrun run's, field for field; after a rollback
+// the runner is rebuilt, so the observables (MeanTemperature, MSD,
+// RDF, FramesWritten) cover only the steps after StartStep, the step
+// the last recovery restored.
 func (s *Supervisor) Run(steps int) (*mdrun.Summary, *RunReport, error) {
 	return s.RunContext(context.Background(), steps)
 }
 
-// RunContext is Run bounded by a context. Cancellation (or deadline
-// expiry) is deliberate, not transient: it is logged as a single
+// RunContext is Run bounded by a context, with Run's Summary: the
+// active runner's own. Cancellation (or deadline expiry) is
+// deliberate, not transient: it is logged as a single
 // IncidentCancelled, never retried or escalated, and surfaces as an
 // error wrapping ctx.Err() within one MD step of the cancellation —
 // the property the batch scheduler's per-replica timeouts rely on.
@@ -246,15 +248,10 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 	s.checkpoint() // step-0 baseline: recovery always has somewhere to go
 
 	attempt := 0
-	var tempSum, tempW float64
 	var last *mdrun.Summary // newest committed segment
 	for s.runner.System().Steps < target {
 		sys := s.runner.System()
-		seg := s.cfg.CheckEvery
-		if rem := target - sys.Steps; rem < seg {
-			seg = rem
-		}
-		sum, err := s.runner.RunContext(ctx, seg)
+		sum, err := s.runner.RunContext(ctx, min(s.cfg.CheckEvery, target-sys.Steps))
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				rep.log(s.runner.System().Steps, attempt, sim.IncidentCancelled, err.Error())
@@ -273,14 +270,10 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 			}
 			continue
 		}
-		// Segment committed: it contributes to the aggregate summary,
-		// the ladder resets, and a checkpoint is taken when due.
+		// Segment committed: its Summary is the newest, the ladder
+		// resets, and a checkpoint is taken when due.
 		attempt = 0
 		last = sum
-		if sum.Steps > 0 {
-			tempSum += sum.MeanTemperature * float64(sum.Steps)
-			tempW += float64(sum.Steps)
-		}
 		cur := s.runner.System().Steps
 		if cur-lastCkpt >= s.cfg.CheckpointEvery || cur >= target {
 			s.checkpoint()
@@ -296,27 +289,19 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 		}
 	}
 
-	sys := s.runner.System()
-	final := &mdrun.Summary{
-		Steps:         steps,
-		InitialEnergy: s.e0,
-		FinalEnergy:   sys.TotalEnergy(),
+	if last == nil {
+		// A 0-step run commits no segment; the runner still reports.
+		var err error
+		if last, err = s.runner.RunContext(ctx, 0); err != nil {
+			return nil, rep, fmt.Errorf("guard: %w", err)
+		}
 	}
-	if last != nil {
-		// The last committed segment ended on the final state, and the
-		// runner scored its pressure over the live list.
-		final.Pressure = last.Pressure
-	} else {
-		final.Pressure = md.Pressure(sys.P, sys.Pos, sys.Temperature())
-	}
-	if tempW > 0 {
-		final.MeanTemperature = tempSum / tempW
-	}
+	last.Steps, last.InitialEnergy = steps, s.e0
 	rep.Completed = true
 	rep.FinalMethod = s.cur.Method
 	rep.FinalWorkers = s.runner.Workers()
 	rep.FinalDt = s.cur.Dt
-	return final, rep, nil
+	return last, rep, nil
 }
 
 // checkpoint snapshots the current (health-checked) state in memory

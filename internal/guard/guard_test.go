@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -27,31 +28,61 @@ func baseRun(method mdrun.ForceMethod, atoms, workers int) mdrun.Config {
 }
 
 // TestCleanRunMatchesPlainRun: with no faults, supervision must be
-// invisible — the guarded trajectory is bitwise the plain runner's,
-// the report shows zero incidents, and checkpoints land on disk.
+// invisible. For runs shorter than, equal to and not a multiple of the
+// watchdog segment, the guarded state, every Summary field (the
+// observables and frame count included) and the trajectory bytes are
+// the plain runner's bit for bit, the report shows zero incidents, and
+// checkpoints land on disk.
 func TestCleanRunMatchesPlainRun(t *testing.T) {
-	cfg := baseRun(mdrun.Direct, 108, 1)
+	thermostats := []mdrun.ThermostatKind{mdrun.NVE, mdrun.Rescale, mdrun.Berendsen}
+	for _, m := range []mdrun.ForceMethod{mdrun.Direct, mdrun.Pairlist} {
+		for _, th := range thermostats {
+			for _, every := range []int{5, 10} {
+				for _, steps := range []int{0, 20, 25, 29} {
+					t.Run(fmt.Sprintf("%v/%v/check%d/%d-steps", m, th, every, steps), func(t *testing.T) {
+						checkCleanRun(t, m, th, every, every, steps)
+					})
+				}
+			}
+			// A checkpoint cadence that is not the segment cadence.
+			t.Run(fmt.Sprintf("%v/%v/check10-ckpt20/50-steps", m, th), func(t *testing.T) {
+				checkCleanRun(t, m, th, 10, 20, 50)
+			})
+		}
+	}
+}
 
+func checkCleanRun(t *testing.T, m mdrun.ForceMethod, th mdrun.ThermostatKind, every, ckptEvery, steps int) {
+	cfg := baseRun(m, 256, 1)
+	cfg.Thermostat = th
+	cfg.SampleRDF = true
+	cfg.SampleEvery = 4
+	cfg.TrajectoryEvery = 7
+
+	var plainXYZ, guardXYZ bytes.Buffer
+	cfg.Trajectory = &plainXYZ
 	plain, err := mdrun.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if _, err := plain.Run(50); err != nil {
+	want, err := plain.Run(steps)
+	if err != nil {
 		t.Fatal(err)
 	}
 
+	cfg.Trajectory = &guardXYZ
 	sup, err := New(Config{
-		Run: cfg, CheckEvery: 10, CheckpointEvery: 20,
+		Run: cfg, CheckEvery: every, CheckpointEvery: ckptEvery,
 		CheckpointDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
-	sum, rep, err := sup.Run(50)
+	got, rep, err := sup.Run(steps)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("guarded run failed (%v); report: %v", err, rep)
 	}
 
 	a, b := plain.System(), sup.System()
@@ -63,8 +94,17 @@ func TestCleanRunMatchesPlainRun(t *testing.T) {
 			t.Fatalf("guarded run diverged at atom %d", i)
 		}
 	}
-	if sum.FinalEnergy != a.TotalEnergy() {
-		t.Fatalf("summary energy %v vs %v", sum.FinalEnergy, a.TotalEnergy())
+	if a.PE != b.PE || a.KE != b.KE {
+		t.Fatalf("guarded energies diverged: PE %v vs %v, KE %v vs %v", a.PE, b.PE, a.KE, b.KE)
+	}
+	// %v prints each float in its shortest round-trip form, so equal
+	// text is equal bits.
+	if g, w := fmt.Sprintf("%+v", *got), fmt.Sprintf("%+v", *want); g != w {
+		t.Fatalf("guarded Summary\n%s\nwant the plain run's\n%s", g, w)
+	}
+	if !bytes.Equal(guardXYZ.Bytes(), plainXYZ.Bytes()) {
+		t.Fatalf("guarded trajectory (%d bytes) differs from the plain run's (%d bytes)",
+			guardXYZ.Len(), plainXYZ.Len())
 	}
 	if rep.Counts.Total() != 0 || rep.Rollbacks != 0 || !rep.Completed {
 		t.Fatalf("clean run logged incidents: %v", rep)
@@ -140,6 +180,65 @@ func TestRecoveryEscalatesToSerial(t *testing.T) {
 	if !rep.Completed || rep.FinalMethod != cfg.Method || rep.FinalWorkers != 1 || rep.FinalDt != cfg.Dt {
 		t.Errorf("final method/workers/dt = %v/%d/%g completed=%v, want %v/1/%g/true",
 			rep.FinalMethod, rep.FinalWorkers, rep.FinalDt, rep.Completed, cfg.Method, cfg.Dt)
+	}
+}
+
+// TestRetryRecoveryKeepsRescalePhase pins that a runner rebuilt after a
+// rollback kicks on the uninterrupted run's steps: a one-shot NaN in
+// step 27 rolls a 5-step-segment Rescale run back to its step-25
+// checkpoint, and the plain retry must end on the uninterrupted run's
+// state bit for bit.
+func TestRetryRecoveryKeepsRescalePhase(t *testing.T) {
+	const steps = 50
+	cfg := baseRun(mdrun.Pairlist, 256, 1)
+	cfg.Thermostat = mdrun.Rescale
+
+	plain, err := mdrun.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	want, err := plain.Run(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Force call 1 is New's initial evaluation; step k makes call k+1.
+	cfg.Faults = faults.NewRegistry(17).Arm(faults.Fault{
+		Site: faults.SiteForces, Kind: faults.NaN,
+		Trigger: faults.Trigger{AtCall: 28},
+	})
+	sup, err := New(Config{Run: cfg, CheckEvery: 5, CheckpointEvery: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	got, rep, err := sup.Run(steps)
+	if err != nil {
+		t.Fatalf("run failed (%v); report: %v", err, rep)
+	}
+	restored := -1
+	for _, ev := range rep.Events {
+		if ev.Kind == sim.IncidentRollback {
+			restored = ev.Step
+		}
+	}
+	if rep.Rollbacks != 1 || restored != 25 {
+		t.Fatalf("want one rollback to step 25, got %d to step %d; report: %v", rep.Rollbacks, restored, rep)
+	}
+	a, b := plain.System(), sup.System()
+	for i := 0; i < a.N(); i++ {
+		if a.Pos.At(i) != b.Pos.At(i) || a.Vel.At(i) != b.Vel.At(i) {
+			t.Fatalf("recovered run diverged at atom %d", i)
+		}
+	}
+	if got.FinalEnergy != want.FinalEnergy {
+		t.Fatalf("recovered final energy %.9f, uninterrupted %.9f", got.FinalEnergy, want.FinalEnergy)
+	}
+	// The rebuilt runner's observables cover the steps after the
+	// restored one; Steps still counts the whole supervised run.
+	if got.StartStep != 25 || got.Steps != steps {
+		t.Fatalf("Summary window starts at step %d over %d steps, want 25 and %d", got.StartStep, got.Steps, steps)
 	}
 }
 

@@ -6,6 +6,11 @@
 // output, and on-line observables (temperature averages, RDF, MSD,
 // pressure); one Run produces a Summary.
 //
+// Every cadence (sample, trajectory frame, Rescale kick) fires when
+// System.Steps is a multiple of its stride, so a run called in segments
+// or resumed from a checkpoint matches the uninterrupted run; every
+// Summary field covers the runner's life since New or NewFromSystem.
+//
 // All force methods integrate the identical physics (pinned by tests),
 // so switching between them is purely a performance decision — the same
 // property the device models rely on.
@@ -70,9 +75,9 @@ type ThermostatKind int
 const (
 	// NVE runs without a thermostat (constant energy).
 	NVE ThermostatKind = iota
-	// Rescale hard-rescales to the target every rescaleInterval steps.
+	// Rescale hard-rescales to the target when Steps%rescaleInterval == 0.
 	Rescale
-	// Berendsen couples weakly with time constant Tau.
+	// Berendsen couples weakly with time constant berendsenTauSteps·Dt.
 	Berendsen
 	// Langevin couples stochastically with friction langevinGamma
 	// (canonical sampling; noise stream seeded from Config.Seed+1).
@@ -93,6 +98,31 @@ func (t ThermostatKind) String() string {
 	default:
 		return fmt.Sprintf("ThermostatKind(%d)", int(t))
 	}
+}
+
+// ParseThermostat is the inverse of ThermostatKind.String, with "" for
+// NVE (the zero value, as in an unset Config).
+func ParseThermostat(s string) (ThermostatKind, error) {
+	if s == "" {
+		return NVE, nil
+	}
+	for k := NVE; k <= Langevin; k++ {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("mdrun: unknown thermostat %q (want nve|rescale|berendsen|langevin)", s)
+}
+
+// ParseCheckpointableThermostat is ParseThermostat refusing Langevin:
+// no checkpoint carries its noise stream position, so a resumed
+// Langevin run would not continue the uninterrupted trajectory.
+func ParseCheckpointableThermostat(s string) (ThermostatKind, error) {
+	k, err := ParseThermostat(s)
+	if err != nil || k == Langevin {
+		return 0, fmt.Errorf("mdrun: unknown thermostat %q (want nve|rescale|berendsen; langevin is not checkpointable)", s)
+	}
+	return k, nil
 }
 
 // Config describes a full simulation.
@@ -123,7 +153,6 @@ type Config struct {
 
 	// Temperature control.
 	Thermostat ThermostatKind
-	Tau        float64 // Berendsen: coupling constant (default 25*Dt)
 
 	// Trajectory output (nil to disable).
 	Trajectory      io.Writer
@@ -144,18 +173,16 @@ type Config struct {
 
 // Fixed run settings that no caller varies.
 const (
-	rescaleInterval = 10  // Rescale: steps between kicks
-	langevinGamma   = 5.0 // Langevin: friction, 1/time
-	rdfBins         = 50  // RDF histogram bins
+	rescaleInterval   = 10  // Rescale: steps between kicks
+	berendsenTauSteps = 25  // Berendsen: coupling time constant, in Dt
+	langevinGamma     = 5.0 // Langevin: friction, 1/time
+	rdfBins           = 50  // RDF histogram bins
 )
 
 // withDefaults fills zero values.
 func (c Config) withDefaults() Config {
 	if c.PairlistSkin == 0 {
 		c.PairlistSkin = 0.4
-	}
-	if c.Tau == 0 {
-		c.Tau = 25 * c.Dt
 	}
 	if c.TrajectoryEvery == 0 {
 		c.TrajectoryEvery = 10
@@ -167,8 +194,8 @@ func (c Config) withDefaults() Config {
 }
 
 // checkStrides rejects a negative sampling or trajectory stride. Zero
-// means the default, and the step loop's s%stride would quietly run a
-// stride of -3 as 3.
+// means the default, and the step loop's Steps%stride would quietly
+// run a stride of -3 as 3.
 func (c Config) checkStrides() error {
 	if c.SampleEvery < 0 || c.TrajectoryEvery < 0 {
 		return fmt.Errorf("mdrun: SampleEvery (%d) and TrajectoryEvery (%d) must not be negative", c.SampleEvery, c.TrajectoryEvery)
@@ -176,18 +203,20 @@ func (c Config) checkStrides() error {
 	return nil
 }
 
-// Summary reports a completed run.
+// Summary reports a runner's life since New or NewFromSystem, however
+// many Run calls that spans: the steps after StartStep.
 type Summary struct {
-	Steps int
-
-	InitialEnergy float64
+	StartStep     int     // System.Steps when the runner was built
+	Steps         int     // steps completed since the runner was built
+	InitialEnergy float64 // total energy when the runner was built
 	FinalEnergy   float64
-	// MeanTemperature averages the sampled instantaneous temperatures.
+	// MeanTemperature averages the temperatures sampled on the steps
+	// that are multiples of SampleEvery.
 	MeanTemperature float64
-	// Pressure is the final-configuration virial pressure.
+	// Pressure is the final-configuration virial pressure (zero in a
+	// failed run's partial Summary).
 	Pressure float64
-	// MSD is the mean-square displacement over the whole run.
-	MSD float64
+	MSD      float64 // mean-square displacement since the runner was built
 	// RDF results (nil unless Config.SampleRDF).
 	RDFCenters, RDF []float64
 	// FramesWritten counts trajectory frames.
@@ -210,6 +239,11 @@ type Runner struct {
 	// building a list of their own.
 	nl     *md.NeighborList[float64]
 	engine *parallel.Engine[float64] // non-nil when Workers > 1
+
+	// The Summary window: its start step and energy, and the sampled
+	// temperatures' sum and count.
+	startStep, tempSamples int
+	e0, tempSum            float64
 }
 
 // New builds and validates a runner; forces are evaluated once so the
@@ -241,7 +275,7 @@ func New(cfg Config) (*Runner, error) {
 // ignored; the box comes from sys, while Cutoff, Dt, and Shifted are
 // taken from cfg when set (Dt overriding is what lets the supervisor
 // halve the time step on retry). An unset Cutoff or Dt is filled from
-// sys before the defaults, so the Berendsen Tau default and the
+// sys before the defaults, so the Berendsen coupling constant and the
 // thermostat's time step follow the system's Dt. The system is
 // adopted, not copied, and its stored accelerations are kept so a
 // same-method resume stays bit-exact with an uninterrupted run.
@@ -270,7 +304,7 @@ func NewFromSystem(sys *md.System[float64], cfg Config) (*Runner, error) {
 // assemble wires forces, thermostat, trajectory, and observables
 // around an existing system.
 func assemble(cfg Config, sys *md.System[float64]) (*Runner, error) {
-	r := &Runner{cfg: cfg, sys: sys, bonded: cfg.Topology}
+	r := &Runner{cfg: cfg, sys: sys, bonded: cfg.Topology, startStep: sys.Steps, e0: sys.TotalEnergy()}
 
 	if r.bonded != nil {
 		if err := r.bonded.Validate(sys.N()); err != nil {
@@ -305,9 +339,11 @@ func assemble(cfg Config, sys *md.System[float64]) (*Runner, error) {
 	switch cfg.Thermostat {
 	case NVE:
 	case Rescale:
-		r.therm, err = md.NewRescaleThermostat(cfg.Temperature, rescaleInterval)
+		// Called on kick steps only (see RunContext): the phase comes
+		// from System.Steps, which checkpoints carry, not a call count.
+		r.therm, err = md.NewRescaleThermostat(cfg.Temperature, 1)
 	case Berendsen:
-		r.therm, err = md.NewBerendsenThermostat(cfg.Temperature, cfg.Dt, cfg.Tau)
+		r.therm, err = md.NewBerendsenThermostat(cfg.Temperature, cfg.Dt, berendsenTauSteps*cfg.Dt)
 	case Langevin:
 		r.therm, err = md.NewLangevinThermostat(cfg.Temperature, cfg.Dt, langevinGamma, cfg.Seed+1)
 	default:
@@ -401,13 +437,11 @@ func (r *Runner) Workers() int {
 func (r *Runner) System() *md.System[float64] { return r.sys }
 
 // Run advances the simulation the given number of steps and returns
-// the summary. Failures — a worker fault, a bonded blow-up, a
-// trajectory-write error — return an error together with a partial
-// Summary whose Steps field reports how many steps completed before
-// the failure (the other summary fields describe the state at that
-// point); there is no panic path. After a failed Run the system state
-// may be mid-step; continue only from a restored checkpoint (see
-// internal/guard).
+// the runner's Summary. Failures — a worker fault, a bonded blow-up, a
+// trajectory-write error — return an error with a partial Summary (no
+// Pressure) of the steps completed before it; there is no panic path.
+// After a failed Run the system state may be mid-step; continue only
+// from a restored checkpoint (see internal/guard).
 func (r *Runner) Run(steps int) (*Summary, error) {
 	return r.RunContext(context.Background(), steps)
 }
@@ -429,65 +463,67 @@ func (r *Runner) RunContext(ctx context.Context, steps int) (*Summary, error) {
 	}
 
 	sys := r.sys
-	sum := &Summary{Steps: steps, InitialEnergy: sys.TotalEnergy()}
-	var tempSum float64
-	tempSamples := 0
-	// fail reports a failure after completed whole steps.
-	fail := func(completed int, err error) (*Summary, error) {
-		sum.Steps = completed
-		sum.FinalEnergy = sys.TotalEnergy()
-		if tempSamples > 0 {
-			sum.MeanTemperature = tempSum / float64(tempSamples)
-		}
-		if r.traj != nil {
-			sum.FramesWritten = r.traj.Frames()
-		}
-		return sum, fmt.Errorf("mdrun: %w", err)
-	}
-	for s := 1; s <= steps; s++ {
+	for end := sys.Steps + steps; sys.Steps < end; {
 		if cerr := ctx.Err(); cerr != nil {
-			return fail(s-1, fmt.Errorf("cancelled before step %d: %w", sys.Steps+1, cerr))
+			return r.summary(fmt.Errorf("cancelled before step %d: %w", sys.Steps+1, cerr))
 		}
 		if err := sys.StepWithE(r.forces); err != nil {
-			return fail(s-1, fmt.Errorf("step %d: %w", sys.Steps+1, err))
+			return r.summary(fmt.Errorf("step %d: %w", sys.Steps+1, err))
 		}
-		if r.therm != nil {
+		if r.therm != nil && (r.cfg.Thermostat != Rescale || sys.Steps%rescaleInterval == 0) {
 			r.therm.Apply(sys.Vel, sys.Temperature())
 			sys.KE = md.KineticEnergy(sys.Vel)
 		}
 		if err := r.msd.Track(sys.Pos); err != nil {
-			return fail(s, err)
+			return r.summary(err)
 		}
-		if s%r.cfg.SampleEvery == 0 {
-			tempSum += sys.Temperature()
-			tempSamples++
+		if sys.Steps%r.cfg.SampleEvery == 0 {
+			r.tempSum += sys.Temperature()
+			r.tempSamples++
 			if r.rdf != nil {
 				if err := r.rdf.AccumulateOver(r.nl, sys.P, sys.Pos); err != nil {
-					return fail(s, err)
+					return r.summary(err)
 				}
 			}
 		}
-		if r.traj != nil && s%r.cfg.TrajectoryEvery == 0 {
+		if r.traj != nil && sys.Steps%r.cfg.TrajectoryEvery == 0 {
 			comment := fmt.Sprintf("step %d PE %.6f KE %.6f", sys.Steps, sys.PE, sys.KE)
 			if err := r.traj.WriteFrame(comment, sys.Pos); err != nil {
-				return fail(s, fmt.Errorf("trajectory: %w", err))
+				return r.summary(fmt.Errorf("trajectory: %w", err))
 			}
 		}
 	}
 	if r.traj != nil {
 		if err := r.traj.Flush(); err != nil {
-			return fail(steps, fmt.Errorf("trajectory: %w", err))
+			return r.summary(fmt.Errorf("trajectory: %w", err))
 		}
+	}
+	return r.summary(nil)
+}
+
+// summary reports the runner's life so far, after the call ended with
+// err (nil on success). A failed call's state may be mid-step, so its
+// Pressure is left zero rather than scored.
+func (r *Runner) summary(err error) (*Summary, error) {
+	sum := &Summary{
+		StartStep:     r.startStep,
+		Steps:         r.sys.Steps - r.startStep,
+		InitialEnergy: r.e0,
+		FinalEnergy:   r.sys.TotalEnergy(),
+		MSD:           r.msd.Value(),
+	}
+	if r.tempSamples > 0 {
+		sum.MeanTemperature = r.tempSum / float64(r.tempSamples)
+	}
+	if r.traj != nil {
 		sum.FramesWritten = r.traj.Frames()
 	}
-	sum.FinalEnergy = sys.TotalEnergy()
-	if tempSamples > 0 {
-		sum.MeanTemperature = tempSum / float64(tempSamples)
-	}
-	sum.Pressure = md.PressureOver(r.nl, sys.P, sys.Pos, sys.Temperature())
-	sum.MSD = r.msd.Value()
 	if r.rdf != nil {
 		sum.RDFCenters, sum.RDF = r.rdf.Result()
 	}
+	if err != nil {
+		return sum, fmt.Errorf("mdrun: %w", err)
+	}
+	sum.Pressure = md.PressureOver(r.nl, r.sys.P, r.sys.Pos, r.sys.Temperature())
 	return sum, nil
 }

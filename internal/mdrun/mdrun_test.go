@@ -46,11 +46,16 @@ func TestThermostatsHoldTemperature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Equilibrate, then measure.
+		// Equilibrate, then measure on a runner whose window starts
+		// after equilibration.
 		if _, err := r.Run(150); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := r.Run(200)
+		prod, err := NewFromSystem(r.System(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := prod.Run(200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +262,6 @@ func TestNonFiniteParametersRejected(t *testing.T) {
 		{"lattice temperature +Inf", generate(func(c *lattice.Config) { c.Temperature = inf })},
 		{"lattice density NaN", generate(func(c *lattice.Config) { c.Density = nan })},
 		{"lattice density +Inf", generate(func(c *lattice.Config) { c.Density = inf })},
-		{"mdrun berendsen tau NaN", newRunner(func(c *Config) { c.Thermostat, c.Tau = Berendsen, nan })},
 		{"mdrun rescale temperature NaN", newRunner(func(c *Config) { c.Thermostat, c.Temperature = Rescale, nan })},
 		{"mdrun temperature NaN", newRunner(func(c *Config) { c.Temperature = nan })},
 		{"mdrun pairlist skin NaN", newRunner(func(c *Config) { c.Method, c.PairlistSkin = Pairlist, nan })},
@@ -333,6 +337,20 @@ func TestStrings(t *testing.T) {
 	for _, m := range []ForceMethod{Direct, Pairlist} {
 		if got, err := ParseMethod(m.String()); err != nil || got != m {
 			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, k := range []ThermostatKind{NVE, Rescale, Berendsen, Langevin} {
+		if got, err := ParseThermostat(k.String()); err != nil || got != k {
+			t.Errorf("ParseThermostat(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+		got, err := ParseCheckpointableThermostat(k.String())
+		if refused := err != nil; refused != (k == Langevin) || (err == nil && got != k) {
+			t.Errorf("ParseCheckpointableThermostat(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, s := range []string{"Rescale", "maxwell-daemon"} {
+		if _, err := ParseThermostat(s); err == nil {
+			t.Errorf("ParseThermostat accepted %q", s)
 		}
 	}
 }

@@ -33,10 +33,11 @@ func checkSameBits(t *testing.T, what string, got, want float64) {
 	}
 }
 
-// checkObservablesMatchInternalList runs r in segments and pins every
-// segment's Summary.Pressure and Summary.RDF, which read the runner's
-// live force list, against md.Pressure and an RDF accumulated with
-// md's own throwaway list on the same positions.
+// checkObservablesMatchInternalList runs r in segments that each end
+// on the next sample step (a multiple of SampleEvery on System.Steps)
+// and pins every segment's Summary.Pressure and Summary.RDF, which read
+// the runner's live force list, against md.Pressure and an RDF
+// accumulated with md's own throwaway list on the same positions.
 func checkObservablesMatchInternalList(t *testing.T, r *Runner) {
 	t.Helper()
 	sys := r.System()
@@ -45,7 +46,7 @@ func checkObservablesMatchInternalList(t *testing.T, r *Runner) {
 		t.Fatal(err)
 	}
 	for seg := 0; seg < obsSegments; seg++ {
-		sum, err := r.Run(obsSegment)
+		sum, err := r.Run(obsSegment - sys.Steps%obsSegment)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,8 @@ func TestPairlistObservablesMatchInternalList(t *testing.T) {
 // TestPairlistObservablesAfterNewFromSystem covers the stale-list
 // path: a runner made by NewFromSystem has never built its list, so a
 // 0-step run must build it before scoring the pressure, and the
-// segments after it must still match.
+// segments after it must still match. The resume lands at step 7, so
+// the first segment runs 3 steps to the step-10 sample.
 func TestPairlistObservablesAfterNewFromSystem(t *testing.T) {
 	cfg := obsConfig()
 	src, err := New(cfg)

@@ -3,6 +3,7 @@ package mdrun
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -167,48 +168,53 @@ func TestCloseConcurrent(t *testing.T) {
 // TestNewFromSystemResumeBitExact: adopting a mid-run system via
 // NewFromSystem and continuing with the same method must reproduce an
 // uninterrupted run bit for bit — the handover the guard supervisor
-// depends on for clean restarts.
+// depends on for clean restarts. The resume lands at step 25, between
+// two Rescale kicks, so the kick phase must come from the system's
+// step count.
 func TestNewFromSystemResumeBitExact(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Atoms = 108
+	for _, m := range []ForceMethod{Direct, Pairlist} {
+		for _, th := range []ThermostatKind{NVE, Rescale, Berendsen} {
+			t.Run(fmt.Sprintf("%v/%v", m, th), func(t *testing.T) {
+				cfg := baseConfig()
+				cfg.Atoms = 108
+				cfg.Method = m
+				cfg.Thermostat = th
 
-	straight, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer straight.Close()
-	if _, err := straight.Run(40); err != nil {
-		t.Fatal(err)
-	}
+				straight, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer straight.Close()
+				want, err := straight.Run(50)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	if _, err := first.Run(25); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewFromSystem(first.System().Clone(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resumed.Close()
-	if _, err := resumed.Run(15); err != nil {
-		t.Fatal(err)
-	}
+				first, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer first.Close()
+				if _, err := first.Run(25); err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := NewFromSystem(first.System().Clone(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resumed.Close()
+				got, err := resumed.Run(25)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	a, b := straight.System(), resumed.System()
-	if a.Steps != b.Steps {
-		t.Fatalf("steps %d vs %d", a.Steps, b.Steps)
-	}
-	for i := 0; i < a.N(); i++ {
-		if a.Pos.At(i) != b.Pos.At(i) || a.Vel.At(i) != b.Vel.At(i) || a.Acc.At(i) != b.Acc.At(i) {
-			t.Fatalf("resume diverged at atom %d", i)
+				checkSameState(t, straight.System(), resumed.System())
+				checkSameBits(t, "FinalEnergy", got.FinalEnergy, want.FinalEnergy)
+				if got.StartStep != 25 || got.Steps != 25 {
+					t.Fatalf("resumed window: %d steps from step %d, want 25 from 25", got.Steps, got.StartStep)
+				}
+			})
 		}
-	}
-	if a.PE != b.PE || a.KE != b.KE {
-		t.Fatal("resume energies diverged")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 func TestWithDefaultsOtherFieldsUnchanged(t *testing.T) {
 	cfg := Config{Dt: 0.004}.withDefaults()
-	if cfg.PairlistSkin != 0.4 || cfg.Tau != 25*cfg.Dt ||
+	if cfg.PairlistSkin != 0.4 ||
 		cfg.TrajectoryEvery != 10 || cfg.SampleEvery != 10 {
 		t.Fatalf("defaults regressed: %+v", cfg)
 	}

@@ -26,7 +26,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/guard"
@@ -73,9 +72,9 @@ type Spec struct {
 	Workers int     `json:"workers,omitempty"`
 	Skin    float64 `json:"skin,omitempty"`
 
-	// Thermostat is ""|rescale|berendsen. Langevin is excluded: its
-	// noise stream position is not part of the checkpoint state, so a
-	// resumed Langevin run would not continue the trajectory the
+	// Thermostat is ""|nve|rescale|berendsen; Normalized writes nve as
+	// "". Langevin is excluded (mdrun.ParseCheckpointableThermostat):
+	// a resumed Langevin run would not continue the trajectory the
 	// durability pin promises.
 	Thermostat string `json:"thermostat,omitempty"`
 
@@ -98,18 +97,17 @@ func (sp Spec) withDefaults() Spec {
 		sp.Temperature = core.StdTemperature
 	}
 	if sp.Cutoff == 0 {
-		sp.Cutoff = core.StdCutoff
-		// Match StandardWorkload's small-system cutoff reduction so tiny
-		// test boxes stay valid.
-		if box := math.Cbrt(float64(sp.Atoms) / sp.Density); 2*sp.Cutoff > box {
-			sp.Cutoff = box / 2 * 0.99
-		}
+		// The small-system cutoff reduction keeps tiny test boxes valid.
+		sp.Cutoff = core.FitCutoff(core.StdCutoff, lattice.BoxLength(sp.Atoms, sp.Density))
 	}
 	if sp.Dt == 0 {
 		sp.Dt = core.StdDt
 	}
 	if sp.Seed == 0 {
 		sp.Seed = core.StdSeed
+	}
+	if sp.Thermostat == mdrun.NVE.String() {
+		sp.Thermostat = "" // one record per NVE job
 	}
 	if sp.Method == "" {
 		sp.Method = "direct"
@@ -162,10 +160,8 @@ func (sp Spec) Validate() error {
 	if sp.KeepCheckpoints < 1 || sp.KeepCheckpoints > 64 {
 		return fmt.Errorf("serve: keep_checkpoints %d out of range [1, 64]", sp.KeepCheckpoints)
 	}
-	switch sp.Thermostat {
-	case "", "rescale", "berendsen":
-	default:
-		return fmt.Errorf("serve: unknown thermostat %q (want rescale|berendsen)", sp.Thermostat)
+	if _, err := mdrun.ParseCheckpointableThermostat(sp.Thermostat); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if _, err := mdrun.ParseMethod(sp.Method); err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -182,22 +178,18 @@ func (sp Spec) GuardConfig(ckptDir string) (guard.Config, error) {
 	if err != nil {
 		return guard.Config{}, err
 	}
-	cfg := mdrun.Config{
-		Atoms: sp.Atoms, Density: sp.Density, Temperature: sp.Temperature,
-		Lattice: lattice.FCC, Seed: sp.Seed,
-		Cutoff: sp.Cutoff, Dt: sp.Dt, Shifted: sp.Shifted,
-		Method: method, Workers: sp.Workers, PairlistSkin: sp.Skin,
-	}
-	switch sp.Thermostat {
-	case "":
-		cfg.Thermostat = mdrun.NVE
-	case "rescale":
-		cfg.Thermostat = mdrun.Rescale
-	case "berendsen":
-		cfg.Thermostat = mdrun.Berendsen
+	thermostat, err := mdrun.ParseCheckpointableThermostat(sp.Thermostat)
+	if err != nil {
+		return guard.Config{}, fmt.Errorf("serve: %w", err)
 	}
 	return guard.Config{
-		Run:             cfg,
+		Run: mdrun.Config{
+			Atoms: sp.Atoms, Density: sp.Density, Temperature: sp.Temperature,
+			Lattice: lattice.FCC, Seed: sp.Seed,
+			Cutoff: sp.Cutoff, Dt: sp.Dt, Shifted: sp.Shifted,
+			Method: method, Workers: sp.Workers, PairlistSkin: sp.Skin,
+			Thermostat: thermostat,
+		},
 		CheckpointDir:   ckptDir,
 		CheckpointEvery: sp.CheckpointEvery,
 		KeepCheckpoints: sp.KeepCheckpoints,
