@@ -435,7 +435,9 @@ func buildBenchWorkers() []int {
 // over the serial N² scan, next to that scan's own time
 // (serial_ns/op). The skin-0.4 arms are md-steady's density and skin
 // at three sizes; the rebuild arm is md-rebuild's geometry (N=4000,
-// skin 0.2).
+// skin 0.2) on its FCC start, and the melted arm is md-rebuild's own
+// run (T=2, Berendsen) after meltSteps steps, whose liquid fills the
+// cells less evenly than the lattice does.
 func BenchmarkNeighborBuild(b *testing.B) {
 	newList := func(b *testing.B, skin float64) *md.NeighborList[float64] {
 		nl, err := md.NewNeighborList[float64](skin)
@@ -470,26 +472,55 @@ func BenchmarkNeighborBuild(b *testing.B) {
 		b.ReportMetric(sNs, "serial_ns/op")
 	}
 
+	const meltSteps = 300
 	for _, g := range []struct {
-		name string
-		n    int
-		skin float64
+		name   string
+		n      int
+		skin   float64
+		melted bool
 	}{
-		{"n512", 512, 0.4},
-		{"n2048", 2048, 0.4},
-		{"n8192", 8192, 0.4},
-		{"rebuild_n4000", 4000, 0.2},
+		{"n512", 512, 0.4, false},
+		{"n2048", 2048, 0.4, false},
+		{"n8192", 8192, 0.4, false},
+		{"rebuild_n4000", 4000, 0.2, false},
+		{"melted_n4000", 4000, 0.2, true},
 	} {
-		st, err := lattice.Generate(lattice.Config{
-			N: g.n, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
+		// geometry builds the arm's positions on first use, so a run
+		// that filters the melted arm out never pays for its steps.
+		var p md.Params[float64]
+		var pos md.Coords[float64]
+		geometry := func(b *testing.B) {
+			if pos.Len() > 0 {
+				return
+			}
+			if g.melted {
+				r, err := mdrun.New(mdrun.Config{
+					Atoms: g.n, Density: 0.8442, Temperature: 2.0, Lattice: lattice.FCC, Seed: 7,
+					Cutoff: 2.5, Dt: 0.004, Shifted: true,
+					Method: mdrun.Pairlist, PairlistSkin: g.skin, Thermostat: mdrun.Berendsen,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer r.Close()
+				if _, err := r.Run(meltSteps); err != nil {
+					b.Fatal(err)
+				}
+				sys := r.System()
+				p, pos = md.Params[float64]{Box: sys.P.Box, Cutoff: 2.5, Dt: 0.004}, sys.Pos
+				return
+			}
+			st, err := lattice.Generate(lattice.Config{
+				N: g.n, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 7,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, pos = md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004}, md.CoordsFromV3(st.Pos)
 		}
-		p := md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004}
-		pos := md.CoordsFromV3(st.Pos)
 
 		b.Run("cell/"+g.name, func(b *testing.B) {
+			geometry(b)
 			sNs := serialBaseline(b, g.name, g.skin, p, pos)
 			nl := newList(b, g.skin)
 			b.ResetTimer()
@@ -501,6 +532,7 @@ func BenchmarkNeighborBuild(b *testing.B) {
 		})
 		for _, w := range buildBenchWorkers() {
 			b.Run(fmt.Sprintf("parallel/%s_w%d", g.name, w), func(b *testing.B) {
+				geometry(b)
 				sNs := serialBaseline(b, g.name, g.skin, p, pos)
 				nl := newList(b, g.skin)
 				e := parallel.New[float64](w)

@@ -29,6 +29,13 @@ type cellGrid[T vec.Float] struct {
 	box   T   // box edge the grid covers
 	reach T   // the smallest cell edge allowed: the list radius
 
+	// wrapped reports that binWrapped found a grid of three or more
+	// cells per edge and every coordinate already in [0, box), so each
+	// atom sits in the cell it was binned into and a stencil cell's
+	// periodic image is the one the stencil step implies (BuildSpan's
+	// designated images rely on both).
+	wrapped bool
+
 	// CSR layout: order holds atom indices grouped by cell (ascending
 	// within each cell), and starts[c]..starts[c+1] delimits cell c's
 	// run. The build shards over positions in order ("slots").
@@ -39,11 +46,14 @@ type cellGrid[T vec.Float] struct {
 
 	// span is the most atoms one home cell's candidate union can hold
 	// (its stencil's cell count times the fullest cell's occupancy, at
-	// most the atom count). Each build shard owns span-sized gather
-	// scratch: two int32 blocks (the union and the radix pass's
-	// ping-pong buffer) at scratchAt in csrInts, and three T planes
-	// (the union's positions) in csrPos.
+	// most the atom count). Each build shard owns gather scratch: a
+	// block of int32s at scratchAt in csrInts, holding two span-sized
+	// buffers (the union and the radix pass's ping-pong buffer) and, on
+	// a grid of three or more cells per edge, the union's wrap bits
+	// (span) and an accept buffer (acceptCap); and three span-sized T
+	// planes (the union's positions) in csrPos.
 	span      int
+	block     int
 	scratchAt int
 
 	csrInts []int32 // arena behind starts+cursor+order+cellOf+gather scratch
@@ -64,32 +74,81 @@ func (g *cellGrid[T]) axisCell(x T) int {
 	return c
 }
 
+// stencilCell is one cell of a home cell's stencil, with the axes on
+// which the stencil step from the home cell to it crosses a box face:
+// bit 0 for x, 1 for y, 2 for z. On a grid of three or more cells per
+// edge a step crosses a face only from the first cell of an axis to
+// the last (step −1) or from the last to the first (step +1).
+type stencilCell struct {
+	cell int
+	wrap int32
+}
+
 // neighborCells writes the stencil a home cell's candidates come from
 // into buf (which must have length >= 27) and returns the filled
 // slice: cell c itself first, then, on a grid of three or more cells
 // per edge, its 26 periodic neighbors. A one-cell grid's stencil is
 // that cell. Each axis wraps once per cell, not once per neighbor.
-func (g *cellGrid[T]) neighborCells(c int, buf []int) []int {
-	buf = append(buf[:0], c)
+func (g *cellGrid[T]) neighborCells(c int, buf []stencilCell) []stencilCell {
+	buf = append(buf[:0], stencilCell{cell: c})
 	d := g.dims
 	cz := c % d
 	cy := (c / d) % d
 	cx := c / (d * d)
-	xs := [3]int{(cx + d - 1) % d, cx, (cx + 1) % d}
-	ys := [3]int{(cy + d - 1) % d, cy, (cy + 1) % d}
-	zs := [3]int{(cz + d - 1) % d, cz, (cz + 1) % d}
-	for _, x := range xs {
-		for _, y := range ys {
-			for _, z := range zs {
+	xs, xw := stencilAxis(cx, d, 1)
+	ys, yw := stencilAxis(cy, d, 2)
+	zs, zw := stencilAxis(cz, d, 4)
+	for a, x := range xs {
+		for b, y := range ys {
+			for e, z := range zs {
 				// With d >= 3 the 27 cells are distinct, and with
 				// d == 1 all are c, so only c can repeat.
 				if nc := (x*d+y)*d + z; nc != c {
-					buf = append(buf, nc)
+					buf = append(buf, stencilCell{cell: nc, wrap: xw[a] | yw[b] | zw[e]})
 				}
 			}
 		}
 	}
 	return buf
+}
+
+// stencilAxis returns the cells one step below, at and above cell k
+// along an axis of d cells, and for each step the axis's wrap bit if
+// the step crosses a box face, else 0.
+func stencilAxis(k, d int, bit int32) (cells [3]int, wrap [3]int32) {
+	cells = [3]int{(k + d - 1) % d, k, (k + 1) % d}
+	if k == 0 {
+		wrap[0] = bit
+	}
+	if k == d-1 {
+		wrap[2] = bit
+	}
+	return cells, wrap
+}
+
+// faceShifts returns, for home cell c, the designated image shifts of
+// a candidate indexed by its stencil step's wrap bits: entry w holds
+// the x, y and z shifts. Along an axis the shift is 0 when the step
+// stays inside the box, −box when it crosses the lower face from the
+// axis's first cell, +box when it crosses the upper face from its
+// last. The candidate's displacement is then (xi−xj)−shift.
+func (g *cellGrid[T]) faceShifts(c int) (shifts [8][3]T) {
+	d := g.dims
+	for a, k := range [3]int{c / (d * d), c / d % d, c % d} {
+		var s T
+		switch k {
+		case 0:
+			s = -g.box
+		case d - 1:
+			s = g.box
+		}
+		for w := range shifts {
+			if w>>a&1 == 1 {
+				shifts[w][a] = s
+			}
+		}
+	}
+	return shifts
 }
 
 // foldCoord folds one coordinate into [0, box) for binning. Unlike
@@ -122,7 +181,7 @@ func (g *cellGrid[T]) cellOfWrapped(p vec.V3[T]) int {
 }
 
 // ensureCSR carves the counting-sort buffers for n atoms and ncells
-// cells, then shards gather-scratch blocks of span atoms each, out of
+// cells, then shards gather-scratch blocks sized from span, out of
 // the two arenas, growing them only when capacity is exceeded.
 // binWrapped calls it twice per binning: with no scratch before the
 // count, and with the scratch the count sizes after it. The carve is
@@ -136,7 +195,11 @@ func (g *cellGrid[T]) cellOfWrapped(p vec.V3[T]) int {
 //go:noinline
 func (g *cellGrid[T]) ensureCSR(n, ncells, shards, span int) {
 	csr := (ncells + 1) + ncells + n + n
-	need := csr + shards*2*span
+	block := 2 * span
+	if ncells > 1 {
+		block += span + acceptCap
+	}
+	need := csr + shards*block
 	slack := shards * (span/4 + 8)
 	if cap(g.csrInts) < need {
 		grown := make([]int32, need+2*slack) //mdlint:ignore hotalloc amortized grow-once CSR arena, reused while capacity suffices
@@ -150,23 +213,45 @@ func (g *cellGrid[T]) ensureCSR(n, ncells, shards, span int) {
 	b = b[ncells:]
 	g.order = b[0:n:n]
 	g.cellOf = b[n : 2*n : 2*n]
-	g.span, g.scratchAt = span, csr
+	g.span, g.block, g.scratchAt = span, block, csr
 	if cap(g.csrPos) < shards*3*span {
 		g.csrPos = make([]T, 3*(shards*span+slack)) //mdlint:ignore hotalloc amortized grow-once gather-plane arena, reused while capacity suffices
 	}
 }
 
-// gatherScratch returns shard s's gather scratch: the candidate
-// union's index buffer, the radix pass's second buffer, and the
-// union's position planes, each span long. Valid after binWrapped
-// carved at least s+1 shards.
-func (g *cellGrid[T]) gatherScratch(s int) (union, tmp []int32, planes Coords[T]) {
+// acceptCap is the size of each shard's accept buffer: BuildSpan's
+// designated-image loop writes every candidate into it and keeps the
+// accepted prefix, so a home cell whose union holds more candidates
+// takes the branch loop instead.
+const acceptCap = 4096
+
+// gatherScratch is one build shard's gather scratch, carved by
+// binWrapped: the candidate union's index buffer, the radix pass's
+// second buffer and the union's position planes (each span long), and
+// on a grid the union's wrap bits (span long) and the accept buffer.
+type gatherScratch[T vec.Float] struct {
+	union, tmp, wraps []int32
+	pos               Coords[T]
+	accept            *[acceptCap]int32
+}
+
+// gatherScratch returns shard s's gather scratch. Valid after
+// binWrapped carved at least s+1 shards.
+func (g *cellGrid[T]) gatherScratch(s int) gatherScratch[T] {
 	span := g.span
-	at := g.scratchAt + s*2*span
-	union = g.csrInts[at : at+span : at+span]
-	tmp = g.csrInts[at+span : at+2*span : at+2*span]
-	at = s * 3 * span
-	return union, tmp, coordsOver(g.csrPos[at:at+3*span], span)
+	at := g.scratchAt + s*g.block
+	b := g.csrInts[at : at+g.block]
+	planes := s * 3 * span
+	sc := gatherScratch[T]{
+		union: b[0:span:span],
+		tmp:   b[span : 2*span : 2*span],
+		pos:   coordsOver(g.csrPos[planes:planes+3*span], span),
+	}
+	if len(b) > 2*span {
+		sc.wraps = b[2*span : 3*span : 3*span]
+		sc.accept = (*[acceptCap]int32)(b[3*span:])
+	}
+	return sc
 }
 
 // maxBuildGridDims bounds a cell grid's per-edge cell count: more
@@ -218,6 +303,7 @@ func (g *cellGrid[T]) binWrapped(pos Coords[T], shards int) {
 	n := pos.Len()
 	g.dims = max(1, buildGridDims(g.box, g.reach, n))
 	g.width = g.box / T(g.dims)
+	g.wrapped = g.dims > 1 && planeInBox(pos.X, g.box) && planeInBox(pos.Y, g.box) && planeInBox(pos.Z, g.box)
 	ncells := g.dims * g.dims * g.dims
 	g.ensureCSR(n, ncells, 0, 0)
 	for c := range g.cursor {
@@ -248,4 +334,15 @@ func (g *cellGrid[T]) binWrapped(pos Coords[T], shards int) {
 	// A union never holds more than its 27 stencil cells' atoms, nor
 	// more than every atom (the one-cell grid's whole run).
 	g.ensureCSR(n, ncells, shards, min(n, 27*int(fullest)))
+}
+
+// planeInBox reports whether every coordinate of a plane lies in [0, box);
+// a NaN fails the test.
+func planeInBox[T vec.Float](xs []T, box T) bool {
+	for _, x := range xs {
+		if !(x >= 0 && x < box) {
+			return false
+		}
+	}
+	return true
 }

@@ -229,9 +229,9 @@ func TestCellListSparseBoxCapsGrid(t *testing.T) {
 }
 
 func TestNeighborCellsFullShell(t *testing.T) {
-	buf := make([]int, 27)
-	if cells := (&cellGrid[float64]{dims: 1}).neighborCells(0, buf); len(cells) != 1 || cells[0] != 0 {
-		t.Fatalf("one-cell grid: stencil %v, want [0]", cells)
+	buf := make([]stencilCell, 27)
+	if cells := (&cellGrid[float64]{dims: 1}).neighborCells(0, buf); len(cells) != 1 || cells[0] != (stencilCell{}) {
+		t.Fatalf("one-cell grid: stencil %v, want [{0 0}]", cells)
 	}
 	for _, dims := range []int{3, 4} {
 		g := &cellGrid[float64]{dims: dims}
@@ -241,11 +241,13 @@ func TestNeighborCellsFullShell(t *testing.T) {
 			if len(cells) != 27 {
 				t.Fatalf("dims %d, cell %d: %d neighbor cells, want 27", dims, c, len(cells))
 			}
-			if cells[0] != c {
-				t.Fatalf("dims %d, cell %d: first entry is %d, want the cell itself", dims, c, cells[0])
+			if cells[0] != (stencilCell{cell: c}) {
+				t.Fatalf("dims %d, cell %d: first entry is %v, want the cell itself", dims, c, cells[0])
 			}
 			seen := map[int]bool{}
-			for _, nc := range cells {
+			home := [3]int{c / (dims * dims), c / dims % dims, c % dims}
+			for _, s := range cells {
+				nc := s.cell
 				if nc < 0 || nc >= ncells {
 					t.Fatalf("dims %d, cell %d: neighbor %d out of range", dims, c, nc)
 				}
@@ -253,6 +255,16 @@ func TestNeighborCellsFullShell(t *testing.T) {
 					t.Fatalf("dims %d, cell %d: neighbor %d duplicated", dims, c, nc)
 				}
 				seen[nc] = true
+				// An axis wraps exactly when the step from the home cell
+				// to the neighbor crosses the box face: from the first
+				// cell to the last or from the last to the first.
+				at := [3]int{nc / (dims * dims), nc / dims % dims, nc % dims}
+				for a := range 3 {
+					crosses := home[a] == 0 && at[a] == dims-1 || home[a] == dims-1 && at[a] == 0
+					if got := s.wrap>>a&1 == 1; got != crosses {
+						t.Fatalf("dims %d, cell %d → %d: axis %d wrap bit %v, want %v", dims, c, nc, a, got, crosses)
+					}
+				}
 			}
 		}
 	}

@@ -110,6 +110,7 @@ func FuzzNeighborListBuild(f *testing.F) {
 	f.Add(12.0, 2.5, 0.4, uint64(12), uint8(40), uint8(2))   // coincident atoms (r2 == 0)
 	f.Add(12.0, 2.5, 0.4, uint64(13), uint8(40), uint8(16))  // atoms one box outside
 	f.Add(7.0, 2.5, 0.4, uint64(14), uint8(40), uint8(0))    // one-cell (no-grid) box
+	f.Add(9.0, 2.5, 0.5, uint64(15), uint8(63), uint8(0))    // 3 cells per edge, width = list radius
 	f.Fuzz(func(t *testing.T, box, cutoff, skin float64, seed uint64, n, patho uint8) {
 		if skin <= 0 || skin != skin {
 			skin = 0.3

@@ -185,6 +185,20 @@ func (nl *NeighborList[T]) restride() {
 // the span. Rows depend only on positions, so spans are independent:
 // the parallel builder shards slots with no post-merge, and any split
 // gives the rows a single Build gives.
+//
+// On a grid of three or more cells per edge whose coordinates all lie
+// in [0, box), each candidate is tested at its designated image: the
+// one its stencil step implies, a box shift on each axis where the
+// step crosses a box face. Each gathered run carries that step's wrap
+// bits in the key bits above the ones the radix pass reads, and the
+// copy unpacks them beside the positions. The test is then
+// branch-free: (xi−xj)−shift per axis, the shifts looked up by the
+// wrap bits, every candidate stored in the accept buffer and the
+// count advanced by the accept bit. The rows are the minimum image's
+// bit for bit (DESIGN §11). The one-cell grid, an out-of-box or NaN
+// coordinate, an index too wide to leave room for the wrap bits, and
+// a union larger than the accept buffer take the minimum-image loop
+// instead.
 func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi int) {
 	g := &nl.grid
 	rl := p.Cutoff + nl.Skin
@@ -192,8 +206,10 @@ func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi i
 	box := p.Box
 	h := box / 2
 	keyBits := bits.Len(uint(max(pos.Len()-1, 0)))
-	unionBuf, tmp, planes := g.gatherScratch(shard)
-	var cellbuf [27]int
+	wrapAt := radixBits(keyBits) // wrap bits sit above the bits the radix pass reads
+	imaged := g.wrapped && wrapAt+3 < 32
+	sc := g.gatherScratch(shard)
+	var stencil [27]stencilCell
 	// The first cell whose run ends past lo holds slot lo.
 	c, _ := slices.BinarySearch(g.starts[1:], int32(lo+1))
 	for ; lo < hi; c++ {
@@ -202,28 +218,55 @@ func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi i
 			continue
 		}
 		lo += len(home)
-		union := unionBuf[:0]
+		union := sc.union[:0]
 		runs := 0
-		for _, s := range g.neighborCells(c, cellbuf[:]) {
-			run := g.order[g.starts[s]:g.starts[s+1]]
+		for _, s := range g.neighborCells(c, stencil[:]) {
+			run := g.order[g.starts[s.cell]:g.starts[s.cell+1]]
 			k, _ := slices.BinarySearch(run, home[0]+1)
-			if k < len(run) {
-				union = append(union, run[k:]...)
-				runs++
+			if k == len(run) {
+				continue
+			}
+			from := len(union)
+			union = append(union, run[k:]...)
+			runs++
+			if imaged && s.wrap != 0 {
+				tag := s.wrap << wrapAt
+				for u := from; u < len(union); u++ {
+					union[u] |= tag
+				}
 			}
 		}
 		if runs > 1 {
-			union = radixSortIndices(union, tmp[:len(union)], keyBits)
+			union = radixSortIndices(union, sc.tmp[:len(union)], keyBits)
 		}
-		ux, uy, uz := planes.X[:len(union)], planes.Y[:len(union)], planes.Z[:len(union)]
-		for k, j := range union {
-			ux[k], uy[k], uz[k] = pos.X[j], pos.Y[j], pos.Z[j]
+		n := len(union)
+		ux, uy, uz := sc.pos.X[:n], sc.pos.Y[:n], sc.pos.Z[:n]
+		var wraps []int32
+		var shifts [8][3]T
+		if imaged {
+			wraps, shifts = sc.wraps[:n], g.faceShifts(c)
+			mask := int32(1)<<wrapAt - 1
+			for k, key := range union {
+				j := key & mask
+				union[k], wraps[k] = j, key>>wrapAt
+				ux[k], uy[k], uz[k] = pos.X[j], pos.Y[j], pos.Z[j]
+			}
+		} else {
+			for k, j := range union {
+				ux[k], uy[k], uz[k] = pos.X[j], pos.Y[j], pos.Z[j]
+			}
 		}
 
 		cur := 0
 		for _, i := range home {
-			for cur < len(union) && union[cur] <= i {
+			for cur < n && union[cur] <= i {
 				cur++
+			}
+			xi, yi, zi := pos.X[i], pos.Y[i], pos.Z[i]
+			if imaged && n <= acceptCap {
+				m := acceptImaged(xi, yi, zi, rl2, &shifts, union[cur:], wraps[cur:], ux[cur:], uy[cur:], uz[cur:], sc.accept)
+				nl.pairs[i] = append(nl.pairs[i][:0], sc.accept[:m]...)
+				continue
 			}
 			// The candidates past i and their positions, each plane
 			// resliced to them and then to their count: that tells the
@@ -232,7 +275,6 @@ func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi i
 			cand := union[cur:]
 			xs, ys, zs := ux[cur:], uy[cur:], uz[cur:]
 			xs, ys, zs = xs[:len(cand)], ys[:len(cand)], zs[:len(cand)]
-			xi, yi, zi := pos.X[i], pos.Y[i], pos.Z[i]
 			row := nl.pairs[i][:0]
 			// bce:begin
 			for k, j := range cand {
@@ -249,17 +291,60 @@ func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi i
 	}
 }
 
-// radixSortIndices sorts keys, distinct atom indices below 1<<keyBits,
-// ascending by an LSD radix over keyBits in as few byte-or-narrower
-// digits as cover them, ping-ponging with tmp (len(tmp) == len(keys)).
-// It returns whichever buffer holds the result. Linear in len(keys)
-// plus one digit table per pass, with the table on the stack.
+// acceptImaged writes into out, in order, the candidates within rl2 of
+// (xi, yi, zi), each at its designated image: shifts[w] holds the x, y
+// and z shifts for wrap bits w, and wraps holds each candidate's. It
+// returns their count. Every candidate is stored at the next free slot
+// and the count advances by the accept bit, so the loop has no branch
+// on the test; len(cand) <= acceptCap keeps every store inside out.
+func acceptImaged[T vec.Float](xi, yi, zi, rl2 T, shifts *[8][3]T, cand, wraps []int32, xs, ys, zs []T, out *[acceptCap]int32) int {
+	// Each plane resliced to the candidate count lets the compiler drop
+	// the bounds checks; masking the slot and the wrap bits does the
+	// same for out and shifts.
+	wraps, xs, ys, zs = wraps[:len(cand)], xs[:len(cand)], ys[:len(cand)], zs[:len(cand)]
+	m := 0
+	// bce:begin
+	for k, j := range cand {
+		s := &shifts[wraps[k]&7]
+		dx := (xi - xs[k]) - s[0]
+		dy := (yi - ys[k]) - s[1]
+		dz := (zi - zs[k]) - s[2]
+		out[m&(acceptCap-1)] = j
+		in := 0
+		if dx*dx+dy*dy+dz*dz < rl2 {
+			in = 1
+		}
+		m += in
+	}
+	// bce:end
+	return m
+}
+
+// radixBits returns how many low key bits radixSortIndices reads for
+// keys below 1<<keyBits: its pass count times its digit width, which
+// can exceed keyBits. Bits above them ride through the sort with their
+// key.
+func radixBits(keyBits int) int {
+	passes := (keyBits + 7) / 8
+	if passes == 0 {
+		return 0
+	}
+	return passes * ((keyBits + passes - 1) / passes)
+}
+
+// radixSortIndices sorts keys, distinct atom indices below 1<<keyBits
+// in their low radixBits(keyBits) bits, ascending by those bits with an
+// LSD radix in as few byte-or-narrower digits as cover them,
+// ping-ponging with tmp (len(tmp) == len(keys)). Higher key bits are
+// carried, not sorted. It returns whichever buffer holds the result.
+// Linear in len(keys) plus one digit table per pass, with the table on
+// the stack.
 func radixSortIndices(keys, tmp []int32, keyBits int) []int32 {
 	passes := (keyBits + 7) / 8
 	if passes == 0 {
 		return keys
 	}
-	width := (keyBits + passes - 1) / passes
+	width := radixBits(keyBits) / passes
 	mask := int32(1)<<width - 1
 	var count [256]int32
 	src, dst := keys, tmp[:len(keys)]

@@ -42,7 +42,7 @@ func checkRowsWellFormed(t *testing.T, nl *NeighborList[float64], n int) {
 }
 
 // checkSamePairs asserts two lists store byte-identical rows.
-func checkSamePairs(t *testing.T, want, got *NeighborList[float64], n int, label string) {
+func checkSamePairs[T vec.Float](t *testing.T, want, got *NeighborList[T], n int, label string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		w, g := want.Neighbors(i), got.Neighbors(i)

@@ -24,6 +24,7 @@ type XYZWriter struct {
 	w      *bufio.Writer
 	symbol string
 	frames int
+	line   []byte // one atom line at a time, reused across frames
 }
 
 // NewXYZWriter wraps w; symbol labels every atom (e.g. "Ar").
@@ -39,15 +40,24 @@ func (x *XYZWriter) WriteFrame(comment string, pos Coords[float64]) error {
 	if strings.ContainsAny(comment, "\n\r") {
 		return fmt.Errorf("md: XYZ comment must be a single line")
 	}
-	if _, err := fmt.Fprintf(x.w, "%d\n%s\n", pos.Len(), comment); err != nil {
+	b := strconv.AppendInt(x.line[:0], int64(pos.Len()), 10)
+	b = append(append(append(b, '\n'), comment...), '\n')
+	if _, err := x.w.Write(b); err != nil {
 		return err
 	}
+	// Each coordinate is AppendFloat's 'g' form at 17 digits, which is
+	// %.17g byte for byte, without fmt boxing three floats per atom.
 	for i := 0; i < pos.Len(); i++ {
-		p := pos.At(i)
-		if _, err := fmt.Fprintf(x.w, "%s %.17g %.17g %.17g\n", x.symbol, p.X, p.Y, p.Z); err != nil {
+		b = append(b[:0], x.symbol...)
+		for _, v := range [3]float64{pos.X[i], pos.Y[i], pos.Z[i]} {
+			b = strconv.AppendFloat(append(b, ' '), v, 'g', 17, 64)
+		}
+		b = append(b, '\n')
+		if _, err := x.w.Write(b); err != nil {
 			return err
 		}
 	}
+	x.line = b
 	x.frames++
 	return nil
 }

@@ -162,3 +162,43 @@ func TestBuildPairlistCancelled(t *testing.T) {
 	ref.Build(p, pos)
 	samePairs(t, ref, nl, pos.Len(), "post-cancellation rebuild")
 }
+
+// TestBuildPairlistDesignatedImageShards runs the sharded build at
+// Workers ∈ {1, 2, 3, 8} on grids of three and four cells per edge,
+// where every home cell takes the designated images, and on a one-cell
+// box, which keeps the minimum-image loop, and asserts each list
+// equals the reference O(N²) BuildN2. Atoms sit on cell faces, at 0
+// and at the largest float below the box as well as at random.
+func TestBuildPairlistDesignatedImageShards(t *testing.T) {
+	rng := xrand.New(23)
+	for _, c := range []struct {
+		name           string
+		box, cut, skin float64
+		cells          int
+	}{
+		{"3 cells per edge", 9, 2.5, 0.5, 3},
+		{"4 cells per edge", 12, 2.5, 0.5, 4},
+		{"one-cell box", 7, 2.5, 0.4, 1},
+	} {
+		n := serialBuildAtoms + 88
+		pos := md.MakeCoords[float64](n)
+		for i := 0; i < n; i++ {
+			pos.Set(i, vec.V3[float64]{X: rng.Float64() * c.box, Y: rng.Float64() * c.box, Z: rng.Float64() * c.box})
+		}
+		for i := 0; i < n; i += 3 {
+			face := c.box * float64(rng.Intn(c.cells)) / float64(c.cells)
+			pos.X[i] = face
+			pos.Y[i+1] = math.Nextafter(c.box, 0)
+		}
+		p := md.Params[float64]{Box: c.box, Cutoff: c.cut, Dt: 0.001}
+		ref, err := md.NewNeighborList[float64](c.skin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.BuildN2(p, pos)
+		for _, w := range []int{1, 2, 3, 8} {
+			got := buildList(t, w, p, pos, c.skin)
+			samePairs(t, ref, got, n, fmt.Sprintf("%s: workers=%d vs BuildN2", c.name, w))
+		}
+	}
+}
