@@ -21,7 +21,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/fsys"
-	"repro/internal/gpu"
 	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/md"
@@ -29,12 +28,10 @@ import (
 	"repro/internal/mta"
 	"repro/internal/opteron"
 	"repro/internal/parallel"
-	"repro/internal/seqalign"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/spu"
 	"repro/internal/vec"
-	"repro/internal/xrand"
 )
 
 // The benchmarks in this file form the harness for the paper's
@@ -949,49 +946,6 @@ func BenchmarkMinImage(b *testing.B) {
 
 // ---- Extension benches: related work and future work ----
 
-// BenchmarkExtSmithWaterman runs the related-work Smith-Waterman ports
-// on both devices, reporting their modeled runtimes.
-func BenchmarkExtSmithWaterman(b *testing.B) {
-	rng := xrand.New(1984)
-	const n = 256
-	a := make([]byte, n)
-	c := make([]byte, n)
-	for i := 0; i < n; i++ {
-		a[i] = "ACGT"[rng.Intn(4)]
-		c[i] = "ACGT"[rng.Intn(4)]
-	}
-	b.Run("gpu", func(b *testing.B) {
-		dev, err := gpu.New(gpu.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			_, bd, err := seqalign.SWGPU(dev, a, c, seqalign.DefaultScoring())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sec = bd.Total()
-		}
-		b.ReportMetric(sec, "model_sec")
-	})
-	b.Run("mta", func(b *testing.B) {
-		m, err := mta.New(mta.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			_, bd, err := seqalign.SWMTA(m, a, c, seqalign.DefaultScoring())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sec = bd.Total()
-		}
-		b.ReportMetric(sec, "model_sec")
-	})
-}
-
 // BenchmarkExtXMTProjection reports the future-work XMT speedup for
 // one processor at varying locality.
 func BenchmarkExtXMTProjection(b *testing.B) {
@@ -1008,53 +962,6 @@ func BenchmarkExtXMTProjection(b *testing.B) {
 			b.ReportMetric(s, "model_speedup")
 		})
 	}
-}
-
-// BenchmarkExtSWDatabaseScan contrasts per-pair wavefront alignment
-// with whole-database scanning on the GPU (the related work's actual
-// workload).
-func BenchmarkExtSWDatabaseScan(b *testing.B) {
-	dev, err := gpu.New(gpu.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := xrand.New(4)
-	query := make([]byte, 64)
-	for i := range query {
-		query[i] = "ACGT"[rng.Intn(4)]
-	}
-	db := make([][]byte, 32)
-	for i := range db {
-		db[i] = make([]byte, 64)
-		for j := range db[i] {
-			db[i][j] = "ACGT"[rng.Intn(4)]
-		}
-	}
-	b.Run("scan", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			_, bd, err := seqalign.SWGPUScan(dev, query, db, seqalign.DefaultScoring())
-			if err != nil {
-				b.Fatal(err)
-			}
-			sec = bd.Total()
-		}
-		b.ReportMetric(sec, "model_sec")
-	})
-	b.Run("per_pair", func(b *testing.B) {
-		var sec float64
-		for i := 0; i < b.N; i++ {
-			sec = 0
-			for _, s := range db {
-				_, bd, err := seqalign.SWGPU(dev, query, s, seqalign.DefaultScoring())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sec += bd.Total()
-			}
-		}
-		b.ReportMetric(sec, "model_sec")
-	})
 }
 
 // BenchmarkAblationPrecisionDrift quantifies the float32-vs-float64

@@ -61,6 +61,7 @@ func TestBatchRejectsModeledDevices(t *testing.T) {
 func TestValidateOpts(t *testing.T) {
 	good := opts("reference")
 	good.ckptEvery = 100
+	good.maxRetries = 3
 	if err := validateOpts(good); err != nil {
 		t.Fatalf("valid opts rejected: %v", err)
 	}
@@ -76,6 +77,10 @@ func TestValidateOpts(t *testing.T) {
 		{"zero skin", func(o *runOpts) { o.skin = 0 }, "-skin"},
 		{"negative skin", func(o *runOpts) { o.skin = -0.4 }, "-skin"},
 		{"zero checkpoint interval", func(o *runOpts) { o.ckptEvery = 0 }, "-checkpoint-every"},
+		{"zero dump interval", func(o *runOpts) { o.dumpEvery = 0 }, "-dump-every"},
+		{"negative dump interval", func(o *runOpts) { o.dumpEvery = -1 }, "-dump-every"},
+		{"zero retries", func(o *runOpts) { o.maxRetries = 0 }, "-max-retries"},
+		{"negative retries", func(o *runOpts) { o.maxRetries = -2 }, "-max-retries"},
 		{"negative batch", func(o *runOpts) { o.batch = -1 }, "-batch"},
 		{"negative inflight", func(o *runOpts) { o.maxInflight = -2 }, "-max-inflight"},
 		{"negative queue", func(o *runOpts) { o.queueDepth = -1 }, "-queue-depth"},

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -32,23 +31,11 @@ func runGuarded(o runOpts) (err error) {
 		return err
 	}
 	cfg.Workers = parallel.ClampWorkers(o.workers)
-	if o.dump != "" {
-		f, ferr := os.Create(o.dump)
-		if ferr != nil {
-			return ferr
-		}
-		// Same contract as runReference: a trajectory that failed to
-		// reach the disk fails the run.
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("closing trajectory %s: %w", o.dump, cerr)
-			}
-		}()
-		cfg.Trajectory = f
-		if o.dumpEvery >= 1 {
-			cfg.TrajectoryEvery = o.dumpEvery
-		}
+	closeTraj, err := openTrajectory(&cfg, o)
+	if err != nil {
+		return err
 	}
+	defer closeTraj(&err)
 
 	sup, err := guard.New(guard.Config{
 		Run:             cfg,

@@ -94,8 +94,14 @@ func validateOpts(o runOpts) error {
 	if !(o.skin > 0) {
 		return fmt.Errorf("-skin %v: want a positive skin width", o.skin)
 	}
+	if o.dumpEvery < 1 {
+		return fmt.Errorf("-dump-every %d: want a positive step interval", o.dumpEvery)
+	}
 	if o.ckptEvery < 1 {
 		return fmt.Errorf("-checkpoint-every %d: want a positive step interval", o.ckptEvery)
+	}
+	if o.maxRetries < 1 {
+		return fmt.Errorf("-max-retries %d: want a positive recovery budget", o.maxRetries)
 	}
 	if o.batch < 0 {
 		return fmt.Errorf("-batch %d: want >= 0 (0 = single run)", o.batch)
@@ -222,21 +228,11 @@ func runReference(w device.Workload, o runOpts) (err error) {
 	// The system, fresh or restored, keeps its own numerics.
 	cfg.Cutoff, cfg.Dt, cfg.Shifted = sys.P.Cutoff, sys.P.Dt, sys.P.Shifted
 	cfg.Workers = parallel.ClampWorkers(o.workers)
-	if o.dump != "" {
-		f, ferr := os.Create(o.dump)
-		if ferr != nil {
-			return ferr
-		}
-		// A trajectory that failed to hit the disk must fail the run:
-		// surface the close error unless an earlier error already did.
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("closing trajectory %s: %w", o.dump, cerr)
-			}
-		}()
-		cfg.Trajectory = f
-		cfg.TrajectoryEvery = max(o.dumpEvery, 1)
+	closeTraj, err := openTrajectory(&cfg, o)
+	if err != nil {
+		return err
 	}
+	defer closeTraj(&err)
 	r, err := mdrun.NewFromSystem(sys, cfg)
 	if err != nil {
 		return err
@@ -280,6 +276,28 @@ func runReference(w device.Workload, o runOpts) (err error) {
 		fmt.Printf("checkpoint: step %d -> %s\n", sys.Steps, o.saveCkpt)
 	}
 	return nil
+}
+
+// openTrajectory points cfg at the -dump file, one frame every
+// -dump-every steps, and returns the close the caller defers with its
+// named error. A trajectory that failed to reach the disk fails the
+// run: the close error is surfaced unless an earlier error already was.
+// Without -dump it leaves cfg alone and the close does nothing.
+func openTrajectory(cfg *mdrun.Config, o runOpts) (closeTraj func(*error), err error) {
+	if o.dump == "" {
+		return func(*error) {}, nil
+	}
+	f, err := os.Create(o.dump)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Trajectory = f
+	cfg.TrajectoryEvery = o.dumpEvery
+	return func(errp *error) {
+		if cerr := f.Close(); cerr != nil && *errp == nil {
+			*errp = fmt.Errorf("closing trajectory %s: %w", o.dump, cerr)
+		}
+	}, nil
 }
 
 func abs(x float64) float64 {

@@ -11,16 +11,14 @@ import (
 	"repro/internal/mpp"
 	"repro/internal/mta"
 	"repro/internal/report"
-	"repro/internal/seqalign"
-	"repro/internal/xrand"
 )
 
 // Extension experiments beyond the paper's own artifacts: the XMT
-// projection its conclusion anticipates and the related-work
-// Smith-Waterman ports. Run explicitly with
+// projection its conclusion anticipates, the GPU pipeline generations,
+// the MPP scaling motivation and the Cell launch amortization. Run
+// explicitly by id, e.g.
 //
 //	paperbench -experiment xmt
-//	paperbench -experiment smithwaterman
 //
 // They are excluded from -experiment all, which regenerates exactly
 // the paper's tables and figures.
@@ -48,57 +46,6 @@ func extXMT(w io.Writer, csv, quick, bars bool) error {
 		fmt.Fprintln(w, "blended memory latency exceeds what 128 streams can hide (section 3.3's warning).")
 	}
 	return nil
-}
-
-func extSmithWaterman(w io.Writer, csv, quick, bars bool) error {
-	gdev, err := gpu.New(gpu.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	mdev, err := mta.New(mta.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		"Extension: Smith-Waterman on the modeled devices (related work, section 4)",
-		"length", "score", "GPU", "MTA-2", "GPU dispatches")
-	rng := xrand.New(1984)
-	lengths := []int{64, 256, 1024}
-	if quick {
-		lengths = []int{32, 128}
-	}
-	for _, n := range lengths {
-		a := randomDNA(rng, n)
-		b := randomDNA(rng, n)
-		ref, err := seqalign.SWScore(a, b, seqalign.DefaultScoring())
-		if err != nil {
-			return err
-		}
-		gScore, gbd, err := seqalign.SWGPU(gdev, a, b, seqalign.DefaultScoring())
-		if err != nil {
-			return err
-		}
-		mScore, mbd, err := seqalign.SWMTA(mdev, a, b, seqalign.DefaultScoring())
-		if err != nil {
-			return err
-		}
-		if gScore != ref || mScore != ref {
-			return fmt.Errorf("score mismatch at n=%d: ref %d, gpu %d, mta %d", n, ref, gScore, mScore)
-		}
-		t.AddRow(strconv.Itoa(n), strconv.Itoa(ref),
-			report.Seconds(gbd.Total()), report.Seconds(mbd.Total()),
-			strconv.Itoa(2*n-1))
-	}
-	return emit(w, t, csv)
-}
-
-func randomDNA(rng *xrand.Source, n int) []byte {
-	const alphabet = "ACGT"
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = alphabet[rng.Intn(4)]
-	}
-	return s
 }
 
 // extGPUGenerations sweeps GPU pipeline counts across the hardware

@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -27,7 +29,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "artifact to regenerate: fig5|fig6|table1|fig7|fig8|fig9|all, or the extensions xmt|smithwaterman")
+		experiment = flag.String("experiment", "all", "artifact to regenerate: "+experimentIDs())
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		markdown   = flag.Bool("markdown", false, "emit markdown tables (for EXPERIMENTS.md)")
 		quick      = flag.Bool("quick", false, "use reduced workload sizes (smoke run)")
@@ -56,32 +58,53 @@ func sizes(quick bool) (atoms, steps int, sweep []int) {
 	return core.PaperAtoms, core.PaperSteps, core.PaperSweepNs
 }
 
+// runner is one experiment: its -experiment id and the function that
+// prints it.
+type runner struct {
+	id string
+	fn func(io.Writer, bool, bool, bool) error
+}
+
+// artifacts are the paper's own tables and figures, in the order
+// -experiment all prints them.
+var artifacts = []runner{
+	{"fig5", fig5}, {"fig6", fig6}, {"table1", table1},
+	{"fig7", fig7}, {"fig8", fig8}, {"fig9", fig9},
+}
+
+// extensions go beyond the paper's artifacts and run only when named.
+var extensions = []runner{
+	{"xmt", extXMT}, {"gpugen", extGPUGenerations},
+	{"mpp", extMPP}, {"amortization", extAmortization},
+}
+
+// experimentIDs lists every -experiment value run accepts, built from
+// the two tables so the flag help and the unknown-experiment error
+// cannot drift from them.
+func experimentIDs() string {
+	ids := func(rs []runner) string {
+		s := make([]string, len(rs))
+		for i, r := range rs {
+			s[i] = r.id
+		}
+		return strings.Join(s, "|")
+	}
+	return ids(artifacts) + "|all, or the extensions " + ids(extensions)
+}
+
 func run(w io.Writer, experiment string, csv, quick, bars bool) error {
-	type runner struct {
-		id string
-		fn func(io.Writer, bool, bool, bool) error
-	}
-	all := []runner{
-		{"fig5", fig5}, {"fig6", fig6}, {"table1", table1},
-		{"fig7", fig7}, {"fig8", fig8}, {"fig9", fig9},
-	}
-	// Extensions beyond the paper's artifacts, run only when named.
-	extensions := []runner{
-		{"xmt", extXMT}, {"smithwaterman", extSmithWaterman}, {"gpugen", extGPUGenerations},
-		{"mpp", extMPP}, {"amortization", extAmortization},
-	}
 	if quick {
 		fmt.Fprintln(w, "[quick smoke run: reduced sizes; the paper's headline ratios hold at full scale (-quick=false)]")
 	}
 	if experiment != "all" {
-		for _, r := range append(append([]runner(nil), all...), extensions...) {
+		for _, r := range slices.Concat(artifacts, extensions) {
 			if r.id == experiment {
 				return r.fn(w, csv, quick, bars)
 			}
 		}
-		return fmt.Errorf("unknown experiment %q (want fig5..fig9, table1, all, or the extensions xmt|smithwaterman|gpugen|mpp|amortization)", experiment)
+		return fmt.Errorf("unknown experiment %q (want %s)", experiment, experimentIDs())
 	}
-	for i, r := range all {
+	for i, r := range artifacts {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}

@@ -1,14 +1,40 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// checkGolden compares out with testdata/quick_<id>.txt, the stdout of
+// `paperbench -quick -experiment <id>`: the modeled-device numbers are
+// pinned byte for byte. Regenerate a file with
+//
+//	go run ./cmd/paperbench -quick -experiment <id> > cmd/paperbench/testdata/quick_<id>.txt
+func checkGolden(t *testing.T, id, out string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "quick_"+id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Fatalf("%s: output differs from testdata/quick_%s.txt\ngot:\n%s\nwant:\n%s", id, id, out, want)
+	}
+}
+
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig99", false, true, false); err == nil {
+	err := run(&sb, "fig99", false, true, false)
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	// The error names every id the tables accept.
+	for _, r := range slices.Concat(artifacts, extensions) {
+		if !strings.Contains(err.Error(), r.id) {
+			t.Fatalf("error %q does not list %q", err, r.id)
+		}
 	}
 }
 
@@ -47,13 +73,7 @@ func TestExtensionExperimentsDispatch(t *testing.T) {
 	if !strings.Contains(sb.String(), "XMT") {
 		t.Fatalf("XMT table missing:\n%s", sb.String())
 	}
-	sb.Reset()
-	if err := run(&sb, "smithwaterman", false, true, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Smith-Waterman") {
-		t.Fatalf("SW table missing:\n%s", sb.String())
-	}
+	checkGolden(t, "xmt", sb.String())
 }
 
 func TestQuickBannerPrinted(t *testing.T) {
@@ -102,6 +122,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 			t.Fatalf("missing %q in combined output", want)
 		}
 	}
+	checkGolden(t, "all", out)
 }
 
 func TestRemainingExtensionsDispatch(t *testing.T) {
@@ -113,5 +134,6 @@ func TestRemainingExtensionsDispatch(t *testing.T) {
 		if !strings.Contains(sb.String(), "Extension:") {
 			t.Fatalf("%s produced no extension table", id)
 		}
+		checkGolden(t, id, sb.String())
 	}
 }

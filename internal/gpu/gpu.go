@@ -222,15 +222,10 @@ func (d *Device) transferSec(bytes int) float64 {
 	return d.cfg.PCIeLatencySec + float64(bytes)/d.cfg.PCIeBytesPerSec
 }
 
-// TransferSec models one PCIe transfer of the given size — exposed for
-// non-MD workloads built on the stream framework (e.g. the
-// Smith-Waterman port in internal/seqalign).
-func (d *Device) TransferSec(bytes int) float64 { return d.transferSec(bytes) }
-
-// Dispatch executes one pass functionally and returns its output
+// dispatch executes one pass functionally and returns its output
 // together with the modeled seconds (shader cycles across the
 // pipelines plus the per-pass dispatch overhead).
-func (d *Device) Dispatch(p *Pass) (out []Float4, seconds float64) {
+func (d *Device) dispatch(p *Pass) (out []Float4, seconds float64) {
 	out, fetches, alu := p.run()
 	cycles := float64(fetches)*d.cfg.FetchCycles + float64(alu)*d.cfg.ALUCycles
 	return out, cycles/float64(d.cfg.Pipelines)/d.cfg.CoreHz + d.cfg.DispatchSec

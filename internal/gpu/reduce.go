@@ -38,7 +38,7 @@ func (d *Device) ReduceSum(data []Float4) (sum float32, passes int, seconds floa
 			// shader / bad lengths), never for valid reductions.
 			panic(fmt.Sprintf("gpu: reduction pass: %v", err))
 		}
-		out, sec := d.Dispatch(pass)
+		out, sec := d.dispatch(pass)
 		seconds += sec
 		passes++
 		cur = NewTexture("reduce", out)

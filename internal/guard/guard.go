@@ -57,7 +57,7 @@ type Config struct {
 
 	// CheckEvery is the watchdog stride in steps: the run proceeds in
 	// segments of this length, each followed by a health check.
-	// Default 10.
+	// Default 10; negative is refused.
 	CheckEvery int
 
 	// CheckpointEvery is the checkpoint cadence in steps. Default 100.
@@ -75,7 +75,7 @@ type Config struct {
 	// MaxRetries is the recovery budget: how many rollback attempts
 	// may be spent on one incident sequence before giving up.
 	// Default 3 — exactly enough to traverse the full escalation
-	// ladder (retry, halve dt, serial fallback).
+	// ladder (retry, halve dt, serial fallback); negative is refused.
 	MaxRetries int
 
 	// BaseBackoff is the sleep before the first retry; it doubles per
@@ -111,8 +111,14 @@ type Progress struct {
 	PE          float64 // potential energy
 }
 
-// withDefaults fills zero values.
-func (c Config) withDefaults() Config {
+// withDefaults fills zero values. A negative CheckEvery or MaxRetries
+// is refused, not run: the first asks the runner for a negative
+// segment, so every rung of the ladder fails until the run gives up;
+// the second gives up at the first incident.
+func (c Config) withDefaults() (Config, error) {
+	if c.CheckEvery < 0 || c.MaxRetries < 0 {
+		return c, fmt.Errorf("guard: CheckEvery (%d) and MaxRetries (%d) must not be negative (0 = default)", c.CheckEvery, c.MaxRetries)
+	}
 	if c.CheckEvery == 0 {
 		c.CheckEvery = 10
 	}
@@ -128,7 +134,7 @@ func (c Config) withDefaults() Config {
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
 	}
-	return c
+	return c, nil
 }
 
 // Supervisor owns one supervised simulation.
@@ -147,7 +153,10 @@ type Supervisor struct {
 // New builds the supervisor and the initial runner; the initial energy
 // E0 the drift watchdog references is captured here.
 func New(cfg Config) (*Supervisor, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	r, err := mdrun.New(cfg.Run)
 	if err != nil {
 		return nil, err
@@ -164,7 +173,10 @@ func New(cfg Config) (*Supervisor, error) {
 // checkpoint files keep their absolute step numbering, so a resumed
 // run's checkpoints slot into the same directory.
 func NewFromSystem(sys *md.System[float64], cfg Config) (*Supervisor, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	r, err := mdrun.NewFromSystem(sys, cfg.Run)
 	if err != nil {
 		return nil, err

@@ -656,3 +656,51 @@ func TestSupervisorSingleUse(t *testing.T) {
 		t.Fatal("second Run accepted")
 	}
 }
+
+// TestNegativeConfigRejected: a negative watchdog stride or recovery
+// budget is refused by both constructors before any runner is built,
+// and zero still means the default.
+func TestNegativeConfigRejected(t *testing.T) {
+	r, err := mdrun.New(baseRun(mdrun.Direct, 108, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := r.System().Clone()
+	r.Close()
+	ctors := map[string]func(Config) (*Supervisor, error){
+		"New":           New,
+		"NewFromSystem": func(c Config) (*Supervisor, error) { return NewFromSystem(sys.Clone(), c) },
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"negative CheckEvery", func(c *Config) { c.CheckEvery = -5 }, "CheckEvery (-5)"},
+		{"negative MaxRetries", func(c *Config) { c.MaxRetries = -1 }, "MaxRetries (-1)"},
+	}
+	for name, ctor := range ctors {
+		for _, tc := range cases {
+			cfg := Config{Run: baseRun(mdrun.Direct, 108, 1)}
+			tc.mut(&cfg)
+			sup, err := ctor(cfg)
+			if err == nil {
+				sup.Close()
+				t.Errorf("%s, %s: accepted", name, tc.name)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: error %q does not mention %q", name, tc.name, err, tc.want)
+			}
+		}
+		sup, err := ctor(Config{Run: baseRun(mdrun.Direct, 108, 1)})
+		if err != nil {
+			t.Fatalf("%s, zero values: %v", name, err)
+		}
+		if sup.cfg.CheckEvery != 10 || sup.cfg.MaxRetries != 3 {
+			t.Errorf("%s, zero values: CheckEvery %d, MaxRetries %d; want the defaults 10 and 3",
+				name, sup.cfg.CheckEvery, sup.cfg.MaxRetries)
+		}
+		sup.Close()
+	}
+}

@@ -110,10 +110,6 @@ func New(cfg Config) (*Machine, error) {
 // Name implements device.Device.
 func (m *Machine) Name() string { return "mta" }
 
-// ClockHz returns the modeled clock frequency, for workloads built
-// directly on LoopCycles (e.g. the sequence-alignment port).
-func (m *Machine) ClockHz() float64 { return m.cfg.ClockHz }
-
 // LoopCycles converts a loop's instruction ledger into machine cycles.
 //
 // Parallelized loops: the processor issues one instruction per cycle
@@ -142,35 +138,6 @@ func (m *Machine) LoopCycles(l *sim.Ledger, parallelized bool) float64 {
 		return total / util / float64(m.cfg.Processors)
 	}
 	return mem*m.cfg.MemLatencyCycles + alu*m.cfg.ALULatencyCycles
-}
-
-// LoopCyclesWithTrips is LoopCycles for loops whose iteration count may
-// be smaller than the machine's stream count: a loop with only `trips`
-// independent iterations can keep at most min(trips, Streams) streams
-// busy, so short loops cannot hide the memory latency no matter how
-// many streams the hardware has. This is the wavefront-startup effect
-// in the Bokhari-Sauer sequence-alignment port, where early and late
-// anti-diagonals have very few cells.
-func (m *Machine) LoopCyclesWithTrips(l *sim.Ledger, parallelized bool, trips int) float64 {
-	if !parallelized || trips <= 0 {
-		return m.LoopCycles(l, parallelized)
-	}
-	mem := float64(l.Count(sim.OpLoad) + l.Count(sim.OpStore))
-	total := float64(l.Total())
-	alu := total - mem
-	if total == 0 {
-		return 0
-	}
-	streams := m.cfg.Streams
-	if trips < streams {
-		streams = trips
-	}
-	avgLat := (mem*m.cfg.MemLatencyCycles + alu*m.cfg.ALULatencyCycles) / total
-	util := float64(streams) / avgLat
-	if util > 1 {
-		util = 1
-	}
-	return total / util / float64(m.cfg.Processors)
 }
 
 // Run implements device.Device: double-precision MD with the force loop

@@ -350,38 +350,3 @@ func TestRunRejectsInvalidWorkload(t *testing.T) {
 		t.Fatal("negative dt accepted")
 	}
 }
-
-func TestLoopCyclesWithTripsEdges(t *testing.T) {
-	m := mustNew(t, DefaultConfig())
-	var l sim.Ledger
-	l.Add(sim.OpFAdd, 100)
-	// Zero trips falls back to the plain model.
-	if got, want := m.LoopCyclesWithTrips(&l, true, 0), m.LoopCycles(&l, true); got != want {
-		t.Fatalf("trips=0: %v != %v", got, want)
-	}
-	// Serial mode ignores trips.
-	if got, want := m.LoopCyclesWithTrips(&l, false, 5), m.LoopCycles(&l, false); got != want {
-		t.Fatalf("serial: %v != %v", got, want)
-	}
-	// More trips than streams behaves like the plain saturated model.
-	if got, want := m.LoopCyclesWithTrips(&l, true, 10000), m.LoopCycles(&l, true); got != want {
-		t.Fatalf("wide: %v != %v", got, want)
-	}
-	// Empty ledger is free.
-	var empty sim.Ledger
-	if m.LoopCyclesWithTrips(&empty, true, 8) != 0 {
-		t.Fatal("empty ledger not free")
-	}
-	// Few trips cannot hide latency: strictly slower than saturated.
-	var mem sim.Ledger
-	mem.Add(sim.OpLoad, 1000)
-	if m.LoopCyclesWithTrips(&mem, true, 2) <= m.LoopCycles(&mem, true) {
-		t.Fatal("2 trips not slower than saturated")
-	}
-}
-
-func TestClockHzAccessor(t *testing.T) {
-	if mustNew(t, DefaultConfig()).ClockHz() != DefaultConfig().ClockHz {
-		t.Fatal("ClockHz mismatch")
-	}
-}

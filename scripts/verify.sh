@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gate, in escalating
-# cost order: compile, vet, formatting, the pair-loop bounds-check
+# cost order: compile, vet, formatting, doc drift (paths and
+# experiments the docs name must exist), the pair-loop bounds-check
 # budget, the no-pair-loop check on the parallel engine, the whole
 # test suite, one run of every example main, the benchmark module
 # (perfbench, a module of its own), the race-detector pass over the
@@ -23,6 +24,46 @@ UNFORMATTED="$(gofmt -l .)"
 if [ -n "$UNFORMATTED" ]; then
     printf '%s\n' "$UNFORMATTED" >&2
     echo "verify: the files above are not gofmt-formatted; fix with: gofmt -w <file>" >&2
+    exit 1
+fi
+
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+
+echo "==> doc drift: the ./cmd and ./examples paths and paperbench -experiment ids the docs name exist"
+# A README line left pointing at a deleted binary, example or
+# experiment fails here. paperbench builds its -experiment help from
+# the same tables run dispatches on, so the help lists what it accepts.
+go build -o "$SCRATCH/paperbench" ./cmd/paperbench
+EXPERIMENT_IDS="$("$SCRATCH/paperbench" -h 2>&1 |
+    sed -n 's/.*artifact to regenerate: \(.*\) (default.*/\1/p' |
+    sed 's/, or the extensions /|/' | tr '|' ' ')"
+if [ -z "$EXPERIMENT_IDS" ]; then
+    echo "verify: could not read the experiment ids from paperbench -h" >&2
+    exit 1
+fi
+DRIFT=""
+for DOC in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+    for DOC_PATH in $(grep -oE '\./(cmd|examples)/[A-Za-z0-9_]+' "$DOC" | sort -u); do
+        [ -d "$DOC_PATH" ] || DRIFT="$DRIFT$DOC: $DOC_PATH does not exist
+"
+    done
+    # Lines are joined first so an id wrapped onto the next line is
+    # read. An id list may be bracketed (<fig5|fig6>); a lone <id> is a
+    # placeholder and is skipped.
+    for ID in $(tr '\n' ' ' < "$DOC" |
+        grep -oE '(^|[^A-Za-z0-9_-])-experiment[ =]+(<[A-Za-z0-9_]+(\|[A-Za-z0-9_]+)+>|[A-Za-z0-9_|]+)' |
+        sed -E 's/^.*-experiment[ =]+<?//; s/>$//' | tr '|' '\n' | sort -u); do
+        case " $EXPERIMENT_IDS " in
+        *" $ID "*) ;;
+        *) DRIFT="$DRIFT$DOC: paperbench -experiment $ID is not accepted (want one of: $EXPERIMENT_IDS)
+" ;;
+        esac
+    done
+done
+if [ -n "$DRIFT" ]; then
+    printf '%s' "$DRIFT" >&2
+    echo "verify: the docs above name a path or experiment that does not exist" >&2
     exit 1
 fi
 
@@ -108,8 +149,6 @@ echo "==> mdchaos fixed-seed smoke campaign (12 schedules, all invariants)"
 go test -count=1 -run 'TestChaosSmoke' ./internal/chaos/
 
 echo "==> build mdlint once (gates below reuse the binary)"
-SCRATCH="$(mktemp -d)"
-trap 'rm -rf "$SCRATCH"' EXIT
 MDLINT="$SCRATCH/mdlint"
 go build -o "$MDLINT" ./cmd/mdlint
 
