@@ -26,8 +26,10 @@
 package guard
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -52,7 +54,15 @@ const (
 // Config describes a supervised run.
 type Config struct {
 	// Run is the simulation to supervise, exactly as mdrun.New takes
-	// it (including any armed fault injector).
+	// it (including any armed fault injector). A Run.Trajectory
+	// receives only committed frames: the supervisor holds each frame
+	// until the next checkpoint is taken and copies it then, so a
+	// rolled-back segment's frames are dropped rather than written.
+	// The frames since the last checkpoint are also dropped when the
+	// run gives up or is cancelled. A failed copy is a run error: the
+	// run rolls back and retries, and gives up after MaxRetries
+	// failed copies in a row; bytes a failed copy wrote stay in the
+	// writer.
 	Run mdrun.Config
 
 	// CheckEvery is the watchdog stride in steps: the run proceeds in
@@ -148,6 +158,12 @@ type Supervisor struct {
 	e0     float64
 	report *RunReport
 	ran    bool
+
+	// traj is the caller's trajectory writer, nil when the run writes
+	// none. The runners write frames into pending, which checkpoint
+	// copies to traj and recover drops.
+	traj    io.Writer
+	pending *bytes.Buffer
 }
 
 // New builds the supervisor and the initial runner; the initial energy
@@ -157,11 +173,12 @@ func New(cfg Config) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
+	traj, pending := holdFrames(&cfg)
 	r, err := mdrun.New(cfg.Run)
 	if err != nil {
 		return nil, err
 	}
-	return supervise(cfg, r)
+	return supervise(cfg, r, traj, pending)
 }
 
 // NewFromSystem builds a supervisor that continues from an existing
@@ -177,24 +194,41 @@ func NewFromSystem(sys *md.System[float64], cfg Config) (*Supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
+	traj, pending := holdFrames(&cfg)
 	r, err := mdrun.NewFromSystem(sys, cfg.Run)
 	if err != nil {
 		return nil, err
 	}
-	return supervise(cfg, r)
+	return supervise(cfg, r, traj, pending)
+}
+
+// holdFrames points cfg's run at a frame buffer the supervisor owns
+// and returns the caller's trajectory writer with it (both nil when the
+// run writes no trajectory). Every runner the supervisor builds,
+// escalation rungs included, writes into the buffer.
+func holdFrames(cfg *Config) (io.Writer, *bytes.Buffer) {
+	traj := cfg.Run.Trajectory
+	if traj == nil {
+		return nil, nil
+	}
+	pending := new(bytes.Buffer)
+	cfg.Run.Trajectory = pending
+	return traj, pending
 }
 
 // supervise wraps a built runner in a Supervisor (shared tail of New
 // and NewFromSystem).
-func supervise(cfg Config, r *mdrun.Runner) (*Supervisor, error) {
+func supervise(cfg Config, r *mdrun.Runner, traj io.Writer, pending *bytes.Buffer) (*Supervisor, error) {
 	s := &Supervisor{
-		cfg:    cfg,
-		base:   cfg.Run,
-		cur:    cfg.Run,
-		runner: r,
-		snap:   r.System().Clone(),
-		e0:     r.System().TotalEnergy(),
-		report: &RunReport{FinalMethod: cfg.Run.Method, FinalWorkers: r.Workers(), FinalDt: cfg.Run.Dt},
+		cfg:     cfg,
+		base:    cfg.Run,
+		cur:     cfg.Run,
+		runner:  r,
+		snap:    r.System().Clone(),
+		e0:      r.System().TotalEnergy(),
+		report:  &RunReport{FinalMethod: cfg.Run.Method, FinalWorkers: r.Workers(), FinalDt: cfg.Run.Dt},
+		traj:    traj,
+		pending: pending,
 	}
 	if cfg.CheckpointDir != "" {
 		st, err := newStore(cfg.CheckpointDir, cfg.KeepCheckpoints, cfg.FS)
@@ -260,6 +294,7 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 	s.checkpoint() // step-0 baseline: recovery always has somewhere to go
 
 	attempt := 0
+	copyFails := 0          // failed frame copies in a row; a commit does not reset it
 	var last *mdrun.Summary // newest committed segment
 	for s.runner.System().Steps < target {
 		sys := s.runner.System()
@@ -282,12 +317,27 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 			}
 			continue
 		}
+		// A due checkpoint first hands the held frames to the
+		// caller's writer. A failed copy rolls back like a failed
+		// trajectory write, on its own ladder count: the segments
+		// that re-run before the checkpoint commit and reset attempt.
+		cur := s.runner.System().Steps
+		due := cur-lastCkpt >= s.cfg.CheckpointEvery || cur >= target
+		if due {
+			if err := s.copyFrames(); err != nil {
+				rep.log(cur, copyFails+1, sim.IncidentRunError, err.Error())
+				if gerr := s.recover(ctx, &copyFails, err); gerr != nil {
+					return nil, rep, gerr
+				}
+				continue
+			}
+			copyFails = 0
+		}
 		// Segment committed: its Summary is the newest, the ladder
 		// resets, and a checkpoint is taken when due.
 		attempt = 0
 		last = sum
-		cur := s.runner.System().Steps
-		if cur-lastCkpt >= s.cfg.CheckpointEvery || cur >= target {
+		if due {
 			s.checkpoint()
 			lastCkpt = cur
 		}
@@ -314,6 +364,18 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 	rep.FinalWorkers = s.runner.Workers()
 	rep.FinalDt = s.cur.Dt
 	return last, rep, nil
+}
+
+// copyFrames hands the frames held since the last checkpoint to the
+// caller's trajectory writer.
+func (s *Supervisor) copyFrames() error {
+	if s.pending == nil {
+		return nil
+	}
+	if _, err := s.pending.WriteTo(s.traj); err != nil {
+		return fmt.Errorf("guard: trajectory: %w", err)
+	}
+	return nil
 }
 
 // checkpoint snapshots the current (health-checked) state in memory
@@ -371,6 +433,9 @@ func (s *Supervisor) healthCheck() (sim.Incident, string) {
 // outlives the caller's deadline).
 func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) error {
 	rep := s.report
+	if s.pending != nil {
+		s.pending.Reset() // the held frames belong to the rolled-back steps
+	}
 	*attempt++
 	if *attempt > s.cfg.MaxRetries {
 		return fmt.Errorf("guard: giving up after %d recovery attempts: %w", s.cfg.MaxRetries, cause)

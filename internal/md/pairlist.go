@@ -2,6 +2,7 @@ package md
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -29,16 +30,13 @@ type NeighborList[T vec.Float] struct {
 	builds  int       // number of (re)builds performed
 	queries int       // number of force evaluations served
 
-	// rowArena backs every row with stride int32 slots so steady-state
-	// rebuilds append within capacity instead of ratcheting per-row
-	// allocations forever (a row whose occupancy sets a new all-time
-	// high would otherwise realloc — across thousands of rows that
-	// tail never dies). A row that overflows its stride escapes the
-	// arena for that one build; EndBuild then re-strides with slack,
-	// so overflow is self-healing and allocation stays off the steady
-	// state.
-	rowArena []int32
-	stride   int
+	// arenas[s] holds the rows build shard s filled this build, packed
+	// end to end in the order the shard filled them; each pairs[i] is
+	// a capacity-clamped slice of one of them. Its length is the
+	// shard's pair count, so PairCount is O(shards). BeginBuild sizes
+	// each arena for the coming build in one allocation (see
+	// sizeArenas), so steady-state rebuilds allocate nothing.
+	arenas [][]int32
 
 	// grid is the cell binning the build gathers over, embedded by
 	// value so rebuilds re-geometry it in place instead of
@@ -81,11 +79,11 @@ func (nl *NeighborList[T]) Build(p Params[T], pos Coords[T]) {
 // tests, the fuzz target, and the build benchmarks compare the serial
 // and parallel builds against.
 func (nl *NeighborList[T]) BuildN2(p Params[T], pos Coords[T]) {
-	nl.sizeRows(pos.Len())
+	nl.sizeArenas(p, pos.Len(), 1)
 	rl := p.Cutoff + nl.Skin
 	rl2 := rl * rl
 	for i := 0; i < pos.Len(); i++ {
-		row := nl.pairs[i][:0]
+		row := nl.rowTail(0, pos.Len()-1-i)
 		pi := pos.At(i)
 		for j := i + 1; j < pos.Len(); j++ {
 			d := MinImage(pi.Sub(pos.At(j)), p.Box)
@@ -93,83 +91,126 @@ func (nl *NeighborList[T]) BuildN2(p Params[T], pos Coords[T]) {
 				row = append(row, int32(j))
 			}
 		}
-		nl.pairs[i] = row
+		nl.commitRow(0, i, row)
 	}
 	nl.EndBuild(pos)
 }
 
-// BeginBuild prepares a rebuild: it sizes the row table, bins the
-// atoms into the list's grid, and carves gather scratch for shards
-// concurrent BuildSpan calls. It is exported, together with BuildSpan
-// and EndBuild, for the sharded parallel builder in internal/parallel;
-// serial callers use Build.
+// BeginBuild prepares a rebuild: it sizes the row table and one packed
+// arena per shard, bins the atoms into the list's grid, and carves
+// gather scratch for shards concurrent BuildSpan calls. It is
+// exported, together with BuildSpan and EndBuild, for the sharded
+// parallel builder in internal/parallel; serial callers use Build.
 func (nl *NeighborList[T]) BeginBuild(p Params[T], pos Coords[T], shards int) {
-	nl.sizeRows(pos.Len())
+	nl.sizeArenas(p, pos.Len(), shards)
 	nl.grid.box, nl.grid.reach = p.Box, p.Cutoff+nl.Skin
 	nl.grid.binWrapped(pos, shards)
 }
 
-// initialRowStride is the first-build guess at the per-row arena
-// width; EndBuild re-strides from observed occupancy if it is short.
-const initialRowStride = 64
+// rowSlack is how many entries each shard's arena holds beyond its
+// sizing estimate, so that a small shard (or a small system) whose
+// count moves by a few rows between builds still fits.
+const rowSlack = 256
 
-// sizeRows resizes the row table to n atoms and points every row at
-// its stride-wide arena slot (length 0, capacity stride — the 3-index
-// slice keeps an overflowing append from bleeding into the next row).
-// noinline keeps the grow-once makes a single ledger site each instead
-// of one per inlined caller.
-//
-//go:noinline
-func (nl *NeighborList[T]) sizeRows(n int) {
+// sizeArenas starts a build of n atoms in shards shards. It empties
+// every row and drops the reference positions, so a build abandoned
+// before EndBuild leaves a list that Stale rejects. It then sizes each
+// shard's arena for an expected count: the shard's count in the last
+// build when that build committed n atoms in as many shards (the
+// reference positions say it committed), the last total split evenly
+// when only the shard count changed, else pairEstimate, the expected
+// count at uniform density. An arena whose capacity lies outside
+// [count·17/16, count·19/16 + rowSlack] is replaced by one of
+// count·9/8 + rowSlack, in one newRowArena call. The band is the
+// point: a count that rises or falls by about 5% since the arena was
+// sized (a melting lattice, a change of shard count) re-sizes it, and
+// the build-to-build wobble of a steady run, new highs included,
+// re-sizes nothing. A shard that still overflows mid-build grows in
+// rowTail.
+func (nl *NeighborList[T]) sizeArenas(p Params[T], n, shards int) {
+	rebuild := nl.ref.Len() == n && n > 0
+	last := nl.PairCount()
+	sameShards := len(nl.arenas) == shards
 	if cap(nl.pairs) < n {
-		nl.pairs = make([][]int32, n) //mdlint:ignore hotalloc amortized grow-once rebuild buffer, reused while capacity suffices
+		nl.pairs = newRowTable(n)
 	}
 	nl.pairs = nl.pairs[:n]
-	if nl.stride == 0 {
-		nl.stride = initialRowStride
+	clear(nl.pairs)
+	nl.ref.X, nl.ref.Y, nl.ref.Z = nl.ref.X[:0], nl.ref.Y[:0], nl.ref.Z[:0]
+	if cap(nl.arenas) < shards {
+		grown := newRowTable(shards)
+		copy(grown, nl.arenas[:cap(nl.arenas)])
+		nl.arenas = grown
 	}
-	if cap(nl.rowArena) < n*nl.stride {
-		nl.rowArena = newRowArena(n * nl.stride)
+	nl.arenas = nl.arenas[:shards]
+	if !rebuild {
+		last = pairEstimate(n, p.Box, p.Cutoff+nl.Skin)
 	}
-	nl.rowArena = nl.rowArena[:n*nl.stride]
-	for i := range nl.pairs {
-		off := i * nl.stride
-		nl.pairs[i] = nl.rowArena[off : off : off+nl.stride]
+	for s, a := range nl.arenas {
+		count := last / shards
+		if rebuild && sameShards {
+			count = len(a)
+		}
+		if cap(a) < count+count/16 || cap(a) > count+count/8+count/16+rowSlack {
+			a = newRowArena(count + count/8 + rowSlack)
+		}
+		nl.arenas[s] = a[:0]
 	}
 }
 
-// newRowArena is the one audited allocation both the grow-once sizing
-// and the rare re-stride share. noinline pins it as a single ledger
-// site.
+// pairEstimate is the expected number of pairs within rl among n atoms
+// spread uniformly over a periodic box of edge box: the half shell
+// n·(2π/3)·ρ·rl³ with ρ = n/box³, capped at all n(n−1)/2 pairs. A
+// non-finite estimate counts as no pairs; the arenas then grow as the
+// build fills them.
+func pairEstimate[T vec.Float](n int, box, rl T) int {
+	all := float64(n) * float64(n-1) / 2
+	r := float64(rl) / float64(box)
+	est := float64(n) * float64(n) * (2 * math.Pi / 3) * r * r * r
+	if !(est >= 0) {
+		return 0
+	}
+	return int(min(est, all))
+}
+
+// rowTail returns an empty row at the end of shard's arena with room
+// for k entries, growing the arena first if it has less room than
+// that. A grown arena has twice the capacity plus k and takes a copy
+// of the rows already filled, so its length stays the shard's count;
+// the rows themselves stay valid where they are, in the old array,
+// until the next build. The row's capacity is clamped to k, so an
+// append past it could never overwrite the arena.
+func (nl *NeighborList[T]) rowTail(shard, k int) []int32 {
+	a := nl.arenas[shard]
+	if cap(a)-len(a) < k {
+		grown := newRowArena(2*cap(a) + k)[:len(a)]
+		copy(grown, a)
+		a = grown
+		nl.arenas[shard] = a
+	}
+	return a[len(a) : len(a) : len(a)+k]
+}
+
+// commitRow makes row, filled from rowTail(shard, k), atom i's row and
+// advances shard's arena past it.
+func (nl *NeighborList[T]) commitRow(shard, i int, row []int32) {
+	a := nl.arenas[shard]
+	nl.arenas[shard] = a[:len(a)+len(row)]
+	nl.pairs[i] = row[:len(row):len(row)]
+}
+
+// newRowTable and newRowArena are the list's two grow sites: the row
+// table (and the per-shard arena headers), and a packed row arena.
+// noinline pins each as a single ledger site.
 //
 //go:noinline
-func newRowArena(n int) []int32 {
-	return make([]int32, n) //mdlint:ignore hotalloc amortized row arena; grows on atom-count or stride increase, reused otherwise
+func newRowTable(n int) [][]int32 {
+	return make([][]int32, n) //mdlint:ignore hotalloc amortized grow-once row table, reused while capacity suffices
 }
 
-// restride widens the row arena when some row outgrew its slot this
-// build (its append escaped the arena). The 25%+8 slack makes the
-// stride converge in a handful of events per run, after which rebuilds
-// are allocation-free; rows are copied so the committed list stays
-// valid for force evaluations until the next build.
-func (nl *NeighborList[T]) restride() {
-	maxLen := 0
-	for _, r := range nl.pairs {
-		if len(r) > maxLen {
-			maxLen = len(r)
-		}
-	}
-	if maxLen <= nl.stride {
-		return
-	}
-	stride := maxLen + maxLen/4 + 8
-	arena := newRowArena(len(nl.pairs) * stride)
-	for i, r := range nl.pairs {
-		off := i * stride
-		nl.pairs[i] = arena[off : off+len(r) : off+stride]
-		copy(nl.pairs[i], r)
-	}
-	nl.rowArena, nl.stride = arena, stride
+//go:noinline
+func newRowArena(n int) []int32 {
+	return make([]int32, 0, n) //mdlint:ignore hotalloc amortized packed row arena; sized from the last build's count, grows when the count outgrows it
 }
 
 // BuildSpan fills the rows of the atoms at slots [lo, hi) of the
@@ -265,7 +306,7 @@ func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi i
 			xi, yi, zi := pos.X[i], pos.Y[i], pos.Z[i]
 			if imaged && n <= acceptCap {
 				m := acceptImaged(xi, yi, zi, rl2, &shifts, union[cur:], wraps[cur:], ux[cur:], uy[cur:], uz[cur:], sc.accept)
-				nl.pairs[i] = append(nl.pairs[i][:0], sc.accept[:m]...)
+				nl.commitRow(shard, int(i), append(nl.rowTail(shard, m), sc.accept[:m]...))
 				continue
 			}
 			// The candidates past i and their positions, each plane
@@ -275,7 +316,7 @@ func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi i
 			cand := union[cur:]
 			xs, ys, zs := ux[cur:], uy[cur:], uz[cur:]
 			xs, ys, zs = xs[:len(cand)], ys[:len(cand)], zs[:len(cand)]
-			row := nl.pairs[i][:0]
+			row := nl.rowTail(shard, len(cand))
 			// bce:begin
 			for k, j := range cand {
 				dx := minImage1(xi-xs[k], box, h)
@@ -286,7 +327,7 @@ func (nl *NeighborList[T]) BuildSpan(p Params[T], pos Coords[T], shard, lo, hi i
 				}
 			}
 			// bce:end
-			nl.pairs[i] = row
+			nl.commitRow(shard, int(i), row)
 		}
 	}
 }
@@ -369,13 +410,13 @@ func radixSortIndices(keys, tmp []int32, keyBits int) []int32 {
 }
 
 // EndBuild commits a rebuild: reference positions for the staleness
-// check, and the build counter. A build abandoned before EndBuild (a
-// cancelled parallel build) leaves ref at the last committed build,
-// so Stale keeps answering true and the next evaluation rebuilds — a
-// torn row table is never trusted. The per-plane appends are amortized
-// grow-once and invisible to the steady state.
+// check, and the build counter. BeginBuild drops the reference
+// positions, so a build abandoned before EndBuild (a cancelled
+// parallel build) leaves a list that Stale reports stale, and the next
+// evaluation rebuilds: a half-filled row table is never trusted. The
+// per-plane appends are amortized grow-once and invisible to the
+// steady state.
 func (nl *NeighborList[T]) EndBuild(pos Coords[T]) {
-	nl.restride()
 	nl.ref.X = append(nl.ref.X[:0], pos.X...)
 	nl.ref.Y = append(nl.ref.Y[:0], pos.Y...)
 	nl.ref.Z = append(nl.ref.Z[:0], pos.Z...)
@@ -514,11 +555,13 @@ func (nl *NeighborList[T]) ForcesSpan(p Params[T], pos Coords[T], acc Coords[T],
 func (nl *NeighborList[T]) Neighbors(i int) []int32 { return nl.pairs[i] }
 
 // PairCount returns the number of stored pairs, a direct measure of how
-// much work the list saves versus the N(N-1)/2 full scan.
+// much work the list saves versus the N(N-1)/2 full scan: the sum of
+// the shard arenas' lengths, so O(shards) rather than a walk over the
+// rows.
 func (nl *NeighborList[T]) PairCount() int {
 	total := 0
-	for _, js := range nl.pairs {
-		total += len(js)
+	for _, a := range nl.arenas {
+		total += len(a)
 	}
 	return total
 }

@@ -72,11 +72,25 @@ echo "==> bounds checks in the pair loops <= 1 (between // bce:begin and // bce:
 # count those on lines inside the markers. The one check left is the
 # j-indexed gather in NeighborList.ForcesSpan, the list kernel the
 # serial Forces and every parallel pair chunk share, which no reslice
-# can prove.
+# can prove. Each pair loop must carry
+# markers, so a loop whose markers were dropped fails here by name
+# instead of leaving the budget.
 BCE_BUDGET=1
-BCE_MARKERS="$(cat internal/md/*.go | grep -c '// bce:begin' || true)"
-if [ "$BCE_MARKERS" -lt 2 ]; then
-    echo "verify: expected bce markers around the NeighborList.ForcesSpan and BuildSpan loops, found $BCE_MARKERS" >&2
+BCE_LOOPS="ForcesSpan BuildSpan acceptImaged"
+BCE_MARKED="$(awk '
+    /^func / {
+        fn = $0
+        sub(/^func /, "", fn)
+        sub(/^\([^)]*\) /, "", fn)
+        sub(/[[(].*/, "", fn)
+    }
+    /\/\/ bce:begin/ { print fn }' internal/md/*.go)"
+BCE_MISSING=""
+for LOOP in $BCE_LOOPS; do
+    printf '%s\n' "$BCE_MARKED" | grep -qx "$LOOP" || BCE_MISSING="$BCE_MISSING $LOOP"
+done
+if [ -n "$BCE_MISSING" ]; then
+    echo "verify: no // bce:begin marker in:$BCE_MISSING (want markers in each of: $BCE_LOOPS)" >&2
     exit 1
 fi
 BCE_CHECKS="$(go build -gcflags=-d=ssa/check_bce -o /dev/null ./internal/md 2>&1 | awk -F: '
