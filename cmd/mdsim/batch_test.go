@@ -94,6 +94,26 @@ func TestValidateOpts(t *testing.T) {
 		{"unknown thermostat", func(o *runOpts) { o.thermostat = "maxwell-daemon" }, "maxwell-daemon"},
 		{"modeled device, bad method", func(o *runOpts) { o.devName = "opteron"; o.method = "bogus" }, "bogus"},
 		{"modeled device, bad thermostat", func(o *runOpts) { o.devName = "cell"; o.thermostat = "nose" }, "nose"},
+		{"guard ignores -load-checkpoint", func(o *runOpts) { o.guard = true; o.loadCkpt = "r.mdcp" }, "-load-checkpoint"},
+		{"guard ignores -save-checkpoint", func(o *runOpts) { o.guard = true; o.saveCkpt = "r.mdcp" }, "-save-checkpoint"},
+		{"batch ignores -save-checkpoint", func(o *runOpts) { o.batch = 2; o.saveCkpt = "s.mdcp" }, "-save-checkpoint"},
+		{"batch ignores -load-checkpoint", func(o *runOpts) { o.batch = 2; o.loadCkpt = "s.mdcp" }, "-load-checkpoint"},
+		{"batch ignores -dump", func(o *runOpts) { o.batch = 2; o.dump = "b.xyz" }, "-dump"},
+		{"modeled device ignores -save-checkpoint", func(o *runOpts) { o.devName = "opteron"; o.saveCkpt = "t.mdcp" }, "-save-checkpoint"},
+		{"modeled device ignores -load-checkpoint", func(o *runOpts) { o.devName = "gpu"; o.loadCkpt = "t.mdcp" }, "-load-checkpoint"},
+		{"modeled device ignores -dump", func(o *runOpts) { o.devName = "opteron"; o.dump = "t.xyz" }, "-dump"},
+		{"plain run ignores -checkpoint-dir", func(o *runOpts) { o.ckptDir = "ck" }, "-checkpoint-dir"},
+	}
+	for name, mut := range map[string]func(*runOpts){
+		"plain run restart files":  func(o *runOpts) { o.loadCkpt, o.saveCkpt, o.dump = "r.mdcp", "s.mdcp", "t.xyz" },
+		"guard trajectory and dir": func(o *runOpts) { o.guard, o.dump, o.ckptDir = true, "t.xyz", "ck" },
+		"batch dir":                func(o *runOpts) { o.batch, o.ckptDir = 2, "ck" },
+	} {
+		o := good
+		mut(&o)
+		if err := validateOpts(o); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
 	}
 	for _, tc := range cases {
 		o := good

@@ -20,12 +20,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fsys"
 	"repro/internal/md"
 	"repro/internal/mdrun"
 	"repro/internal/mta"
@@ -114,6 +116,22 @@ func validateOpts(o runOpts) error {
 	}
 	if o.replicaTimeout < 0 {
 		return fmt.Errorf("-replica-timeout %v: want >= 0 (0 = no deadline)", o.replicaTimeout)
+	}
+	// A checkpoint or trajectory flag that the selected mode does not
+	// read is refused rather than silently ignored.
+	plain := o.batch == 0 && !o.guard && o.devName == "reference"
+	for _, f := range []struct {
+		name, val, only string
+		used            bool
+	}{
+		{"-load-checkpoint", o.loadCkpt, "a -device reference run without -guard or -batch resumes from it", plain},
+		{"-save-checkpoint", o.saveCkpt, "a -device reference run without -guard or -batch writes it", plain},
+		{"-dump", o.dump, "a -device reference run without -batch writes it", o.batch == 0 && o.devName == "reference"},
+		{"-checkpoint-dir", o.ckptDir, "-guard and -batch runs write checkpoints", o.batch > 0 || o.guard},
+	} {
+		if f.val != "" && !f.used {
+			return fmt.Errorf("%s %s: this mode ignores it; only %s", f.name, f.val, f.only)
+		}
 	}
 	// Parse the fault spec, the method and the thermostat in every mode
 	// so an unknown value is an immediate usage error, not a silently
@@ -262,20 +280,21 @@ func runReference(w device.Workload, o runOpts) (err error) {
 	mom := sys.Momentum()
 	fmt.Printf("net momentum: (%.2e, %.2e, %.2e)\n", mom.X, mom.Y, mom.Z)
 	if o.saveCkpt != "" {
-		f, err := os.Create(o.saveCkpt)
-		if err != nil {
-			return err
-		}
-		if err := md.WriteCheckpoint(f, sys); err != nil {
-			f.Close() //mdlint:ignore closeerr the checkpoint write already failed; its error is the one worth reporting
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := saveCheckpoint(fsys.OS, o.saveCkpt, sys); err != nil {
 			return err
 		}
 		fmt.Printf("checkpoint: step %d -> %s\n", sys.Steps, o.saveCkpt)
 	}
 	return nil
+}
+
+// saveCheckpoint publishes sys as a restart file at path with
+// fsys.WriteAtomic, the protocol guard and serve publish through: a
+// failed write leaves the previous file at path as it was.
+func saveCheckpoint(fs fsys.FS, path string, sys *md.System[float64]) error {
+	return fsys.WriteAtomic(fs, path, func(w io.Writer) error {
+		return md.WriteCheckpoint(w, sys)
+	})
 }
 
 // openTrajectory points cfg at the -dump file, one frame every

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/fsys"
 	"repro/internal/lattice"
+	"repro/internal/md"
 	"repro/internal/mdrun"
 )
 
@@ -134,6 +138,50 @@ func TestCheckpointSaveAndResume(t *testing.T) {
 	}
 	if err := run(runOpts{devName: "reference", atoms: 108, steps: 1, loadCkpt: "/nonexistent"}); err == nil {
 		t.Fatal("missing checkpoint accepted")
+	}
+}
+
+// TestSaveCheckpointKeepsPreviousOnFailure: -save-checkpoint publishes
+// atomically, so a write that fails midway leaves the previous restart
+// file byte for byte and no temp file beside it.
+func TestSaveCheckpointKeepsPreviousOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.mdcp")
+	w, err := core.StandardWorkload(108, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := md.NewSystem(w.State, md.Params[float64]{Box: w.State.Box, Cutoff: w.Cutoff, Dt: w.Dt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saveCheckpoint(fsys.OS, path, sys); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(3)
+	failing := fsys.Faulty(nil, faults.NewRegistry(1).Arm(faults.Fault{
+		Site: fsys.SiteWrite, Kind: faults.Error, Trigger: faults.Trigger{AtCall: 1},
+	}))
+	if err := saveCheckpoint(failing, path, sys); err == nil {
+		t.Fatal("failing write reported success")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("failed save changed the previous restart file")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed save, want the one restart file", len(entries))
 	}
 }
 

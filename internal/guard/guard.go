@@ -9,15 +9,17 @@
 //   - a numerical-health watchdog that scans the dynamic state for
 //     NaN/Inf every few steps and enforces energy-drift and
 //     temperature-explosion thresholds,
-//   - periodic atomic checkpoints (fsys.WriteAtomic: temp file +
-//     fsync + rename, CRC32 trailer via the md format, retention of
-//     the run's last M),
-//   - automatic recovery: roll back to the newest CRC-valid
-//     checkpoint the run itself wrote (corrupt ones are skipped, never
-//     trusted; another run's files are never considered), then walk
-//     an escalation ladder — retry as-is, halve the time step, fall
-//     back to the serial force kernel — with exponential backoff,
-//     giving up with a structured error after a configurable budget,
+//   - periodic checkpoints: an in-memory snapshot of the last
+//     health-checked state, which is the one state recovery restores,
+//     and, with a checkpoint directory, a file published with
+//     fsys.WriteAtomic (temp file + fsync + rename, CRC32 trailer via
+//     the md format, retention of the run's last M) that the run only
+//     writes and prunes; LatestCheckpoint reads the directory back to
+//     resume a job after the process that ran it died,
+//   - automatic recovery: roll back to the snapshot, then walk an
+//     escalation ladder — retry as-is, halve the time step, fall back
+//     to the serial force kernel — giving up with a structured error
+//     after a configurable budget,
 //   - a RunReport tallying every incident (internal/sim.IncidentLog)
 //     so a run says not just that it finished but what it survived.
 //
@@ -31,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/fsys"
 	"repro/internal/md"
@@ -70,16 +71,19 @@ type Config struct {
 	// Default 10; negative is refused.
 	CheckEvery int
 
-	// CheckpointEvery is the checkpoint cadence in steps. Default 100.
+	// CheckpointEvery is the checkpoint cadence in steps. Default 100;
+	// negative is refused.
 	CheckpointEvery int
 
 	// CheckpointDir, when non-empty, is where atomic checkpoint files
-	// (ckpt-%09d.mdcp) are written; it is created if missing. When
-	// empty, only the in-memory snapshot protects the run.
+	// (ckpt-%09d.mdcp) are written; it is created if missing. Rollback
+	// always restores the in-memory snapshot, so the run only writes
+	// and prunes these files: they are for resuming the run in a new
+	// process (LatestCheckpoint).
 	CheckpointDir string
 
-	// KeepCheckpoints bounds on-disk retention; older files are
-	// pruned. Default 3.
+	// KeepCheckpoints bounds on-disk retention; this run's older files
+	// are pruned. Default 3; negative is refused.
 	KeepCheckpoints int
 
 	// MaxRetries is the recovery budget: how many rollback attempts
@@ -87,14 +91,6 @@ type Config struct {
 	// Default 3 — exactly enough to traverse the full escalation
 	// ladder (retry, halve dt, serial fallback); negative is refused.
 	MaxRetries int
-
-	// BaseBackoff is the sleep before the first retry; it doubles per
-	// attempt. Zero disables sleeping.
-	BaseBackoff time.Duration
-
-	// Sleep is the backoff clock, replaceable for tests. Default
-	// time.Sleep.
-	Sleep func(time.Duration)
 
 	// FS, when non-nil, replaces the real filesystem under the
 	// checkpoint store — the one seam checkpoint faults are injected
@@ -121,13 +117,16 @@ type Progress struct {
 	PE          float64 // potential energy
 }
 
-// withDefaults fills zero values. A negative CheckEvery or MaxRetries
-// is refused, not run: the first asks the runner for a negative
-// segment, so every rung of the ladder fails until the run gives up;
-// the second gives up at the first incident.
+// withDefaults fills zero values. A negative setting is refused, not
+// run: a negative CheckEvery asks the runner for a negative segment,
+// so every rung of the ladder fails until the run gives up; a negative
+// CheckpointEvery would checkpoint every segment; a negative
+// KeepCheckpoints names no retention; a negative MaxRetries gives up
+// at the first incident.
 func (c Config) withDefaults() (Config, error) {
-	if c.CheckEvery < 0 || c.MaxRetries < 0 {
-		return c, fmt.Errorf("guard: CheckEvery (%d) and MaxRetries (%d) must not be negative (0 = default)", c.CheckEvery, c.MaxRetries)
+	if c.CheckEvery < 0 || c.CheckpointEvery < 0 || c.KeepCheckpoints < 0 || c.MaxRetries < 0 {
+		return c, fmt.Errorf("guard: CheckEvery (%d), CheckpointEvery (%d), KeepCheckpoints (%d) and MaxRetries (%d) must not be negative (0 = default)",
+			c.CheckEvery, c.CheckpointEvery, c.KeepCheckpoints, c.MaxRetries)
 	}
 	if c.CheckEvery == 0 {
 		c.CheckEvery = 10
@@ -141,9 +140,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
 	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
 	return c, nil
 }
 
@@ -153,8 +149,8 @@ type Supervisor struct {
 	base   mdrun.Config // pristine run config (escalation reference)
 	cur    mdrun.Config // config of the currently active runner
 	runner *mdrun.Runner
-	store  *store // nil without CheckpointDir
-	snap   *md.System[float64]
+	store  *store              // nil without CheckpointDir
+	snap   *md.System[float64] // the last checkpoint: what recovery restores
 	e0     float64
 	report *RunReport
 	ran    bool
@@ -380,8 +376,8 @@ func (s *Supervisor) copyFrames() error {
 
 // checkpoint snapshots the current (health-checked) state in memory
 // and, when a store is configured, on disk. Disk failures are
-// incidents, not fatal errors: the in-memory snapshot still guards the
-// run.
+// incidents, not fatal errors: recovery restores the in-memory
+// snapshot, never the disk.
 func (s *Supervisor) checkpoint() {
 	sys := s.runner.System()
 	s.snap = sys.Clone()
@@ -426,11 +422,11 @@ func (s *Supervisor) healthCheck() (sim.Incident, string) {
 	return -1, ""
 }
 
-// recover rolls back to the newest trustworthy state and rebuilds the
-// runner one rung further up the escalation ladder. It returns nil
-// when the run should continue, or the terminal give-up error once the
-// retry budget is exhausted or the context is cancelled (backoff never
-// outlives the caller's deadline).
+// recover rolls back to the in-memory snapshot of the last checkpoint
+// and rebuilds the runner one rung further up the escalation ladder.
+// It returns nil when the run should continue, or the terminal give-up
+// error once the retry budget is exhausted or the context is
+// cancelled.
 func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) error {
 	rep := s.report
 	if s.pending != nil {
@@ -442,7 +438,7 @@ func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) err
 	}
 	rep.Attempts++
 
-	restored := s.restore()
+	restored := s.snap.Clone()
 	rep.Rollbacks++
 	rep.log(restored.Steps, *attempt, sim.IncidentRollback,
 		fmt.Sprintf("rolled back to step %d", restored.Steps))
@@ -451,9 +447,6 @@ func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) err
 	rep.log(restored.Steps, *attempt, inc,
 		fmt.Sprintf("attempt %d/%d: method %v, workers %d, dt %g", *attempt, s.cfg.MaxRetries, next.Method, max(next.Workers, 1), next.Dt))
 
-	if s.cfg.BaseBackoff > 0 {
-		s.cfg.Sleep(s.cfg.BaseBackoff << (*attempt - 1))
-	}
 	if cerr := ctx.Err(); cerr != nil {
 		rep.log(restored.Steps, *attempt, sim.IncidentCancelled, cerr.Error())
 		return fmt.Errorf("guard: run cancelled during recovery: %w", cerr)
@@ -467,24 +460,6 @@ func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) err
 	s.runner = r
 	s.cur = next
 	return nil
-}
-
-// restore returns the newest trustworthy state: the newest CRC-valid
-// checkpoint this run published if a store is configured (corrupt
-// files are skipped and logged; another run's files in the same
-// directory are never considered), else a copy of the in-memory
-// snapshot.
-func (s *Supervisor) restore() *md.System[float64] {
-	if s.store != nil {
-		sys := s.store.recoverLatest(s.store.own(), func(name string, err error) {
-			s.report.log(s.snap.Steps, 0, sim.IncidentCheckpointCorrupt,
-				fmt.Sprintf("%s: %v", name, err))
-		})
-		if sys != nil {
-			return sys
-		}
-	}
-	return s.snap.Clone()
 }
 
 // rung maps a recovery attempt to its escalation strategy. The rungs

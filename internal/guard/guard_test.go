@@ -3,12 +3,12 @@ package guard
 import (
 	"bytes"
 	"fmt"
+	iofs "io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/fsys"
@@ -357,10 +357,12 @@ func TestPersistentFaultGivesUp(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointSkipped: recovery must never trust a corrupt
-// checkpoint — the run's own newest file, truncated behind its back
-// after it was published, is skipped (logged as ckpt-corrupt) in favor
-// of an older valid one.
+// TestCorruptCheckpointSkipped: a checkpoint file truncated behind the
+// run's back after it was published never reaches the run — the
+// rollback restores the in-memory snapshot of that checkpoint — and a
+// resume, which does read the directory, skips it (reported through
+// onCorrupt) in favor of an older valid one. Renames fail from the
+// third checkpoint on, so the truncated step-5 file stays the newest.
 func TestCorruptCheckpointSkipped(t *testing.T) {
 	dir := t.TempDir()
 	cfg := baseRun(mdrun.Direct, 108, 2)
@@ -368,11 +370,15 @@ func TestCorruptCheckpointSkipped(t *testing.T) {
 		Site: faults.SiteWorker, Kind: faults.Panic,
 		Trigger: faults.Trigger{AtCall: 15},
 	})
+	disk := faults.NewRegistry(14).Arm(faults.Fault{
+		Site: fsys.SiteRename, Kind: faults.Error,
+		Trigger: faults.Trigger{FromCall: 3},
+	})
 	sup, err := New(Config{
 		Run: cfg, CheckEvery: 5, CheckpointEvery: 5,
-		CheckpointDir: dir, KeepCheckpoints: 100,
-		// The step-5 commit has just published ckpt-5, the newest file
-		// the rollback in the next segment will reach for: corrupt it.
+		CheckpointDir: dir, KeepCheckpoints: 100, FS: fsys.Faulty(nil, disk),
+		// The step-5 commit has just published ckpt-5: corrupt it
+		// before the next segment's rollback.
 		OnSegment: func(p Progress) {
 			if p.Step != 5 {
 				return
@@ -396,14 +402,25 @@ func TestCorruptCheckpointSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run failed (%v); report: %v", err, rep)
 	}
-	if rep.Counts.Count(sim.IncidentCheckpointCorrupt) == 0 {
-		t.Errorf("corrupt checkpoint never flagged: %v", rep)
-	}
 	if !rep.Completed || rep.Rollbacks != 1 {
 		t.Errorf("report = %v, want completed with 1 rollback", rep)
 	}
+	for _, ev := range rep.Events {
+		if ev.Kind == sim.IncidentRollback && ev.Detail != "rolled back to step 5" {
+			t.Errorf("rollback event %q, want the step-5 snapshot", ev.Detail)
+		}
+	}
 	if sup.System().Steps != 20 {
 		t.Errorf("final steps %d, want 20", sup.System().Steps)
+	}
+
+	var corrupt []string
+	sys := LatestCheckpoint(nil, dir, func(name string, err error) { corrupt = append(corrupt, name) })
+	if sys == nil || sys.Steps != 0 {
+		t.Fatalf("LatestCheckpoint = %v, want the step-0 file", sys)
+	}
+	if len(corrupt) != 1 || corrupt[0] != "ckpt-000000005.mdcp" {
+		t.Errorf("reported corrupt %v, want [ckpt-000000005.mdcp]", corrupt)
 	}
 }
 
@@ -472,8 +489,9 @@ func TestReusedDirIgnoresForeignCheckpoints(t *testing.T) {
 	}
 }
 
-// TestStoreRecoveryOrder white-boxes the store: newest valid wins;
-// truncating the newest demotes recovery to the next older file.
+// TestStoreRecoveryOrder: the store lists its files newest first, and
+// LatestCheckpoint returns the newest valid one; truncating the newest
+// demotes it to the next older file.
 func TestStoreRecoveryOrder(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newStore(dir, 10, nil)
@@ -497,9 +515,12 @@ func TestStoreRecoveryOrder(t *testing.T) {
 	if err := st.save(r.System()); err != nil {
 		t.Fatal(err)
 	}
+	if steps := st.list(); len(steps) != 2 || steps[0] != 20 || steps[1] != 10 {
+		t.Fatalf("list = %v, want [20 10]", steps)
+	}
 
 	noCorrupt := func(name string, err error) { t.Errorf("unexpected corrupt %s: %v", name, err) }
-	if sys := st.recoverLatest(st.own(), noCorrupt); sys == nil || sys.Steps != 20 {
+	if sys := LatestCheckpoint(nil, dir, noCorrupt); sys == nil || sys.Steps != 20 {
 		t.Fatalf("want newest (step 20), got %v", sys)
 	}
 
@@ -513,7 +534,7 @@ func TestStoreRecoveryOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupted := 0
-	sys := st.recoverLatest(st.own(), func(name string, err error) { corrupted++ })
+	sys := LatestCheckpoint(nil, dir, func(name string, err error) { corrupted++ })
 	if sys == nil || sys.Steps != 10 {
 		t.Fatalf("want fallback to step 10, got %v", sys)
 	}
@@ -588,34 +609,97 @@ func TestCheckpointWriteFaultNonFatal(t *testing.T) {
 	}
 }
 
-// TestBackoffDoubles pins the exponential-backoff schedule through the
-// injectable sleep hook.
-func TestBackoffDoubles(t *testing.T) {
-	cfg := baseRun(mdrun.Direct, 108, 1)
-	cfg.Faults = faults.NewRegistry(16).Arm(faults.Fault{
-		Site: faults.SiteForces, Kind: faults.NaN,
-		Trigger: faults.Trigger{FromCall: 1},
-	})
-	var slept []time.Duration
+// countingFS counts the directory listings and removals that reach
+// the filesystem beneath it.
+type countingFS struct {
+	fsys.FS
+	readDirs, removes int
+}
+
+func (c *countingFS) ReadDir(name string) ([]iofs.DirEntry, error) {
+	c.readDirs++
+	return c.FS.ReadDir(name)
+}
+
+func (c *countingFS) Remove(name string) error {
+	c.removes++
+	return c.FS.Remove(name)
+}
+
+// TestCheckpointsListNoDirectory: a guarded run writes and prunes its
+// checkpoints without listing the directory, and retention still
+// leaves exactly this run's newest KeepCheckpoints files beside a
+// file it did not write.
+func TestCheckpointsListNoDirectory(t *testing.T) {
+	dir := t.TempDir()
+	foreign := filepath.Join(dir, "ckpt-000000100.mdcp")
+	if err := os.WriteFile(foreign, []byte("another run"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfs := &countingFS{FS: fsys.OS}
 	sup, err := New(Config{
-		Run: cfg, CheckEvery: 5, MaxRetries: 3,
-		BaseBackoff: time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
+		Run: baseRun(mdrun.Direct, 108, 1), CheckEvery: 5, CheckpointEvery: 5,
+		CheckpointDir: dir, KeepCheckpoints: 3, FS: cfs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
-	if _, _, err := sup.Run(20); err == nil {
-		t.Fatal("expected give-up")
+	_, rep, err := sup.Run(40)
+	if err != nil {
+		t.Fatalf("run failed (%v); report: %v", err, rep)
 	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
+	if rep.CheckpointsWritten != 9 {
+		t.Fatalf("checkpoints written = %d, want 9 (steps 0, 5, ..., 40)", rep.CheckpointsWritten)
 	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("slept %v, want %v", slept, want)
+	if cfs.readDirs != 0 {
+		t.Errorf("run listed the checkpoint directory %d times, want 0", cfs.readDirs)
+	}
+	if cfs.removes != 6 {
+		t.Errorf("run removed %d files, want the 6 checkpoints past retention", cfs.removes)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"ckpt-000000030.mdcp", "ckpt-000000035.mdcp", "ckpt-000000040.mdcp", "ckpt-000000100.mdcp"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("directory holds %v, want %v", names, want)
+	}
+}
+
+// TestFailedRemoveRetried: a checkpoint whose prune fails stays on the
+// store's list and is removed by the next save.
+func TestFailedRemoveRetried(t *testing.T) {
+	dir := t.TempDir()
+	disk := faults.NewRegistry(3).Arm(faults.Fault{
+		Site: fsys.SiteRemove, Kind: faults.Error,
+		Trigger: faults.Trigger{AtCall: 1},
+	})
+	st, err := newStore(dir, 1, fsys.Faulty(nil, disk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := mdrun.New(baseRun(mdrun.Direct, 108, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i, want := range [][]int{{0}, {5, 0}, {10}} {
+		if i > 0 {
+			if _, err := r.Run(5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.save(r.System()); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.list(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after save %d: on disk %v, want %v", i, got, want)
 		}
 	}
 }
@@ -657,8 +741,8 @@ func TestSupervisorSingleUse(t *testing.T) {
 	}
 }
 
-// TestNegativeConfigRejected: a negative watchdog stride or recovery
-// budget is refused by both constructors before any runner is built,
+// TestNegativeConfigRejected: a negative watchdog stride, checkpoint
+// cadence, retention or recovery budget is refused by both constructors before any runner is built,
 // and zero still means the default.
 func TestNegativeConfigRejected(t *testing.T) {
 	r, err := mdrun.New(baseRun(mdrun.Direct, 108, 1))
@@ -677,6 +761,8 @@ func TestNegativeConfigRejected(t *testing.T) {
 		want string
 	}{
 		{"negative CheckEvery", func(c *Config) { c.CheckEvery = -5 }, "CheckEvery (-5)"},
+		{"negative CheckpointEvery", func(c *Config) { c.CheckpointEvery = -5 }, "CheckpointEvery (-5)"},
+		{"negative KeepCheckpoints", func(c *Config) { c.KeepCheckpoints = -1 }, "KeepCheckpoints (-1)"},
 		{"negative MaxRetries", func(c *Config) { c.MaxRetries = -1 }, "MaxRetries (-1)"},
 	}
 	for name, ctor := range ctors {
@@ -697,9 +783,9 @@ func TestNegativeConfigRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s, zero values: %v", name, err)
 		}
-		if sup.cfg.CheckEvery != 10 || sup.cfg.MaxRetries != 3 {
-			t.Errorf("%s, zero values: CheckEvery %d, MaxRetries %d; want the defaults 10 and 3",
-				name, sup.cfg.CheckEvery, sup.cfg.MaxRetries)
+		if c := sup.cfg; c.CheckEvery != 10 || c.CheckpointEvery != 100 || c.KeepCheckpoints != 3 || c.MaxRetries != 3 {
+			t.Errorf("%s, zero values: CheckEvery %d, CheckpointEvery %d, KeepCheckpoints %d, MaxRetries %d; want the defaults 10, 100, 3 and 3",
+				name, c.CheckEvery, c.CheckpointEvery, c.KeepCheckpoints, c.MaxRetries)
 		}
 		sup.Close()
 	}

@@ -1,8 +1,10 @@
 package guard
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -12,22 +14,24 @@ import (
 	"repro/internal/md"
 )
 
-// store keeps a run's checkpoints: each is published with
+// store publishes a run's checkpoints: each is written with
 // fsys.WriteAtomic, so a reader only ever sees complete files — and
 // the md format's CRC trailer rejects anything a lying disk mangles
-// after that. All filesystem access goes through the fsys seam, so a
+// after that. The run never reads them back (rollback restores the
+// in-memory snapshot); LatestCheckpoint does, to resume a job in a new
+// process. All filesystem access goes through the fsys seam, so a
 // chaos campaign can stand a failing disk under the store and check
 // the promise instead of assuming it.
 type store struct {
 	dir  string
 	keep int
 	fs   fsys.FS
-	// saved holds the steps this store published. A checkpoint
-	// directory may hold another run's files (a reused
-	// -checkpoint-dir), so rollback and retention look only at these:
-	// another run's state is never restored as this run's, and its
-	// files never count against this run's retention.
-	saved map[int]bool
+	// steps holds the steps this store published and has not yet
+	// pruned, oldest first. A checkpoint directory may hold another
+	// run's files (a reused -checkpoint-dir), so retention counts and
+	// removes only these: another run's files never count against this
+	// run's retention, and no save has to list the directory.
+	steps []int
 }
 
 const (
@@ -40,10 +44,7 @@ func newStore(dir string, keep int, fs fsys.FS) (*store, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("guard: checkpoint dir: %w", err)
 	}
-	if keep < 1 {
-		keep = 1
-	}
-	return &store{dir: dir, keep: keep, fs: fs, saved: make(map[int]bool)}, nil
+	return &store{dir: dir, keep: keep, fs: fs}, nil
 }
 
 // path returns the final name for a checkpoint at the given step.
@@ -61,9 +62,26 @@ func (st *store) save(sys *md.System[float64]) error {
 	if err != nil {
 		return err
 	}
-	st.saved[sys.Steps] = true
+	st.steps = append(st.steps, sys.Steps)
 	st.prune()
 	return nil
+}
+
+// prune removes this run's checkpoints beyond the newest keep. A file
+// whose Remove fails stays listed, so the next save retries it; one
+// already gone counts as removed.
+func (st *store) prune() {
+	excess := len(st.steps) - st.keep
+	kept := st.steps[:0]
+	for i, s := range st.steps {
+		if i < excess {
+			if err := st.fs.Remove(st.path(s)); err == nil || errors.Is(err, iofs.ErrNotExist) {
+				continue
+			}
+		}
+		kept = append(kept, s)
+	}
+	st.steps = kept
 }
 
 // list returns the steps of all well-named checkpoint files, newest
@@ -89,49 +107,19 @@ func (st *store) list() []int {
 	return steps
 }
 
-// own returns the steps of this run's checkpoints still on disk,
-// newest first.
-func (st *store) own() []int {
-	var steps []int
-	for _, s := range st.list() {
-		if st.saved[s] {
-			steps = append(steps, s)
-		}
-	}
-	return steps
-}
-
-// prune removes this run's checkpoints beyond the newest keep.
-func (st *store) prune() {
-	steps := st.own()
-	for _, s := range steps[min(st.keep, len(steps)):] {
-		if st.fs.Remove(st.path(s)) == nil {
-			delete(st.saved, s)
-		}
-	}
-}
-
-// LatestCheckpoint returns the newest CRC-valid checkpoint in dir, read
-// through fs (nil means the real filesystem), or nil when the
-// directory holds none (including when it does not exist). Corrupt or
-// truncated files are reported through onCorrupt and skipped — the same never-trust-a-bad-file discipline the in-run
-// recovery path uses. This is the discovery seam the serving layer
-// resumes interrupted jobs through: it composes a per-job checkpoint
-// directory and asks for the latest trustworthy state without
-// constructing a Supervisor first, so every file in dir is trusted to
-// belong to the job.
+// LatestCheckpoint returns the newest checkpoint in dir, read through
+// fs (nil means the real filesystem), that passes the md reader's CRC
+// and structural validation, or nil when the directory holds none
+// (including when it does not exist). Corrupt or truncated files are
+// reported through onCorrupt and skipped: a corrupt checkpoint is
+// never trusted, an older good one wins. This is the discovery seam
+// the serving layer resumes interrupted jobs through: it composes a
+// per-job checkpoint directory and asks for the latest trustworthy
+// state without constructing a Supervisor first, so every file in dir
+// is trusted to belong to the job.
 func LatestCheckpoint(fs fsys.FS, dir string, onCorrupt func(name string, err error)) *md.System[float64] {
 	st := &store{dir: dir, fs: fsys.OrOS(fs)}
-	return st.recoverLatest(st.list(), onCorrupt)
-}
-
-// recoverLatest loads the newest of the checkpoints at steps (newest
-// first) that passes the md reader's CRC and structural validation;
-// files that fail are reported through onCorrupt and skipped — a
-// corrupt checkpoint is never trusted, an older good one wins. Returns
-// nil if no trustworthy checkpoint exists.
-func (st *store) recoverLatest(steps []int, onCorrupt func(name string, err error)) *md.System[float64] {
-	for _, step := range steps {
+	for _, step := range st.list() {
 		p := st.path(step)
 		f, err := st.fs.Open(p)
 		if err != nil {

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/fsys"
 	"repro/internal/mdrun"
+	"repro/internal/sim"
 )
 
 // frameSteps returns the step number of every frame in an XYZ
@@ -57,6 +59,53 @@ func TestRolledBackFramesDropped(t *testing.T) {
 	}
 	if strings.Contains(xyz.String(), "NaN") {
 		t.Fatal("trajectory holds NaN coordinates from a rolled-back segment")
+	}
+}
+
+// TestCheckpointWriteFailureRollsBackToSnapshot is mdsim's `-guard
+// -method pairlist -workers 2 -atoms 864 -steps 40 -checkpoint-dir ck
+// -checkpoint-every 10 -inject ckpt-error@25,nan-forces@25 -dump-every
+// 5`: the step-20 checkpoint's file write fails, then NaN forces walk
+// the ladder. Every rollback restores the step-20 snapshot, not the
+// older step-10 file, so the trajectory holds each frame once.
+func TestCheckpointWriteFailureRollsBackToSnapshot(t *testing.T) {
+	reg := faults.NewRegistry(1).
+		Arm(faults.Fault{Site: fsys.SiteWrite, Kind: faults.Error, Trigger: faults.Trigger{AtCall: 25}}).
+		Arm(faults.Fault{Site: faults.SiteParallelForces, Kind: faults.NaN, Trigger: faults.Trigger{FromCall: 25}})
+	cfg := baseRun(mdrun.Pairlist, 864, 2)
+	cfg.Faults = reg
+	var xyz bytes.Buffer
+	cfg.Trajectory = &xyz
+	cfg.TrajectoryEvery = 5
+	sup, err := New(Config{
+		Run: cfg, CheckpointEvery: 10,
+		CheckpointDir: t.TempDir(), FS: fsys.Faulty(nil, reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	_, rep, err := sup.Run(40)
+	if err != nil {
+		t.Fatalf("guarded run failed (%v); report: %v", err, rep)
+	}
+	var failed []int
+	for _, ev := range rep.Events {
+		switch ev.Kind {
+		case sim.IncidentCheckpointWriteFail:
+			failed = append(failed, ev.Step)
+		case sim.IncidentRollback:
+			if ev.Detail != "rolled back to step 20" {
+				t.Errorf("rollback event %q, want the step-20 snapshot", ev.Detail)
+			}
+		}
+	}
+	if len(failed) != 1 || failed[0] != 20 || rep.Rollbacks == 0 {
+		t.Fatalf("want the step-20 write to fail and a rollback after it; report: %v", rep)
+	}
+	got := strings.Join(frameSteps(xyz.String()), " ")
+	if want := "5 10 15 20 25 30 35 40"; got != want {
+		t.Fatalf("trajectory frames at steps %q, want %q", got, want)
 	}
 }
 

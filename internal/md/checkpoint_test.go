@@ -2,6 +2,7 @@ package md
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -92,14 +93,18 @@ func TestCheckpointRejectsCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// Corrupt the version field.
-	corrupted := append([]byte(nil), data...)
-	corrupted[4] = 0xFF
-	if _, err := ReadCheckpoint(bytes.NewReader(corrupted)); err == nil {
-		t.Error("bad version accepted")
+	// Corrupt the version field: an unknown version, or the per-atom
+	// layouts of versions 1 and 2, which are refused, not misread.
+	for _, version := range []byte{0xFF, 1, 2} {
+		corrupted := append([]byte(nil), data...)
+		corrupted[4] = version
+		_, err := ReadCheckpoint(bytes.NewReader(corrupted))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+			t.Errorf("version %d: error %v, want an unsupported-version refusal", version, err)
+		}
 	}
 	// Corrupt the atom count to something absurd.
-	corrupted = append([]byte(nil), data...)
+	corrupted := append([]byte(nil), data...)
 	// magic(4) + version(4) + 7 float64(56) + flags(4) + steps(8) = 76;
 	// atom count lives at offset 76.
 	for i := 0; i < 8; i++ {
@@ -125,7 +130,7 @@ func TestCheckpointRejectsNonFiniteState(t *testing.T) {
 func nanF() float64 { z := 0.0; return z / z }
 
 // TestCheckpointTruncationEveryByte simulates a crash at every possible
-// point of a checkpoint write: every strict prefix of a valid v2 file
+// point of a checkpoint write: every strict prefix of a valid file
 // must be rejected with a clean error — the CRC trailer plus fixed
 // layout guarantee no prefix parses as a complete checkpoint.
 func TestCheckpointTruncationEveryByte(t *testing.T) {
@@ -146,10 +151,9 @@ func TestCheckpointTruncationEveryByte(t *testing.T) {
 	}
 }
 
-// TestCheckpointBitFlipEveryByte flips each byte of a valid v2 file in
+// TestCheckpointBitFlipEveryByte flips each byte of a valid file in
 // turn; the CRC trailer (or a stricter structural check) must reject
-// every corruption. This is the property v1 lacked: a flipped mantissa
-// byte used to load silently.
+// every corruption, so a flipped mantissa byte cannot load silently.
 func TestCheckpointBitFlipEveryByte(t *testing.T) {
 	s := makeSystem(t, 16, false)
 	s.Run(2)
@@ -168,47 +172,6 @@ func TestCheckpointBitFlipEveryByte(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1StillLoads is the format-compatibility golden test:
-// a legacy v1 (trailer-less) stream must restore bit-exactly and
-// continue the trajectory identically to the v2 restore.
-func TestCheckpointV1StillLoads(t *testing.T) {
-	s := makeSystem(t, 64, true)
-	s.Run(10)
-	var v1, v2 bytes.Buffer
-	if err := writeCheckpointV1(&v1, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCheckpoint(&v2, s); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() != v1.Len()+4 {
-		t.Fatalf("v2 must be v1 plus a 4-byte trailer: %d vs %d", v2.Len(), v1.Len())
-	}
-	fromV1, err := ReadCheckpoint(&v1)
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	fromV2, err := ReadCheckpoint(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromV1.P != s.P || fromV1.Steps != s.Steps || fromV1.PE != s.PE || fromV1.KE != s.KE {
-		t.Fatal("v1 restore header mismatch")
-	}
-	for i := 0; i < s.N(); i++ {
-		if fromV1.Pos.At(i) != s.Pos.At(i) || fromV1.Vel.At(i) != s.Vel.At(i) || fromV1.Acc.At(i) != s.Acc.At(i) {
-			t.Fatalf("v1 restore state mismatch at atom %d", i)
-		}
-	}
-	fromV1.Run(5)
-	fromV2.Run(5)
-	for i := 0; i < fromV1.N(); i++ {
-		if fromV1.Pos.At(i) != fromV2.Pos.At(i) {
-			t.Fatalf("v1 and v2 restores diverged at atom %d", i)
-		}
-	}
-}
-
 // TestCheckpointHostileAtomCountNoBigAlloc: a header claiming the
 // maximum atom count over a near-empty stream must fail fast without
 // allocating the claimed state (chunked reads bound memory by the
@@ -216,7 +179,7 @@ func TestCheckpointV1StillLoads(t *testing.T) {
 func TestCheckpointHostileAtomCountNoBigAlloc(t *testing.T) {
 	s := makeSystem(t, 16, false)
 	var buf bytes.Buffer
-	if err := writeCheckpointV1(&buf, s); err != nil {
+	if err := WriteCheckpoint(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -44,7 +44,8 @@ func FuzzXYZReader(f *testing.F) {
 // stream backs (hostile length fields), and any stream it accepts must
 // survive a write/read round trip bit-exactly.
 func FuzzReadCheckpoint(f *testing.F) {
-	// Seed with a valid v2 file, a valid v1 file, and assorted garbage.
+	// Seed with a valid file, the same file relabeled version 1 (a
+	// retired layout, refused), and assorted garbage.
 	st, err := lattice.Generate(lattice.Config{
 		N: 8, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 3,
 	})
@@ -55,16 +56,15 @@ func FuzzReadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v2, v1 bytes.Buffer
-	if err := WriteCheckpoint(&v2, sys); err != nil {
+	var valid bytes.Buffer
+	if err := WriteCheckpoint(&valid, sys); err != nil {
 		f.Fatal(err)
 	}
-	if err := writeCheckpointV1(&v1, sys); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
-	f.Add(v2.Bytes()[:len(v2.Bytes())/2])
+	relabeled := append([]byte(nil), valid.Bytes()...)
+	relabeled[4] = 1
+	f.Add(valid.Bytes())
+	f.Add(relabeled)
+	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add([]byte{})
 	f.Add([]byte("PCDM"))
 	f.Add([]byte{0x50, 0x43, 0x44, 0x4d, 2, 0, 0, 0})
@@ -305,9 +305,9 @@ func checkMinImageAgreement(t *testing.T, dx, dy, dz, box float64) {
 // shapes and hostile inputs: arena reuse across Resize must preserve
 // the backing store and never bleed one plane into another,
 // gather/scatter between the SoA planes and AoS vectors must be
-// bit-exact, a v3 checkpoint must survive encode -> decode -> encode
-// with byte-identical output, and corrupted or truncated legacy
-// v1/v2 streams must be rejected with an error, never a panic.
+// bit-exact, a checkpoint must survive encode -> decode -> encode
+// with byte-identical output, and a corrupted or truncated checkpoint
+// must be rejected with an error, never a panic.
 func FuzzSoAState(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint16(3), uint16(40))
 	f.Add(uint64(2), uint8(1), uint16(0), uint16(0))
@@ -401,26 +401,17 @@ func FuzzSoAState(f *testing.F) {
 			t.Fatal("v3 checkpoint encode -> decode -> encode is not byte-stable")
 		}
 
-		// Hostile legacy streams: a bit-flipped v2 fails its CRC (or an
-		// earlier header check) and any truncated v1/v2 is refused —
-		// with an error in every case, never a panic or a silent accept.
-		var v1, v2 bytes.Buffer
-		if err := writeCheckpointV1(&v1, sys); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeCheckpointV2(&v2, sys); err != nil {
-			t.Fatal(err)
-		}
-		flipped := append([]byte(nil), v2.Bytes()...)
+		// Hostile streams: a bit-flipped checkpoint fails its CRC (or an
+		// earlier header check) and a truncated one is refused — with
+		// an error in every case, never a panic or a silent accept.
+		flipped := append([]byte(nil), enc1.Bytes()...)
 		flipped[int(hostileRaw)%len(flipped)] ^= 0x40
 		if _, err := ReadCheckpoint(bytes.NewReader(flipped)); err == nil {
-			t.Fatal("bit-flipped v2 checkpoint accepted")
+			t.Fatal("bit-flipped checkpoint accepted")
 		}
-		for _, legacy := range [][]byte{v1.Bytes(), v2.Bytes()} {
-			cut := int(hostileRaw) % len(legacy) // strictly shorter than the stream
-			if _, err := ReadCheckpoint(bytes.NewReader(legacy[:cut])); err == nil {
-				t.Fatal("truncated legacy checkpoint accepted")
-			}
+		cut := int(hostileRaw) % enc1.Len() // strictly shorter than the stream
+		if _, err := ReadCheckpoint(bytes.NewReader(enc1.Bytes()[:cut])); err == nil {
+			t.Fatal("truncated checkpoint accepted")
 		}
 	})
 }

@@ -26,9 +26,6 @@ const (
 	// IncidentRunError is a step error surfaced by the runner (worker
 	// panic, injected fault, trajectory I/O failure).
 	IncidentRunError
-	// IncidentCheckpointCorrupt is a checkpoint that failed CRC or
-	// structural validation during recovery and was skipped.
-	IncidentCheckpointCorrupt
 	// IncidentCheckpointWriteFail is a checkpoint that could not be
 	// written (the supervisor continues on its in-memory snapshot).
 	IncidentCheckpointWriteFail
@@ -60,7 +57,7 @@ const (
 
 var incidentNames = [NumIncidents]string{
 	"nan", "energy-drift", "temp-explosion", "run-error",
-	"ckpt-corrupt", "ckpt-write-fail",
+	"ckpt-write-fail",
 	"rollback", "retry", "dt-halved", "serial-fallback",
 	"cancelled", "shed", "replica-panic", "resubmit",
 }

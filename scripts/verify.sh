@@ -150,11 +150,11 @@ rm -f "$EXAMPLE_OUT"
 echo "==> perfbench module: go vet + go test (the root build never compiles it)"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "==> go test -race (tier-1.5: md, parallel, faults, fsys, guard, fleet, mdrun, serve, chaos)"
+echo "==> go test -race (tier-1.5: md, parallel, faults, fsys, guard, fleet, mdrun, serve, chaos, mdsim)"
 go test -race -short ./internal/md/... ./internal/parallel/... \
     ./internal/faults/... ./internal/fsys/... ./internal/guard/... \
     ./internal/fleet/... ./internal/mdrun/... ./internal/serve/... \
-    ./internal/chaos/...
+    ./internal/chaos/... ./cmd/mdsim/...
 
 echo "==> mdserve crash-recovery smoke (submit, kill -9, restart, resume, compare)"
 go test -count=1 -run 'TestMDServeKillRestart' ./cmd/mdserve/
