@@ -10,10 +10,9 @@ import (
 // each other's streams; even a locally-constructed Source is banned
 // because nothing forces it to be seeded explicitly, and v2's automatic
 // seeding is explicitly irreproducible. Every stream in this repository
-// must come from internal/xrand so that initial conditions, Langevin
-// noise, and fleet backoff jitter replay bit-for-bit from a recorded
-// seed — the property the device-validation and sibling-replica tests
-// assert.
+// must come from internal/xrand so that initial conditions and Langevin
+// noise replay bit-for-bit from a recorded seed — the property the
+// device-validation and sibling-replica tests assert.
 var RawRand = &Analyzer{
 	Name: "rawrand",
 	Doc:  "math/rand use outside internal/xrand (unseeded or global randomness)",

@@ -141,9 +141,9 @@ type replayEnv struct {
 
 // serverConfig builds the deterministic mdserve configuration every
 // replay uses: single-inflight fleet (sequential job execution), a
-// frozen generous tenant clock (quota decisions depend only on the
-// schedule, never on wall time), zero-sleep backoff, and probe-every-
-// submission degraded recovery.
+// frozen server clock under a generous quota (quota decisions depend
+// only on the schedule, never on wall time), and probe-every-submission
+// degraded recovery.
 func (env *replayEnv) serverConfig() serve.Config {
 	frozen := time.Unix(1_000_000, 0)
 	return serve.Config{
@@ -152,15 +152,14 @@ func (env *replayEnv) serverConfig() serve.Config {
 			MaxInflight:  1,
 			QueueDepth:   64,
 			WorkerBudget: 1,
-			Sleep:        func(time.Duration) {},
 		},
 		Tenancy: serve.TenantPolicy{
 			Rate: 1, Burst: 1024, MaxActive: 512,
-			Now: func() time.Time { return frozen },
 		},
 		FS:         env.fs,
 		Faults:     env.compute,
 		ProbeEvery: -1,
+		Now:        func() time.Time { return frozen },
 		Logf:       func(string, ...any) {},
 	}
 }

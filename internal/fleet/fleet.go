@@ -16,9 +16,8 @@
 //     so a cancelled or timed-out replica stops within one MD step;
 //   - a replica-level recover converts any panic into a Failed result
 //     instead of process death;
-//   - transient failures (a guard give-up that is not a cancellation)
-//     are resubmitted with exponential backoff plus deterministic
-//     jitter, up to MaxResubmits times;
+//   - a transient failure (a guard give-up that is not a cancellation)
+//     is resubmitted once, immediately;
 //   - admission is a bounded queue: when MaxInflight replicas are
 //     running and QueueDepth more are waiting, Submit rejects new
 //     replicas immediately with ErrOverloaded — load shedding, never
@@ -41,7 +40,6 @@ import (
 	"repro/internal/md"
 	"repro/internal/mdrun"
 	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // ErrOverloaded is returned by Submit when the admission queue is
@@ -59,8 +57,10 @@ var ErrReplicaPanic = errors.New("fleet: replica panicked")
 // resubmitting an invalid config cannot succeed.
 var errConfig = errors.New("fleet: replica config rejected")
 
-// jitterSeed seeds the scheduler's deterministic backoff-jitter stream.
-const jitterSeed = 1
+// maxResubmits is how many times a replica that failed transiently
+// (guard gave up, worker panic — anything but cancellation or an
+// invalid config) is resubmitted.
+const maxResubmits = 1
 
 // Config describes the scheduler.
 type Config struct {
@@ -86,25 +86,6 @@ type Config struct {
 	// replica exceeding it is cancelled (within one MD step) and
 	// reported Failed with an error wrapping context.DeadlineExceeded.
 	ReplicaTimeout time.Duration
-
-	// MaxResubmits is how many times a replica that failed transiently
-	// (guard gave up, worker panic — anything but cancellation or an
-	// invalid config) is resubmitted, with backoff. Default 1;
-	// negative disables resubmission.
-	MaxResubmits int
-
-	// BaseBackoff is the delay before the first resubmission; it
-	// doubles per attempt and carries deterministic jitter in
-	// [d/2, d). Zero disables sleeping (tests).
-	BaseBackoff time.Duration
-
-	// MaxBackoff caps the exponential growth. Default 2s when
-	// BaseBackoff is set.
-	MaxBackoff time.Duration
-
-	// Sleep is the backoff clock, replaceable for tests. Default
-	// time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // withDefaults fills zero values.
@@ -123,17 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkerBudget <= 0 {
 		c.WorkerBudget = runtime.NumCPU()
-	}
-	if c.MaxResubmits == 0 {
-		c.MaxResubmits = 1
-	} else if c.MaxResubmits < 0 {
-		c.MaxResubmits = 0
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
 	}
 	return c
 }
@@ -246,9 +216,6 @@ type job struct {
 // Ticket is a handle on a submitted replica.
 type Ticket struct{ j *job }
 
-// Done returns a channel closed when the replica finishes.
-func (t *Ticket) Done() <-chan struct{} { return t.j.done }
-
 // Wait blocks until the replica finishes and returns its result.
 func (t *Ticket) Wait() *Result { <-t.j.done; return t.j.res }
 
@@ -259,9 +226,8 @@ type Scheduler struct {
 	queue chan *job
 	wg    sync.WaitGroup
 
-	mu     sync.Mutex // guards closed, queue sends vs close, rng
+	mu     sync.Mutex // guards closed, queue sends vs close
 	closed bool
-	rng    *xrand.Source
 
 	// drained is closed by the (single) shutdown waiter once every
 	// worker has exited; Close and Drain both wait on it, so a
@@ -277,7 +243,6 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:     cfg,
 		queue:   make(chan *job, cfg.QueueDepth),
-		rng:     xrand.New(jitterSeed),
 		drained: make(chan struct{}),
 	}
 	s.wg.Add(cfg.MaxInflight)
@@ -291,9 +256,6 @@ func New(cfg Config) *Scheduler {
 	}
 	return s
 }
-
-// Config returns the scheduler's effective (defaulted) configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // shutdown stops admission (idempotently) and starts the single
 // drain waiter that signals `drained` once every worker goroutine has
@@ -403,7 +365,7 @@ func RunBatch(ctx context.Context, cfg Config, reps []Replica) *BatchReport {
 }
 
 // runJob drives one admitted replica to a terminal state, resubmitting
-// transient failures with backoff.
+// a transient failure.
 func (s *Scheduler) runJob(j *job) {
 	start := time.Now()
 	res := &Result{ID: j.rep.ID}
@@ -432,11 +394,10 @@ func (s *Scheduler) runJob(j *job) {
 		if errors.Is(err, ErrReplicaPanic) {
 			res.Incidents.Add(sim.IncidentReplicaPanic, 1)
 		}
-		if !transient(err) || attempt >= s.cfg.MaxResubmits || j.ctx.Err() != nil {
+		if !transient(err) || attempt >= maxResubmits || j.ctx.Err() != nil {
 			return
 		}
 		res.Incidents.Add(sim.IncidentResubmit, 1)
-		s.backoff(attempt)
 	}
 }
 
@@ -500,22 +461,4 @@ func transient(err error) bool {
 		return false
 	}
 	return true
-}
-
-// backoff sleeps the exponential-with-jitter delay before resubmission
-// attempt+1. The jitter is drawn from the scheduler's seeded stream,
-// so a batch's backoff schedule is replayable.
-func (s *Scheduler) backoff(attempt int) {
-	if s.cfg.BaseBackoff <= 0 {
-		return
-	}
-	d := s.cfg.BaseBackoff << attempt
-	if d > s.cfg.MaxBackoff || d <= 0 { // <= 0: shift overflow
-		d = s.cfg.MaxBackoff
-	}
-	s.mu.Lock()
-	f := s.rng.Float64()
-	s.mu.Unlock()
-	d = d/2 + time.Duration(f*float64(d/2))
-	s.cfg.Sleep(d)
 }

@@ -67,7 +67,7 @@ func TestBatchIsolatesPoisonedReplica(t *testing.T) {
 	})
 
 	rep := RunBatch(context.Background(), Config{
-		MaxInflight: 4, QueueDepth: n, MaxResubmits: -1,
+		MaxInflight: 4, QueueDepth: n,
 	}, reps)
 
 	if rep.Shed != 0 {
@@ -142,7 +142,6 @@ func TestOverloadShedsAndTimeoutCancels(t *testing.T) {
 	rep := RunBatch(context.Background(), Config{
 		MaxInflight: 2, QueueDepth: 2,
 		ReplicaTimeout: 150 * time.Millisecond,
-		MaxResubmits:   -1,
 	}, reps)
 
 	// Admission capacity is 2 inflight + 2 queued; the stragglers hold
@@ -195,7 +194,7 @@ func TestOverloadShedsAndTimeoutCancels(t *testing.T) {
 
 // TestTransientFailureResubmitsWithBackoff pins the fleet-level retry:
 // a replica whose guard always gives up (persistent NaN) is resubmitted
-// MaxResubmits times with exponentially-growing jittered backoff.
+// once, and then reported failed.
 func TestTransientFailureResubmitsWithBackoff(t *testing.T) {
 	cfg := replicaCfg(42)
 	cfg.MaxRetries = 1
@@ -204,33 +203,18 @@ func TestTransientFailureResubmitsWithBackoff(t *testing.T) {
 		Trigger: faults.Trigger{FromCall: 1},
 	})
 
-	var sleeps []time.Duration
-	rep := RunBatch(context.Background(), Config{
-		MaxInflight: 1, MaxResubmits: 2,
-		BaseBackoff: 100 * time.Millisecond,
-		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
-	}, []Replica{{ID: 0, Guard: cfg, Steps: 10}})
+	rep := RunBatch(context.Background(), Config{MaxInflight: 1},
+		[]Replica{{ID: 0, Guard: cfg, Steps: 10}})
 
 	r := rep.Replica(0)
 	if r.State != Failed {
 		t.Fatalf("state %v, want failed", r.State)
 	}
-	if r.Attempts != 3 {
-		t.Fatalf("attempts %d, want 3 (1 + 2 resubmits)", r.Attempts)
+	if r.Attempts != 2 {
+		t.Fatalf("attempts %d, want 2 (1 + 1 resubmit)", r.Attempts)
 	}
-	if got := r.Incidents.Count(sim.IncidentResubmit); got != 2 {
-		t.Fatalf("resubmit incidents %d, want 2", got)
-	}
-	if len(sleeps) != 2 {
-		t.Fatalf("backoff sleeps %d, want 2 (%v)", len(sleeps), sleeps)
-	}
-	// Jittered exponential: attempt k sleeps in [base<<k / 2, base<<k).
-	for k, d := range sleeps {
-		lo := (100 * time.Millisecond << k) / 2
-		hi := 100 * time.Millisecond << k
-		if d < lo || d >= hi {
-			t.Fatalf("sleep %d = %v outside [%v, %v)", k, d, lo, hi)
-		}
+	if got := r.Incidents.Count(sim.IncidentResubmit); got != 1 {
+		t.Fatalf("resubmit incidents %d, want 1", got)
 	}
 }
 
@@ -239,7 +223,7 @@ func TestTransientFailureResubmitsWithBackoff(t *testing.T) {
 func TestInvalidConfigIsPermanent(t *testing.T) {
 	cfg := replicaCfg(1)
 	cfg.Run.Atoms = -5
-	rep := RunBatch(context.Background(), Config{MaxInflight: 1, MaxResubmits: 3},
+	rep := RunBatch(context.Background(), Config{MaxInflight: 1},
 		[]Replica{{ID: 0, Guard: cfg, Steps: 5}})
 	r := rep.Replica(0)
 	if r.State != Failed || r.Attempts != 1 {
@@ -254,7 +238,7 @@ func TestCancelledBatchLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	s := New(Config{MaxInflight: 2, QueueDepth: 8, MaxResubmits: -1})
+	s := New(Config{MaxInflight: 2, QueueDepth: 8})
 	var tickets []*Ticket
 	for i := 0; i < 4; i++ {
 		tk, err := s.Submit(ctx, delayedReplica(i, 200, 20*time.Millisecond))
@@ -287,7 +271,7 @@ func TestCancelledBatchLeavesNoGoroutines(t *testing.T) {
 // cleanly: every admitted replica still resolves, later Submits shed
 // with ErrClosed, and nothing panics under -race.
 func TestCloseDuringInflightBatch(t *testing.T) {
-	s := New(Config{MaxInflight: 2, QueueDepth: 4, MaxResubmits: -1})
+	s := New(Config{MaxInflight: 2, QueueDepth: 4})
 	var tickets []*Ticket
 	for i := 0; i < 4; i++ {
 		tk, err := s.Submit(context.Background(), delayedReplica(i, 3, 10*time.Millisecond))

@@ -36,7 +36,7 @@ func TestRunContextCancellationIsTerminal(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
-	if rep.Rollbacks != 0 || rep.Attempts != 0 {
+	if rep.Rollbacks != 0 {
 		t.Fatalf("cancellation triggered recovery: %v", rep)
 	}
 	if rep.Counts.Count(sim.IncidentCancelled) != 1 {

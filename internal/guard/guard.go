@@ -436,7 +436,6 @@ func (s *Supervisor) recover(ctx context.Context, attempt *int, cause error) err
 	if *attempt > s.cfg.MaxRetries {
 		return fmt.Errorf("guard: giving up after %d recovery attempts: %w", s.cfg.MaxRetries, cause)
 	}
-	rep.Attempts++
 
 	restored := s.snap.Clone()
 	rep.Rollbacks++

@@ -23,8 +23,7 @@ type RunReport struct {
 	Counts sim.IncidentLog
 
 	CheckpointsWritten int
-	Rollbacks          int
-	Attempts           int // recovery attempts actually performed
+	Rollbacks          int // recovery attempts actually performed
 
 	// FinalMethod, FinalWorkers and FinalDt describe the configuration
 	// the run ended on — FinalWorkers and FinalDt differ from the
@@ -49,8 +48,8 @@ func (r *RunReport) String() string {
 	if r.Completed {
 		status = "completed"
 	}
-	fmt.Fprintf(&b, "%s: method %v workers %d dt %g, %d checkpoints, %d rollbacks, %d attempts",
-		status, r.FinalMethod, r.FinalWorkers, r.FinalDt, r.CheckpointsWritten, r.Rollbacks, r.Attempts)
+	fmt.Fprintf(&b, "%s: method %v workers %d dt %g, %d checkpoints, %d rollbacks",
+		status, r.FinalMethod, r.FinalWorkers, r.FinalDt, r.CheckpointsWritten, r.Rollbacks)
 	if s := r.Counts.String(); s != "" {
 		fmt.Fprintf(&b, " [%s]", s)
 	}

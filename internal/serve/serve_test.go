@@ -214,15 +214,24 @@ func TestIdempotency(t *testing.T) {
 	}
 }
 
-// TestTenantQuota pins the token bucket: with a frozen clock, a tenant
-// gets exactly Burst admissions, then 429s with a positive Retry-After
-// — while a second tenant's bucket is untouched and keeps admitting.
+// TestTenantQuota pins the token bucket: with the server clock frozen,
+// a tenant gets exactly Burst admissions, then 429s with a positive
+// Retry-After — while a second tenant's bucket is untouched and keeps
+// admitting; advancing the server clock refills the bucket.
 func TestTenantQuota(t *testing.T) {
 	now := time.Unix(1000, 0)
-	srv, hs := newTestServer(t, t.TempDir(), TenantPolicy{
-		Rate: 1, Burst: 3, MaxActive: 100,
-		Now: func() time.Time { return now },
+	srv, err := NewServer(Config{
+		DataDir: t.TempDir(),
+		Fleet:   fleet.Config{MaxInflight: 1, QueueDepth: 16, WorkerBudget: 1},
+		Tenancy: TenantPolicy{Rate: 1, Burst: 3, MaxActive: 100},
+		Logf:    t.Logf,
+		Now:     func() time.Time { return now },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
 	defer drainNow(t, srv)
 
 	sp := testSpec(5)
@@ -711,14 +720,14 @@ func TestRestartFailsUnrunnableSpecs(t *testing.T) {
 }
 
 // TestFleetOverload429 pins load-shed mapping: when the fleet queue is
-// full, the client sees 429 with a Retry-After derived from the fleet
-// backoff policy, and the rolled-back job leaves no trace — neither on
-// disk nor in the ID sequence.
+// full, the client sees 429 with the fixed 2 s Retry-After, and the
+// rolled-back job leaves no trace — neither on disk nor in the ID
+// sequence.
 func TestFleetOverload429(t *testing.T) {
 	srv, err := NewServer(Config{
 		DataDir: t.TempDir(),
 		// One slot, no queue: the second concurrent job must shed.
-		Fleet:   fleet.Config{MaxInflight: 1, QueueDepth: -1, WorkerBudget: 1, BaseBackoff: 3 * time.Second},
+		Fleet:   fleet.Config{MaxInflight: 1, QueueDepth: -1, WorkerBudget: 1},
 		Tenancy: TenantPolicy{Rate: 1000, Burst: 1000, MaxActive: 1000},
 		Logf:    t.Logf,
 	})
@@ -746,8 +755,8 @@ func TestFleetOverload429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overload submit = %d, want 429", code)
 	}
-	if hdr.Get("Retry-After") != "3" {
-		t.Fatalf("Retry-After = %q, want 3 (fleet base backoff)", hdr.Get("Retry-After"))
+	if hdr.Get("Retry-After") != "2" {
+		t.Fatalf("Retry-After = %q, want 2", hdr.Get("Retry-After"))
 	}
 	// The shed job's directory was rolled back.
 	entries, err := os.ReadDir(filepath.Join(srv.store.root, "jobs"))

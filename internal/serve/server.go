@@ -23,6 +23,11 @@ const (
 	StatusFailed  = "failed"
 )
 
+// overloadRetrySeconds is the Retry-After hint for fleet-overload
+// 429s: a fixed "come back shortly", since the fleet cannot say when
+// an inflight slot will open.
+const overloadRetrySeconds = 2
+
 // degradeAfter is how many consecutive admission-time storage failures
 // flip the server into degraded read-only mode: new admissions are
 // refused with 503, existing jobs keep running and streaming.
@@ -51,8 +56,8 @@ type Config struct {
 	// submission. Default 1s; negative probes on every submission (the
 	// deterministic setting chaos campaigns use).
 	ProbeEvery time.Duration
-	// Now is the clock for probe pacing, replaceable for tests.
-	// Default time.Now.
+	// Now is the clock for the tenant quota buckets and probe pacing,
+	// replaceable for tests. Default time.Now.
 	Now func() time.Time
 }
 
@@ -124,7 +129,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     st,
-		tenants:   newTenants(cfg.Tenancy),
+		tenants:   newTenants(cfg.Tenancy, cfg.Now),
 		sched:     fleet.New(cfg.Fleet),
 		runCtx:    runCtx,
 		runCancel: runCancel,
@@ -263,7 +268,7 @@ func (s *Server) submit(tenant, key string, sp Spec) (submitResponse, int, strin
 		s.tenants.release(tenant)
 		if errors.Is(err, fleet.ErrOverloaded) {
 			s.shed++
-			return submitResponse{}, http.StatusTooManyRequests, err.Error(), retryAfterSeconds(s.overloadRetry())
+			return submitResponse{}, http.StatusTooManyRequests, err.Error(), overloadRetrySeconds
 		}
 		return submitResponse{}, http.StatusServiceUnavailable, err.Error(), 0
 	}
@@ -324,19 +329,6 @@ func (s *Server) storageRetrySeconds() int {
 		d = time.Second
 	}
 	return retryAfterSeconds(d)
-}
-
-// overloadRetry derives the Retry-After hint for fleet-overload
-// rejections from the fleet's own backoff policy: the base backoff is
-// what the fleet itself waits before retrying a replica, so it is the
-// honest "come back when a slot may have opened" estimate; without a
-// configured backoff the cap (default 2s) stands in.
-func (s *Server) overloadRetry() time.Duration {
-	fc := s.sched.Config()
-	if fc.BaseBackoff > 0 {
-		return fc.BaseBackoff
-	}
-	return fc.MaxBackoff
 }
 
 // replica assembles the fleet replica for a job. When sys is non-nil

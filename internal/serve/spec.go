@@ -10,7 +10,7 @@
 //   - per-tenant token-bucket quotas and fair-share admission on top
 //     of the fleet's load shedding, so one hot tenant cannot starve
 //     the rest — quota rejections carry Retry-After hints derived from
-//     the fleet backoff policy;
+//     the bucket deficit, fleet-overload sheds a fixed 2 s;
 //   - durability: accepted specs are persisted with the same
 //     tmp+fsync+rename discipline as the guard checkpoint store, and a
 //     restarted server re-admits incomplete jobs, resuming each from

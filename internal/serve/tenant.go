@@ -33,8 +33,6 @@ type TenantPolicy struct {
 	// MaxActive caps a tenant's admitted-but-unfinished jobs.
 	// Default 4.
 	MaxActive int
-	// Now is the quota clock, replaceable for tests. Default time.Now.
-	Now func() time.Time
 }
 
 func (p TenantPolicy) withDefaults() TenantPolicy {
@@ -46,9 +44,6 @@ func (p TenantPolicy) withDefaults() TenantPolicy {
 	}
 	if p.MaxActive <= 0 {
 		p.MaxActive = 4
-	}
-	if p.Now == nil {
-		p.Now = time.Now
 	}
 	return p
 }
@@ -64,13 +59,14 @@ type tenantState struct {
 // trivial next to the cost of a single MD step.
 type tenants struct {
 	policy TenantPolicy
+	now    func() time.Time // the server's clock (Config.Now)
 
 	mu sync.Mutex
 	m  map[string]*tenantState
 }
 
-func newTenants(p TenantPolicy) *tenants {
-	return &tenants{policy: p.withDefaults(), m: make(map[string]*tenantState)}
+func newTenants(p TenantPolicy, now func() time.Time) *tenants {
+	return &tenants{policy: p.withDefaults(), now: now, m: make(map[string]*tenantState)}
 }
 
 // ErrQuota is the sentinel inside quota rejections; the HTTP layer maps
@@ -138,7 +134,7 @@ func (t *tenants) reserve(tenant string) {
 func (t *tenants) state(tenant string) *tenantState {
 	st := t.m[tenant]
 	if st == nil {
-		st = &tenantState{tokens: t.policy.Burst, last: t.policy.Now()}
+		st = &tenantState{tokens: t.policy.Burst, last: t.now()}
 		t.m[tenant] = st
 	}
 	return st
@@ -147,7 +143,7 @@ func (t *tenants) state(tenant string) *tenantState {
 // refill credits tokens for the time elapsed since the last refill,
 // capped at Burst. Callers hold t.mu.
 func (t *tenants) refill(st *tenantState) {
-	now := t.policy.Now()
+	now := t.now()
 	if dt := now.Sub(st.last).Seconds(); dt > 0 {
 		st.tokens = math.Min(t.policy.Burst, st.tokens+dt*t.policy.Rate)
 	}

@@ -48,7 +48,7 @@ const (
 	// by the batch scheduler.
 	IncidentReplicaPanic
 	// IncidentResubmit is a fleet-level re-submission of a whole
-	// replica after a transient failure (backoff + jitter retry).
+	// replica after a transient failure.
 	IncidentResubmit
 
 	// NumIncidents is the number of incident classes.
